@@ -1,222 +1,105 @@
 """Hot inner loops shared by the series and Betti machinery.
 
-Every kernel below is written once, in nopython-compatible form, over int64
-numpy arrays.  When numba is importable and ``LEXSEG_NO_NUMBA`` is unset (or
-"0"), the functions are JIT-compiled; otherwise the very same definitions run
-as plain Python, so both paths return identical results.
-
-Exactness note: `_bareiss_rank` keeps every intermediate entry below 2**31 in
-absolute value, which makes all products fit in int64 with no overflow.  When
-the bound would be exceeded it returns -1 and the caller recomputes that one
-matrix with Python big integers.
+Plain Python over tuple rows: a generating set is a sequence of exponent
+tuples of one common length n.  All arithmetic is on Python ints, so ranks
+and counts are exact at any size.
 """
 
-import os
-
-import numpy as np
-
-try:
-    import numba
-except ImportError:
-    numba = None
-
-NUMBA_DISABLED = os.environ.get("LEXSEG_NO_NUMBA", "") not in ("", "0")
-NUMBA_ENABLED = numba is not None and not NUMBA_DISABLED
-
-if NUMBA_ENABLED:
-    def _jit(fn):
-        return numba.njit(cache=True)(fn)
-else:
-    def _jit(fn):
-        return fn
+from collections import Counter
+from itertools import product
+from operator import le
 
 
 def kernel_mode():
-    """'numba' when kernels are JIT-compiled, else 'python'."""
-    return "numba" if NUMBA_ENABLED else "python"
+    """Always 'python': every kernel is plain Python."""
+    return "python"
 
 
-# magnitude bound that keeps int64 Bareiss products overflow-free
-_BAREISS_LIMIT = 1 << 31
+def _in_ideal(gens, e) -> bool:
+    """True iff some generator row divides the exponent vector ``e``."""
+    return any(all(map(le, g, e)) for g in gens)
 
 
-@_jit
-def any_divides(gens, expo):
-    """True iff some row of ``gens`` divides ``expo`` componentwise."""
-    for i in range(gens.shape[0]):
-        ok = True
-        for j in range(gens.shape[1]):
-            if gens[i, j] > expo[j]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-@_jit
 def count_standard(gens, degree):
     """Number of degree-``degree`` monomials divisible by no row of ``gens``.
 
-    DFS over exponent vectors e[0..n-1] summing to ``degree``.  A generator
-    whose support lies inside the assigned prefix and divides it prunes the
-    whole branch (divisibility is monotone in the exponent being chosen, so
-    larger values at the same depth are pruned too).
+    DFS over exponent vectors e[0..n-1] summing to ``degree``.  At depth t
+    only generators whose last variable is x_{t+1} can newly divide the
+    prefix; once one divides it, every larger e[t] is divisible too, so each
+    such generator caps the range of e[t].
     """
-    g, n = gens.shape
-    maxsupp = np.empty(g, np.int64)
-    for i in range(g):
-        ms = -1
-        for j in range(n):
-            if gens[i, j] > 0:
-                ms = j
-        if ms == -1:
+    n = len(gens[0])
+    # ending[t]: (g[:t], g[t]) for each generator whose last variable is t
+    ending = [[] for _ in range(n)]
+    for g in gens:
+        last = max((j for j, v in enumerate(g) if v), default=-1)
+        if last < 0:
             return 0  # the unit ideal contains everything
-        maxsupp[i] = ms
+        ending[last].append((g[:last], g[last]))
+    e = [0] * n
 
-    e = np.zeros(n, np.int64)
-    avail = np.zeros(n + 1, np.int64)
-    nxt = np.zeros(n, np.int64)
-    avail[0] = degree
-    count = 0
-    t = 0
-    while t >= 0:
+    def walk(t, avail):
+        cap = avail
+        for head, top in ending[t]:
+            if top <= cap and all(map(le, head, e)):
+                cap = top - 1
         if t == n - 1:
-            if nxt[t] > avail[t]:
-                t -= 1
-                if t >= 0:
-                    nxt[t] += 1
-                continue
-            e[t] = avail[t]
-            nxt[t] = avail[t] + 1
-        else:
-            if nxt[t] > avail[t]:
-                t -= 1
-                if t >= 0:
-                    nxt[t] += 1
-                continue
-            e[t] = nxt[t]
-        pruned = False
-        for i in range(g):
-            if maxsupp[i] == t:
-                div = True
-                for j in range(t + 1):
-                    if gens[i, j] > e[j]:
-                        div = False
-                        break
-                if div:
-                    pruned = True
-                    break
-        if pruned:
-            # every larger exponent at depth t is divisible too: backtrack
-            t -= 1
-            if t >= 0:
-                nxt[t] += 1
-            continue
-        if t == n - 1:
-            count += 1
-            t -= 1
-            if t >= 0:
-                nxt[t] += 1
-        else:
-            avail[t + 1] = avail[t] - e[t]
-            t += 1
-            nxt[t] = 0
-    return count
+            # the last exponent is forced to be ``avail``
+            return 1 if cap == avail else 0
+        total = 0
+        for v in range(cap + 1):
+            e[t] = v
+            total += walk(t + 1, avail - v)
+        return total
+
+    return walk(0, degree)
 
 
-@_jit
 def kpoly_counts(gens):
     """Inclusion-exclusion numerator over the full denominator (1-t)^n.
 
     Returns c with c[d] = sum over generator subsets whose lcm has total
-    degree d of (-1)^(subset size).  2^g leaves; callers cap g at 20.
+    degree d of (-1)^(subset size).  Subsets with equal lcm are merged as
+    generators are added, but the sum still ranges over all 2^g subsets;
+    callers cap g at 20.
     """
-    g, n = gens.shape
-    maxdeg = 0
-    for j in range(n):
-        m = 0
-        for i in range(g):
-            if gens[i, j] > m:
-                m = gens[i, j]
-        maxdeg += m
-    coeffs = np.zeros(maxdeg + 1, np.int64)
-    lcm_stack = np.zeros((g + 1, n), np.int64)
-    deg_stack = np.zeros(g + 1, np.int64)
-    size_stack = np.zeros(g + 1, np.int64)
-    state = np.zeros(g + 1, np.int64)
-    t = 0
-    while t >= 0:
-        if t == g:
-            if size_stack[t] % 2 == 0:
-                coeffs[deg_stack[t]] += 1
-            else:
-                coeffs[deg_stack[t]] -= 1
-            t -= 1
-            continue
-        s = state[t]
-        if s == 0:  # branch without generator t
-            state[t] = 1
-            for j in range(n):
-                lcm_stack[t + 1, j] = lcm_stack[t, j]
-            deg_stack[t + 1] = deg_stack[t]
-            size_stack[t + 1] = size_stack[t]
-            state[t + 1] = 0
-            t += 1
-        elif s == 1:  # branch with generator t
-            state[t] = 2
-            d = 0
-            for j in range(n):
-                v = lcm_stack[t, j]
-                if gens[t, j] > v:
-                    v = gens[t, j]
-                lcm_stack[t + 1, j] = v
-                d += v
-            deg_stack[t + 1] = d
-            size_stack[t + 1] = size_stack[t] + 1
-            state[t + 1] = 0
-            t += 1
-        else:
-            t -= 1
+    terms = {(0,) * len(gens[0]): 1}
+    for g in gens:
+        grown = dict(terms)
+        for lcm, c in terms.items():
+            key = tuple(map(max, lcm, g))
+            grown[key] = grown.get(key, 0) - c
+        terms = grown
+    coeffs = [0] * (max(map(sum, terms)) + 1)
+    for lcm, c in terms.items():
+        coeffs[sum(lcm)] += c
     return coeffs
 
 
-@_jit
-def bareiss_rank(M):
-    """Rank over Q of an int64 matrix by fraction-free elimination, in place.
+def bareiss_rank(rows):
+    """Rank over Q of an integer matrix (a list of row lists), in place.
 
-    Returns -1 if any entry, initial or intermediate, reaches 2**31 in
-    absolute value (the caller must then redo the computation in exact
-    big-int arithmetic); below that bound no int64 product can overflow.
+    Fraction-free elimination: every entry stays an integer, and Python ints
+    never overflow.
     """
-    nr, nc = M.shape
-    for i in range(nr):
-        for j in range(nc):
-            if M[i, j] >= _BAREISS_LIMIT or M[i, j] <= -_BAREISS_LIMIT:
-                return -1
+    if not rows or not rows[0]:
+        return 0
+    nr, nc = len(rows), len(rows[0])
     rank = 0
-    prev = np.int64(1)
+    prev = 1
     for c in range(nc):
-        p = -1
-        for i in range(rank, nr):
-            if M[i, c] != 0:
-                p = i
-                break
-        if p == -1:
+        p = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
+        if p is None:
             continue
         if p != rank:
-            for j in range(nc):
-                tmp = M[rank, j]
-                M[rank, j] = M[p, j]
-                M[p, j] = tmp
-        piv = M[rank, c]
+            rows[rank], rows[p] = rows[p], rows[rank]
+        rr = rows[rank]
+        piv = rr[c]
         for i in range(rank + 1, nr):
-            mic = M[i, c]
+            ri = rows[i]
+            mic = ri[c]
             for j in range(nc):
-                v = (M[i, j] * piv - mic * M[rank, j]) // prev
-                if v >= _BAREISS_LIMIT or v <= -_BAREISS_LIMIT:
-                    return -1
-                M[i, j] = v
+                ri[j] = (ri[j] * piv - mic * rr[j]) // prev
         prev = piv
         rank += 1
         if rank == nr:
@@ -224,114 +107,57 @@ def bareiss_rank(M):
     return rank
 
 
-@_jit
-def koszul_scan(gens, lcm):
-    """Multigraded Betti numbers of the ideal over its whole multidegree box.
+def betti_at_multidegree(gens, m):
+    """beta_{i,m}(I) for i = 0..|supp(m)|, the ideal given by generator rows.
 
-    For every nonzero multidegree m <= lcm componentwise, computes the reduced
-    homology ranks of the subset complex {s in supp(m) : m / x_s in I} and
-    accumulates betas[i, |m|] += dim H~_{i-1}.  Returns
-    (betas, bail, nbail, overflowed): ``bail[:nbail]`` lists multidegrees
-    whose rank computation hit the int64 guard; ``overflowed`` means the bail
-    buffer itself filled and the whole scan must be redone exactly.
+    beta_{i,m} is the rank of the reduced homology H~_{i-1} of the complex
+    {S subset of supp(m) : m / x_S in I}.  Returns [0] when m is outside I.
     """
-    g, n = gens.shape
-    maxdeg = 0
-    for j in range(n):
-        maxdeg += lcm[j]
-    betas = np.zeros((n + 1, maxdeg + 1), np.int64)
-    bail_cap = 4096
-    bail = np.zeros((bail_cap, n), np.int64)
-    nbail = 0
-    overflowed = False
-
-    m = np.zeros(n, np.int64)
-    supp = np.zeros(n, np.int64)
-    mm = np.zeros(n, np.int64)
-    while True:
-        pos = 0
-        while pos < n and m[pos] == lcm[pos]:
-            m[pos] = 0
-            pos += 1
-        if pos == n:
-            break
-        m[pos] += 1
-
-        if not any_divides(gens, m):
+    if not _in_ideal(gens, m):
+        return [0]
+    supp = [j for j, v in enumerate(m) if v > 0]
+    k = len(supp)
+    # faces[d]: bitmask over supp -> row index, for each face with d vertices
+    faces = [{} for _ in range(k + 1)]
+    faces[0][0] = 0
+    for b in range(1, 1 << k):
+        mm = list(m)
+        for idx in range(k):
+            if b >> idx & 1:
+                mm[supp[idx]] -= 1
+        if _in_ideal(gens, mm):
+            layer = faces[b.bit_count()]
+            layer[b] = len(layer)
+    # ranks[d] = rank of the boundary map from d+1-vertex to d-vertex faces
+    ranks = [0] * (k + 2)
+    if faces[1]:
+        ranks[0] = 1  # augmentation onto the empty face
+    for d in range(1, k):
+        rows, cols = faces[d], faces[d + 1]
+        if not rows or not cols:
             continue
+        M = [[0] * len(cols) for _ in range(len(rows))]
+        for b, col in cols.items():
+            sign = 1
+            for idx in range(k):
+                if b >> idx & 1:
+                    # subsets of faces are faces (I is an ideal)
+                    M[rows[b & ~(1 << idx)]][col] = sign
+                    sign = -sign
+        ranks[d] = bareiss_rank(M)
+    return [1 - ranks[0]] + [len(faces[i]) - ranks[i - 1] - ranks[i]
+                             for i in range(1, k + 1)]
 
-        k = 0
-        mdeg = 0
-        for j in range(n):
-            mdeg += m[j]
-            if m[j] > 0:
-                supp[k] = j
-                k += 1
 
-        nb = 1 << k
-        member = np.zeros(nb, np.uint8)
-        member[0] = 1
-        size_of = np.zeros(nb, np.int64)
-        pos_in_layer = np.zeros(nb, np.int64)
-        cnt = np.zeros(k + 2, np.int64)
-        cnt[0] = 1
-        for b in range(1, nb):
-            size_of[b] = size_of[b >> 1] + (b & 1)
-            for j in range(n):
-                mm[j] = m[j]
-            bb = b
-            idx = 0
-            while bb:
-                if bb & 1:
-                    mm[supp[idx]] -= 1
-                bb >>= 1
-                idx += 1
-            if any_divides(gens, mm):
-                member[b] = 1
-                c = size_of[b]
-                pos_in_layer[b] = cnt[c]
-                cnt[c] += 1
+def koszul_scan(gens, lcm):
+    """Graded Betti numbers of S/I from every multidegree m <= lcm.
 
-        # R[d] = rank of the boundary map from size-(d+1) faces to size-d faces
-        R = np.zeros(k + 2, np.int64)
-        if cnt[1] > 0:
-            R[0] = 1  # augmentation onto the empty face
-        bailed = False
-        for d in range(1, k):
-            rows = cnt[d]
-            cols = cnt[d + 1]
-            if rows == 0 or cols == 0:
-                continue
-            M = np.zeros((rows, cols), np.int64)
-            for b in range(1, nb):
-                if member[b] and size_of[b] == d + 1:
-                    col = pos_in_layer[b]
-                    sign = 1
-                    bb = b
-                    v = 0
-                    while bb:
-                        if bb & 1:
-                            b2 = b & ~(1 << v)
-                            # subsets of members are members (I is an ideal)
-                            M[pos_in_layer[b2], col] = sign
-                            sign = -sign
-                        bb >>= 1
-                        v += 1
-            r = bareiss_rank(M)
-            if r < 0:
-                bailed = True
-                break
-            R[d] = r
-        if bailed:
-            if nbail >= bail_cap:
-                overflowed = True
-            else:
-                for j in range(n):
-                    bail[nbail, j] = m[j]
-                nbail += 1
-            continue
-
-        betas[0, mdeg] += 1 - R[0]
-        for i in range(1, k + 1):
-            betas[i, mdeg] += cnt[i] - R[i - 1] - R[i]
-    return betas, bail, nbail, overflowed
+    Returns a Counter with out[(i + 1, |m|)] summing beta_{i,m}(I) over that
+    box; multidegrees outside it contribute nothing.
+    """
+    out = Counter()
+    for m in product(*(range(v + 1) for v in lcm)):
+        for i, v in enumerate(betti_at_multidegree(gens, m)):
+            if v:
+                out[(i + 1, sum(m))] += v
+    return out

@@ -6,18 +6,14 @@ H~_{i-1} of the simplicial complex {s subset of supp(m) : m / x_s in I}
 (multidegrees outside that box contribute nothing, by the usual support
 argument).  Homology is taken over the rationals via fraction-free integer
 elimination; the declared reference field is Q, so no modular-arithmetic
-false negatives can occur.
-
-The box scan runs in the JIT kernel; the rare multidegrees whose elimination
-would overflow int64 are redone here with Python big integers.
+false negatives can occur.  The per-multidegree ranks and the box scan live
+in `_kernels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 from . import _kernels
 from .betti import BettiTable
@@ -75,85 +71,11 @@ def upper_koszul_complex(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplex
     return SimplicialComplexRecord(supp, maximal)
 
 
-def _exact_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free elimination with Python ints."""
-    if not rows or not rows[0]:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        p = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != rank:
-            rows[rank], rows[p] = rows[p], rows[rank]
-        piv = rows[rank][c]
-        for i in range(rank + 1, nr):
-            mic = rows[i][c]
-            ri, rr = rows[i], rows[rank]
-            for j in range(nc):
-                ri[j] = (ri[j] * piv - mic * rr[j]) // prev
-        prev = piv
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def _betti_at_multidegree(gens: list[tuple[int, ...]], m: tuple[int, ...]) -> list[int]:
-    """beta_{i,m}(I) for i = 0..|supp(m)|, with exact big-int ranks."""
-
-    def in_ideal(e):
-        return any(all(a <= b for a, b in zip(g, e)) for g in gens)
-
-    if not in_ideal(m):
-        return [0]
-    supp = [j for j, e in enumerate(m) if e > 0]
-    k = len(supp)
-    nb = 1 << k
-    member = [False] * nb
-    member[0] = True
-    pos = [0] * nb
-    cnt = [0] * (k + 2)
-    cnt[0] = 1
-    for b in range(1, nb):
-        mm = list(m)
-        for idx in range(k):
-            if b >> idx & 1:
-                mm[supp[idx]] -= 1
-        if in_ideal(tuple(mm)):
-            member[b] = True
-            c = bin(b).count("1")
-            pos[b] = cnt[c]
-            cnt[c] += 1
-    ranks = [0] * (k + 2)
-    if cnt[1] > 0:
-        ranks[0] = 1  # augmentation
-    for d in range(1, k):
-        if cnt[d] == 0 or cnt[d + 1] == 0:
-            continue
-        M = [[0] * cnt[d + 1] for _ in range(cnt[d])]
-        for b in range(1, nb):
-            if member[b] and bin(b).count("1") == d + 1:
-                sign = 1
-                for idx in range(k):
-                    if b >> idx & 1:
-                        M[pos[b & ~(1 << idx)]][pos[b]] = sign
-                        sign = -sign
-        ranks[d] = _exact_rank(M)
-    betas = [1 - ranks[0]]
-    for i in range(1, k + 1):
-        betas.append(cnt[i] - ranks[i - 1] - ranks[i])
-    return betas
-
-
 def koszul_betti(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
     """Multigraded Betti numbers beta_{i,m}(I) for i = 0..n at one multidegree."""
     if ideal.is_unit:
         raise UnitIdealError("Betti numbers of the zero ring are undefined")
-    gens = [g.exponents for g in ideal.gens]
-    betas = _betti_at_multidegree(gens, m.exponents)
+    betas = _kernels.betti_at_multidegree(ideal.exponent_rows, m.exponents)
     betas += [0] * (ideal.n + 1 - len(betas))
     return tuple(betas)
 
@@ -172,37 +94,8 @@ def bruteforce_betti_table(ideal: MonomialIdeal) -> BettiTable:
     if box > BOX_CAP:
         raise BoxTooLargeError(
             f"multidegree box has {box} cells, cap is {BOX_CAP}", box_size=box)
-    lcm = np.array(ideal.lcm_exponents, dtype=np.int64)
-    betas, bail, nbail, overflowed = _kernels.koszul_scan(ideal.exponent_matrix, lcm)
-    gens = [g.exponents for g in ideal.gens]
-    if overflowed:
-        # bail buffer itself overflowed: redo the whole box exactly
-        betas = np.zeros_like(betas)
-        m = [0] * ideal.n
-        lcm_t = ideal.lcm_exponents
-        while True:
-            pos = 0
-            while pos < ideal.n and m[pos] == lcm_t[pos]:
-                m[pos] = 0
-                pos += 1
-            if pos == ideal.n:
-                break
-            m[pos] += 1
-            vals = _betti_at_multidegree(gens, tuple(m))
-            for i, v in enumerate(vals):
-                betas[i, sum(m)] += v
-    else:
-        for idx in range(nbail):
-            m = tuple(int(v) for v in bail[idx])
-            vals = _betti_at_multidegree(gens, m)
-            for i, v in enumerate(vals):
-                betas[i, sum(m)] += v
-    entries = {(0, 0): 1}
-    for i in range(betas.shape[0]):
-        for q in range(betas.shape[1]):
-            v = int(betas[i, q])
-            if v:
-                entries[(i + 1, q)] = v
+    entries = _kernels.koszul_scan(ideal.exponent_rows, ideal.lcm_exponents)
+    entries[(0, 0)] = 1
     return BettiTable.from_entries(entries)
 
 

@@ -16,7 +16,12 @@ from .betti import BettiTable
 from .betti_oracle import bruteforce_betti_table
 from .constructions import ConstructionReport, construct
 from .eliahou_kervaire import ek_betti_table
-from .errors import ConstructionError, LexsegError, NotOSequenceError
+from .errors import (
+    AmbientMismatchError,
+    ConstructionError,
+    LexsegError,
+    NotOSequenceError,
+)
 from .hilbert import h_polynomial, hilbert_series
 from .macaulay import (
     HilbertFunctionSpec,
@@ -67,7 +72,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
     data = _load_json(path)
     try:
         return MonomialIdeal.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AmbientMismatchError) as exc:
         raise _UsageError(f"{path} is not a valid ideal file: {exc}")
 
 
@@ -191,7 +196,9 @@ def cmd_analyze(args) -> int:
     print(f"h-degree: {data['h_degree']}")
     print(f"stable: {_flag(data['stable'])}   strongly stable: "
           f"{_flag(data['strongly_stable'])}   lexsegment: {_flag(data['lexsegment'])}")
-    print(f"(dim - depth) - (h-degree - regularity) = {data['inequality_slack']} >= 0")
+    slack = data["inequality_slack"]
+    print(f"(dim - depth) - (h-degree - regularity) = {slack} "
+          f"{'>=' if slack >= 0 else '<'} 0")
     print(f"betti table (engine: {data['betti_engine']}):")
     rows = data["betti"]["rows"]
     print(BettiTable(tuple(tuple(r) for r in rows)).to_text())

@@ -20,6 +20,7 @@ from .monomials import (
     MonomialIdeal,
     count_standard_monomials,
     krull_dimension,
+    minimalize_rows,
 )
 
 # largest subset count the explicit "subsets" engine will visit (g <= 20)
@@ -140,15 +141,6 @@ def _pmul_one_minus(p, a):
     return _trim(out)
 
 
-def _minimalize_rows(rows):
-    uniq = sorted(set(rows), key=sum)
-    kept = []
-    for r in uniq:
-        if not any(all(a <= b for a, b in zip(k, r)) for k in kept):
-            kept.append(r)
-    return tuple(sorted(kept, reverse=True))
-
-
 def _mixed_count(row) -> int:
     return sum(1 for e in row if e > 0)
 
@@ -197,13 +189,13 @@ def _choose_pivot(gens):
 
 def _with_power(gens, v, k):
     row = tuple(k if j == v else 0 for j in range(len(gens[0])))
-    return _minimalize_rows(list(gens) + [row])
+    return minimalize_rows(list(gens) + [row])
 
 
 def _colon_power(gens, v, k):
     rows = [tuple(max(e - k, 0) if j == v else e for j, e in enumerate(g))
             for g in gens]
-    return _minimalize_rows(rows)
+    return minimalize_rows(rows)
 
 
 def _kpoly_pivot(gens0):
@@ -259,7 +251,7 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "auto") -> tuple[int, ...]:
             raise ValueError(f"{g} generators exceed the 2^20 subset cap; use pivot")
         if g == 0:
             return (1,)
-        return _trim(_kernels.kpoly_counts(ideal.exponent_matrix))
+        return _trim(_kernels.kpoly_counts(ideal.exponent_rows))
     raise ValueError(f"unknown engine {engine!r}")
 
 

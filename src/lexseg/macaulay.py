@@ -124,7 +124,9 @@ class HilbertFunctionSpec:
     tail: int | str
 
     def __post_init__(self):
-        init = tuple(int(v) for v in self.initial)
+        init = tuple(self.initial)
+        if any(type(v) is not int for v in init):
+            raise TypeError(f"Hilbert function values must be ints, got {init}")
         if not init:
             raise ValueError("need at least the degree-0 value")
         if any(v < 0 for v in init):
@@ -132,11 +134,10 @@ class HilbertFunctionSpec:
         if isinstance(self.tail, str):
             if self.tail != MAX_GROWTH:
                 raise ValueError(f"unknown tail rule {self.tail!r}")
-        else:
-            tail = int(self.tail)
-            if tail < 0:
-                raise ValueError("constant tail must be >= 0")
-            object.__setattr__(self, "tail", tail)
+        elif type(self.tail) is not int:
+            raise TypeError(f"constant tail must be an int, got {self.tail!r}")
+        elif self.tail < 0:
+            raise ValueError("constant tail must be >= 0")
         object.__setattr__(self, "initial", init)
 
     @property
@@ -176,7 +177,7 @@ class HilbertFunctionSpec:
     def from_json_dict(cls, data: dict) -> "HilbertFunctionSpec":
         tail = data["tail"]
         if isinstance(tail, dict):
-            tail = int(tail["constant"])
+            tail = tail["constant"]
         return cls(tuple(data["initial"]), tail)
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import le
 
 from . import _kernels
 from .errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
@@ -26,7 +25,9 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        expo = tuple(int(e) for e in self.exponents)
+        expo = tuple(self.exponents)
+        if any(type(e) is not int for e in expo):
+            raise TypeError(f"exponents must be ints, got {expo}")
         if len(expo) < 1:
             raise ValueError("ambient ring needs at least one variable")
         if any(e < 0 for e in expo):
@@ -57,14 +58,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         _check_ambient(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        _check_ambient(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_ambient(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         parts = []
@@ -122,12 +115,9 @@ class MonomialIdeal:
             if m.n != self.n:
                 raise AmbientMismatchError(
                     f"generator {m} has {m.n} exponents, ambient ring has {self.n}")
-        for i, u in enumerate(gens):
-            for j, v in enumerate(gens):
-                if i != j and u.divides(v):
-                    raise ValueError(f"generating set not minimal: {u} divides {v}")
-        if list(gens) != sorted(gens, key=lambda m: m.exponents, reverse=True):
-            raise ValueError("generators not sorted lex-descending")
+        rows = tuple(m.exponents for m in gens)
+        if minimalize_rows(rows) != rows:
+            raise ValueError("generating set not minimal and sorted lex-descending")
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -166,11 +156,9 @@ class MonomialIdeal:
         return min((m.degree for m in self.gens), default=0)
 
     @cached_property
-    def exponent_matrix(self) -> np.ndarray:
-        """int64 matrix with one generator exponent vector per row."""
-        if not self.gens:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.array([m.exponents for m in self.gens], dtype=np.int64)
+    def exponent_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The generator exponent vectors, one tuple per generator."""
+        return tuple(m.exponents for m in self.gens)
 
     @cached_property
     def lcm_exponents(self) -> tuple[int, ...]:
@@ -190,7 +178,10 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
-        return cls.from_exponent_rows(int(data["n"]), data["generators"])
+        n = data["n"]
+        if type(n) is not int:
+            raise TypeError(f"variable count must be an int, got {n!r}")
+        return cls.from_exponent_rows(n, data["generators"])
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -204,22 +195,25 @@ def minimal_generators(n: int, raw) -> MonomialIdeal:
     Idempotent and independent of input order; the empty set gives the zero
     ideal.
     """
-    monos = []
-    seen = set()
+    by_row = {}
     for m in raw:
         if m.n != n:
             raise AmbientMismatchError(
                 f"generator {m} has {m.n} exponents, ambient ring has {n}")
-        if m.exponents not in seen:
-            seen.add(m.exponents)
-            monos.append(m)
-    monos.sort(key=lambda m: m.degree)
-    kept: list[Monomial] = []
-    for m in monos:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    kept.sort(key=lambda m: m.exponents, reverse=True)
-    return MonomialIdeal(n, tuple(kept))
+        by_row[m.exponents] = m
+    return MonomialIdeal(n, tuple(by_row[r] for r in minimalize_rows(by_row)))
+
+
+def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The minimal exponent tuples under divisibility, sorted lex-descending.
+
+    Duplicates collapse; every row must have the same length.
+    """
+    kept = []
+    for r in sorted(set(rows), key=sum):
+        if not any(all(map(le, k, r)) for k in kept):
+            kept.append(r)
+    return tuple(sorted(kept, reverse=True))
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -245,7 +239,7 @@ def count_standard_monomials(ideal: MonomialIdeal, d: int) -> int:
         return 0
     if ideal.is_zero or d < ideal.min_gen_degree:
         return monomial_count(ideal.n, d)
-    return int(_kernels.count_standard(ideal.exponent_matrix, d))
+    return _kernels.count_standard(ideal.exponent_rows, d)
 
 
 def count_ideal_monomials(ideal: MonomialIdeal, d: int) -> int:

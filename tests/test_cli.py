@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from lexseg import cli
 from lexseg.cli import main
 
 
@@ -86,6 +91,41 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
         assert code == 2
 
+    def test_non_int_values_exit_2(self, capsys, tmp_path):
+        for n, rows in ((2, [[1.5, 0], [0, True]]), (2.0, [[1, 0]])):
+            path = tmp_path / "coerced.json"
+            path.write_text(json.dumps({"n": n, "generators": rows}))
+            code, out, err = run(capsys, "analyze", str(path))
+            assert code == 2, (n, rows)
+            assert out == "" and "not a valid ideal file" in err
+
+    def test_row_length_mismatch_exit_2(self, capsys, tmp_path):
+        path = write_ideal(tmp_path, "short.json", 3, [[1, 0, 0], [0, 1]])
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert "not a valid ideal file" in err
+
+    def test_printed_slack_matches_json(self, capsys, tmp_path, remark3):
+        path = write_ideal(tmp_path, "r3.json", 5,
+                           [list(g.exponents) for g in remark3.gens])
+        _, text, _ = run(capsys, "analyze", path)
+        _, out, _ = run(capsys, "analyze", path, "--format", "json")
+        slack = json.loads(out)["inequality_slack"]
+        line = next(x for x in text.splitlines()
+                    if x.startswith("(dim - depth) - (h-degree - regularity) = "))
+        assert line.split(" = ")[1] == f"{slack} >= 0"
+
+    def test_negative_slack_printed_as_such(self, capsys, tmp_path, monkeypatch):
+        real = cli._analyze_data
+
+        def fake(*args):
+            return {**real(*args), "inequality_slack": -1}
+
+        monkeypatch.setattr(cli, "_analyze_data", fake)
+        path = write_ideal(tmp_path, "x1.json", 2, [[1, 0]])
+        _, out, _ = run(capsys, "analyze", path)
+        assert "(dim - depth) - (h-degree - regularity) = -1 < 0" in out
+
     def test_json_round_trips(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,
                            [list(g.exponents) for g in example2.gens])
@@ -125,6 +165,14 @@ class TestLexify:
         code, _, err = run(capsys, "lexify", str(spec), "--n", "2")
         assert code == 3
         assert "degree 1" in err
+
+    def test_non_int_values_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "coerced.json"
+        spec.write_text(json.dumps({"initial": [1, 2.7, True],
+                                    "tail": {"constant": 1}}))
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "2")
+        assert code == 2
+        assert out == "" and "not a valid Hilbert function spec" in err
 
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"
@@ -190,3 +238,15 @@ class TestVerifyGrid:
                            "--oracle")
         assert code == 0
         assert "oracle=ok" in out
+
+
+class TestImport:
+    def test_no_numpy_or_numba(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, lexseg.cli; "
+                 "print(sorted({'numpy', 'numba'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -1,24 +1,13 @@
-"""The JIT kernels against their own un-jitted definitions and a rank oracle."""
+"""The kernels against independent oracles."""
 
 import random
 
-import numpy as np
-import pytest
-
 from helpers import rank_oracle
-from lexseg import _kernels, fixture
-from lexseg.betti_oracle import _betti_at_multidegree, _exact_rank
-from lexseg.corpus import random_monomial_ideal
-
-
-def _plain(fn):
-    """Un-jitted twin of a kernel (identical source, no compilation)."""
-    return fn.py_func if _kernels.NUMBA_ENABLED else fn
+from lexseg import _kernels
 
 
 def _random_matrix(rng, nr, nc, lo=-2, hi=2):
-    return np.array([[rng.randint(lo, hi) for _ in range(nc)]
-                     for _ in range(nr)], dtype=np.int64)
+    return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
 class TestBareissRank:
@@ -27,76 +16,11 @@ class TestBareissRank:
         for _ in range(200):
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             M = _random_matrix(rng, nr, nc)
-            expected = rank_oracle(M.tolist())
-            assert _kernels.bareiss_rank(M.copy()) == expected
-            assert _exact_rank(M.tolist()) == expected
+            expected = rank_oracle(M)
+            assert _kernels.bareiss_rank([row[:] for row in M]) == expected
 
     def test_guard_trips_on_huge_entries(self):
-        big = 1 << 32
-        M = np.array([[big, 1], [1, big]], dtype=np.int64)
-        assert _kernels.bareiss_rank(M.copy()) == -1
-        # the big-int path has no guard and gets it right
-        assert _exact_rank([[big, 1], [1, big]]) == 2
+        assert _kernels.bareiss_rank([[2**32, 1], [1, 2**32]]) == 2
 
     def test_zero_matrix(self):
-        M = np.zeros((3, 4), dtype=np.int64)
-        assert _kernels.bareiss_rank(M) == 0
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                    reason="fallback mode already runs the plain definitions")
-class TestJitMatchesPlain:
-    def test_count_standard(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            ideal = random_monomial_ideal(rng, rng.randint(1, 4), 4, 6)
-            G = ideal.exponent_matrix
-            for d in range(8):
-                assert (_kernels.count_standard(G, d)
-                        == _plain(_kernels.count_standard)(G, d))
-
-    def test_kpoly_counts(self):
-        rng = random.Random(9)
-        for _ in range(15):
-            ideal = random_monomial_ideal(rng, rng.randint(1, 4), 4, 6)
-            G = ideal.exponent_matrix
-            assert np.array_equal(_kernels.kpoly_counts(G),
-                                  _plain(_kernels.kpoly_counts)(G))
-
-    def test_koszul_scan(self):
-        rng = random.Random(10)
-        for _ in range(10):
-            ideal = random_monomial_ideal(rng, rng.randint(1, 4), 4, 5)
-            G = ideal.exponent_matrix
-            lcm = np.array(ideal.lcm_exponents, dtype=np.int64)
-            a = _kernels.koszul_scan(G, lcm)
-            b = _plain(_kernels.koszul_scan)(G, lcm)
-            assert np.array_equal(a[0], b[0])
-            assert a[2] == b[2] and a[3] == b[3]
-
-
-class TestKoszulScanAgainstExactPython:
-    def test_scan_totals_equal_per_multidegree_sums(self):
-        rng = random.Random(12)
-        ideals = [random_monomial_ideal(rng, rng.randint(2, 4), 4, 6)
-                  for _ in range(12)] + [fixture("example2")]
-        for ideal in ideals:
-            G = ideal.exponent_matrix
-            lcm = ideal.lcm_exponents
-            betas, bail, nbail, overflowed = _kernels.koszul_scan(
-                G, np.array(lcm, dtype=np.int64))
-            assert not overflowed and nbail == 0
-            gens = [g.exponents for g in ideal.gens]
-            expected = np.zeros_like(betas)
-            m = [0] * ideal.n
-            while True:
-                pos = 0
-                while pos < ideal.n and m[pos] == lcm[pos]:
-                    m[pos] = 0
-                    pos += 1
-                if pos == ideal.n:
-                    break
-                m[pos] += 1
-                for i, v in enumerate(_betti_at_multidegree(gens, tuple(m))):
-                    expected[i, sum(m)] += v
-            assert np.array_equal(betas, expected)
+        assert _kernels.bareiss_rank([[0] * 4 for _ in range(3)]) == 0
