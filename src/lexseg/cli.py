@@ -48,14 +48,22 @@ class _UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} must be >= {low}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _load_json(path: str) -> dict:
@@ -140,9 +148,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
 
 def cmd_construct(args) -> int:
     report: ConstructionReport = construct(args.r, args.s)
-    ideal = report.ideal
-    series = hilbert_series(ideal)
-    table = ek_betti_table(ideal)
+    ideal, series, table = report.ideal, report.series, report.betti
     if args.out:
         _write_json(args.out, ideal.to_json_dict())
     if args.format == "json":
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal", help="ideal JSON file")
     p.add_argument("--oracle", action="store_true",
                    help="force the brute-force Betti engine")
-    p.add_argument("--max-degree", type=int, default=8,
+    p.add_argument("--max-degree", type=_non_negative_int, default=8,
                    help="how far to print the Hilbert function (default 8)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_analyze)

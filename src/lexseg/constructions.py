@@ -21,17 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .eliahou_kervaire import depth, regularity
+from .betti import BettiTable
+from .eliahou_kervaire import ek_betti_table
 from .errors import ConstructionError
-from .hilbert import h_polynomial
-from .macaulay import HilbertFunctionSpec, lex_ideal_from_hf
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    is_lexsegment,
-    krull_dimension,
-    minimal_generators,
-)
+from .hilbert import HilbertSeries, hilbert_series
+from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series
+from .monomials import Monomial, MonomialIdeal, is_lexsegment, minimal_generators
 
 
 class Invariants(NamedTuple):
@@ -48,26 +43,35 @@ class ConstructionReport:
     branch: str
     predicted: Invariants
     measured: Invariants
+    series: HilbertSeries
+    betti: BettiTable
 
     @property
     def ok(self) -> bool:
         return self.predicted == self.measured
 
 
-def _measure(ideal: MonomialIdeal) -> tuple[Invariants, tuple[int, ...]]:
-    h = h_polynomial(ideal)
+def _measure(ideal: MonomialIdeal,
+             series: HilbertSeries) -> tuple[Invariants, BettiTable]:
+    """The invariants read off the series and one closed-form Betti table.
+
+    `hilbert_series` asserts that the reduced denominator exponent is the
+    Krull dimension; depth is n - pd (Auslander-Buchsbaum).
+    """
+    table = ek_betti_table(ideal)
     inv = Invariants(
         n=ideal.n,
-        regularity=regularity(ideal),
-        h_degree=h.degree,
-        dim=krull_dimension(ideal),
-        depth=depth(ideal),
+        regularity=table.regularity,
+        h_degree=series.h_polynomial().degree,
+        dim=series.denominator_exponent,
+        depth=ideal.n - table.projective_dimension,
     )
-    return inv, h.coefficients
+    return inv, table
 
 
-def _finish(ideal, branch, predicted, expected_h, r, s) -> ConstructionReport:
-    measured, got_h = _measure(ideal)
+def _finish(ideal, series, branch, predicted, expected_h, r, s) -> ConstructionReport:
+    measured, table = _measure(ideal, series)
+    got_h = series.numerator
     if got_h != expected_h:
         raise ConstructionError(
             f"{branch} (r={r}, s={s}): h-polynomial {list(got_h)} != "
@@ -79,7 +83,7 @@ def _finish(ideal, branch, predicted, expected_h, r, s) -> ConstructionReport:
         raise ConstructionError(f"{branch}: ambient bound n <= max(r,s)+2 violated")
     if not is_lexsegment(ideal):
         raise ConstructionError(f"{branch} (r={r}, s={s}): output not a lexsegment ideal")
-    return ConstructionReport(ideal, branch, predicted, measured)
+    return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
 def construct_first_step(r: int, s: int) -> ConstructionReport:
@@ -103,7 +107,8 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     for j in range(s - r + 1):
         hs[r + j] += (-1) ** j * comb(s - r, j)
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=s - r, depth=0)
-    return _finish(ideal, "first-step", predicted, tuple(hs), r, s)
+    return _finish(ideal, hilbert_series(ideal), "first-step", predicted,
+                   tuple(hs), r, s)
 
 
 def second_step_hf(r: int, s: int) -> HilbertFunctionSpec:
@@ -116,13 +121,13 @@ def construct_second_step(r: int, s: int) -> ConstructionReport:
     if not 1 <= s < r:
         raise ValueError(f"second step needs 1 <= s < r, got r={r}, s={s}")
     n = r + 2
-    ideal = lex_ideal_from_hf(second_step_hf(r, s), n)
+    ideal, series = _lex_ideal_and_series(second_step_hf(r, s), n)
     # 1 + (r+1)t - t^s; for s = 1 the two linear terms merge into r*t
     hs = [1] + [0] * s
     hs[1] += r + 1
     hs[s] -= 1
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=1, depth=0)
-    return _finish(ideal, "second-step", predicted, tuple(hs), r, s)
+    return _finish(ideal, series, "second-step", predicted, tuple(hs), r, s)
 
 
 def construct(r: int, s: int) -> ConstructionReport:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import NotOSequenceError
-from .hilbert import hilbert_series
+from .hilbert import HilbertSeries, hilbert_series
 from .monomials import (
     MonomialIdeal,
     lex_unrank,
@@ -248,6 +248,12 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     The result's Hilbert function is re-verified against the spec through the
     series engine up to three degrees past the stopping point.
     """
+    return _lex_ideal_and_series(spec, n)[0]
+
+
+def _lex_ideal_and_series(spec: HilbertFunctionSpec,
+                          n: int) -> tuple[MonomialIdeal, HilbertSeries]:
+    """`lex_ideal_from_hf` with the Hilbert series it verified against."""
     check = is_o_sequence(spec, n)
     if not check:
         raise NotOSequenceError(
@@ -279,4 +285,4 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
         if got != want:
             raise AssertionError(
                 f"realized Hilbert function differs at degree {k}: {got} != {want}")
-    return ideal
+    return ideal, series

@@ -221,7 +221,7 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     if m.n != ideal.n:
         raise AmbientMismatchError(
             f"monomial in {m.n} variables, ideal in {ideal.n}")
-    return any(g.divides(m) for g in ideal.gens)
+    return _kernels._in_ideal(ideal.exponent_rows, m.exponents)
 
 
 def monomial_count(n: int, d: int) -> int:
@@ -314,32 +314,45 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
     return ideal.n - best[0]
 
 
+def _swaps_stay_inside(rows, strong: bool) -> bool:
+    """Whether every swap w = x_i * u / x_j (i < j, x_j | u) of a generator
+    row u lies in the ideal minimally generated by ``rows``; j runs over the
+    support of u when ``strong``, else only over its largest variable.
+
+    Only one bucket of generators can divide w.  Since u is a minimal
+    generator, u / x_j = w / x_i lies outside the ideal, so a generator g
+    dividing w does not divide w / x_i: g_i > w_i - 1 = u_i, and g | w gives
+    g_i <= w_i = u_i + 1.  Hence g_i = u_i + 1, and the rows are bucketed
+    once by (position, exponent) so each swap scans bucket (i, u_i + 1) only.
+    """
+    buckets = {}
+    for g in rows:
+        for p, e in enumerate(g):
+            if e:
+                buckets.setdefault((p, e), []).append(g)
+    for u in rows:
+        support = [j for j, e in enumerate(u) if e]
+        for j in (support if strong else support[-1:]):
+            for i in range(j):
+                w = list(u)
+                w[j] -= 1
+                w[i] += 1
+                if not any(all(map(le, g, w))
+                           for g in buckets.get((i, w[i]), ())):
+                    return False
+    return True
+
+
 def is_stable(ideal: MonomialIdeal) -> bool:
     """Stability: x_i * u / x_max(u) stays in the ideal for every generator u, i < max(u)."""
     _require_quotient_invariants(ideal)
-    for u in ideal.gens:
-        m = u.max_index - 1
-        for i in range(m):
-            e = list(u.exponents)
-            e[m] -= 1
-            e[i] += 1
-            if not contains(ideal, Monomial(tuple(e))):
-                return False
-    return True
+    return _swaps_stay_inside(ideal.exponent_rows, strong=False)
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     """Strong stability: every swap x_j -> x_i with i < j keeps generators in the ideal."""
     _require_quotient_invariants(ideal)
-    for u in ideal.gens:
-        for j in u.support:
-            for i in range(j):
-                e = list(u.exponents)
-                e[j] -= 1
-                e[i] += 1
-                if not contains(ideal, Monomial(tuple(e))):
-                    return False
-    return True
+    return _swaps_stay_inside(ideal.exponent_rows, strong=True)
 
 
 def is_lexsegment(ideal: MonomialIdeal) -> bool:

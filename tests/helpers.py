@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here goes through `contains` / plain Python arithmetic only, so it
-shares no code path with the kernels or closed forms it validates.
+Everything here goes through `contains` (one divisibility scan over the
+generators) and plain Python arithmetic only, so it shares no code path with
+the counting kernels, bucketed searches or closed forms it validates.
 """
 
 from fractions import Fraction
@@ -37,6 +38,22 @@ def brute_is_lexsegment(ideal: MonomialIdeal) -> bool:
                 return False
             if not inside:
                 seen_gap = True
+    return True
+
+
+def brute_is_stable(ideal: MonomialIdeal, strong: bool) -> bool:
+    """Definition check: every swap x_j -> x_i with i < j of a generator stays
+    in the ideal; j runs over the support when ``strong``, else over the
+    largest dividing variable only."""
+    for u in ideal.gens:
+        support = u.support
+        for j in (support if strong else support[-1:]):
+            for i in range(j):
+                e = list(u.exponents)
+                e[j] -= 1
+                e[i] += 1
+                if not contains(ideal, Monomial(tuple(e))):
+                    return False
     return True
 
 

@@ -126,6 +126,15 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", path)
         assert "(dim - depth) - (h-degree - regularity) = -1 < 0" in out
 
+    def test_negative_max_degree_exit_2(self, capsys, tmp_path):
+        path = write_ideal(tmp_path, "x1.json", 2, [[1, 0]])
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", path, "--max-degree", "-1"])
+        assert err.value.code == 2
+        code, out, _ = run(capsys, "analyze", path, "--max-degree", "0")
+        assert code == 0
+        assert "hilbert function: 1, ..." in out
+
     def test_json_round_trips(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,
                            [list(g.exponents) for g in example2.gens])

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from lexseg import eliahou_kervaire, hilbert
 from lexseg.constructions import (
     Invariants,
     construct,
@@ -9,7 +12,7 @@ from lexseg.constructions import (
     second_step_hf,
 )
 from lexseg.eliahou_kervaire import ek_betti_table
-from lexseg.hilbert import h_polynomial, hilbert_function
+from lexseg.hilbert import h_polynomial, hilbert_function, hilbert_series
 from lexseg.monomials import is_lexsegment
 
 
@@ -109,6 +112,29 @@ class TestDispatch:
             for q in range(p + table.regularity + 1):
                 if table.entry(p, q):
                     assert q == p + 2
+
+
+class TestMeasuredOnce:
+    @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
+    def test_one_series_and_one_stability_check(self, monkeypatch, r, s):
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(hilbert, "kpolynomial")
+        count(eliahou_kervaire, "is_stable")
+        report = construct(r, s)
+        assert calls == {"kpolynomial": 1, "is_stable": 1}
+        monkeypatch.undo()
+        assert report.series == hilbert_series(report.ideal)
+        assert report.betti == ek_betti_table(report.ideal)
 
 
 class TestFixtures:

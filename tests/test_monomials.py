@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_monomials, brute_is_lexsegment
+from helpers import all_monomials, brute_is_lexsegment, brute_is_stable
+from lexseg.constructions import construct
 from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 from lexseg.monomials import (
@@ -265,6 +266,27 @@ class TestStabilityPredicates:
         for _ in range(40):
             ideal = random_monomial_ideal(rng, rng.randint(1, 4), 4, 6)
             assert is_lexsegment(ideal) == brute_is_lexsegment(ideal)
+
+    def test_bucketed_swaps_match_definition(self, example2, remark3):
+        rng = random.Random(23)
+        ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 5, 8)
+                  for _ in range(350)]
+        ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
+                   for _ in range(150)]
+        ideals += [construct(r, s).ideal
+                   for r in range(1, 13) for s in range(1, 13)]
+        ideals += [example2, remark3]
+        # stable, but not strongly: x2 -> x1 takes x2*x3 to x1*x3, outside
+        ideals.append(minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0),
+                                             M(0, 1, 1)]))
+        outcomes = set()
+        for ideal in ideals:
+            got = (is_stable(ideal), is_strongly_stable(ideal))
+            assert got == (brute_is_stable(ideal, strong=False),
+                           brute_is_stable(ideal, strong=True)), ideal
+            outcomes.add(got)
+        # stable and strongly stable, stable only, and neither all occur
+        assert outcomes == {(True, True), (True, False), (False, False)}
 
     def test_zero_and_unit_rejected(self):
         for pred in (is_stable, is_strongly_stable, is_lexsegment):
