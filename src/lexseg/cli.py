@@ -14,29 +14,24 @@ import time
 
 from .betti import BettiTable
 from .betti_oracle import bruteforce_betti_table
-from .constructions import ConstructionReport, construct
+from .constructions import ConstructionReport, _measure, construct
 from .eliahou_kervaire import ek_betti_table
 from .errors import (
     AmbientMismatchError,
     ConstructionError,
     LexsegError,
     NotOSequenceError,
+    StabilityRequiredError,
 )
-from .hilbert import h_polynomial, hilbert_series
+from .hilbert import hilbert_series
 from .macaulay import (
     HilbertFunctionSpec,
+    _lex_ideal_and_series,
     generation_horizon,
-    lex_ideal_from_hf,
     macaulay_expansion,
     macaulay_growth,
 )
-from .monomials import (
-    MonomialIdeal,
-    is_lexsegment,
-    is_stable,
-    is_strongly_stable,
-    krull_dimension,
-)
+from .monomials import MonomialIdeal, is_lexsegment, is_stable, is_strongly_stable
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,9 +88,12 @@ def _load_hf_spec(path: str) -> HilbertFunctionSpec:
 
 
 def _write_json(path: str, data: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
 
 
 def _print_json(data: dict) -> None:
@@ -108,39 +106,38 @@ def _flag(value) -> str:
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
     series = hilbert_series(ideal)
-    h = series.h_polynomial()
-    dim = krull_dimension(ideal)
-    try:
-        stable = is_stable(ideal)
+    table = None
+    if not force_oracle:
+        try:
+            table = ek_betti_table(ideal)  # its stability check picks the engine
+        except StabilityRequiredError:
+            pass
+    if ideal.is_zero:
+        stable = strongly = lexseg = None
+    else:
+        stable = is_stable(ideal) if force_oracle else table is not None
         strongly = is_strongly_stable(ideal)
         lexseg = is_lexsegment(ideal)
-    except LexsegError:
-        stable = strongly = lexseg = None  # zero ideal
-    if force_oracle or not (ideal.is_zero or stable):
-        engine = "oracle"
-        table = bruteforce_betti_table(ideal)
+    if table is None:
+        engine, table = "oracle", bruteforce_betti_table(ideal)
     else:
         engine = "eliahou-kervaire"
-        table = ek_betti_table(ideal)
-    reg = table.regularity
-    pd = table.projective_dimension
-    dep = ideal.n - pd
-    slack = (dim - dep) - (h.degree - reg)
+    inv = _measure(ideal, series, table)
     return {
         "ideal": ideal.to_json_dict(),
         "generators": [str(m) for m in ideal.gens],
-        "dim": dim,
-        "depth": dep,
-        "regularity": reg,
-        "projective_dimension": pd,
+        "dim": inv.dim,
+        "depth": inv.depth,
+        "regularity": inv.regularity,
+        "projective_dimension": table.projective_dimension,
         "hilbert_series": str(series),
-        "h_polynomial": list(h.coefficients),
-        "h_degree": h.degree,
+        "h_polynomial": list(series.numerator),
+        "h_degree": inv.h_degree,
         "hilbert_function": [series.coefficient(k) for k in range(max_degree + 1)],
         "stable": stable,
         "strongly_stable": strongly,
         "lexsegment": lexseg,
-        "inequality_slack": slack,
+        "inequality_slack": (inv.dim - inv.depth) - (inv.h_degree - inv.regularity),
         "betti_engine": engine,
         "betti": table.to_json_dict(),
     }
@@ -213,9 +210,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_lexify(args) -> int:
     spec = _load_hf_spec(args.spec)
-    ideal = lex_ideal_from_hf(spec, args.n)
+    ideal, series = _lex_ideal_and_series(spec, args.n)
     horizon = generation_horizon(spec)
-    series = hilbert_series(ideal)
     values = [series.coefficient(k) for k in range(horizon + 4)]
     if args.out:
         _write_json(args.out, ideal.to_json_dict())
@@ -282,8 +278,7 @@ def cmd_verify_grid(args) -> int:
                         f"reg={m.regularity:2d} degh={m.h_degree:2d} "
                         f"dim={m.dim:2d} depth={m.depth:2d} lex=yes")
                 if args.oracle and report.ideal.n <= 4:
-                    same = (bruteforce_betti_table(report.ideal).rows
-                            == ek_betti_table(report.ideal).rows)
+                    same = bruteforce_betti_table(report.ideal).rows == report.betti.rows
                     line += f" oracle={'ok' if same else 'MISMATCH'}"
                     if not same:
                         raise ConstructionError(

@@ -51,26 +51,25 @@ class ConstructionReport:
         return self.predicted == self.measured
 
 
-def _measure(ideal: MonomialIdeal,
-             series: HilbertSeries) -> tuple[Invariants, BettiTable]:
-    """The invariants read off the series and one closed-form Betti table.
+def _measure(ideal: MonomialIdeal, series: HilbertSeries,
+             table: BettiTable) -> Invariants:
+    """The invariants read off the reduced series and the Betti table of S/I.
 
     `hilbert_series` asserts that the reduced denominator exponent is the
     Krull dimension; depth is n - pd (Auslander-Buchsbaum).
     """
-    table = ek_betti_table(ideal)
-    inv = Invariants(
+    return Invariants(
         n=ideal.n,
         regularity=table.regularity,
         h_degree=series.h_polynomial().degree,
         dim=series.denominator_exponent,
         depth=ideal.n - table.projective_dimension,
     )
-    return inv, table
 
 
 def _finish(ideal, series, branch, predicted, expected_h, r, s) -> ConstructionReport:
-    measured, table = _measure(ideal, series)
+    table = ek_betti_table(ideal)
+    measured = _measure(ideal, series, table)
     got_h = series.numerator
     if got_h != expected_h:
         raise ConstructionError(

@@ -6,7 +6,8 @@ C(max(u) - 1, i), where max(u) is the largest variable index dividing u.
 Shifting one step gives the quotient: beta_{p,q}(S/I) = beta_{p-1,q}(I) for
 p >= 1 together with beta_{0,0} = 1.  Regularity is then the maximal
 generator degree minus one and the projective dimension is max over
-generators of max(u); depth follows by Auslander-Buchsbaum.
+generators of max(u); depth follows by Auslander-Buchsbaum.  All three are
+read off the one table.
 """
 
 from __future__ import annotations
@@ -20,21 +21,19 @@ from .monomials import MonomialIdeal, is_stable
 _TRIVIAL = BettiTable(((1,),))
 
 
-def _require_stable(ideal: MonomialIdeal) -> None:
+def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
+    """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
+
+    Raises `StabilityRequiredError` for a non-stable ideal: this is the one
+    stability gate of the closed form.
+    """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
     if ideal.is_zero:
-        return  # free quotient, trivial resolution
+        return _TRIVIAL  # free quotient, trivial resolution
     if not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
-
-
-def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
-    """Betti table of S/I for a stable ideal I (zero ideal gives the unit table)."""
-    _require_stable(ideal)
-    if ideal.is_zero:
-        return _TRIVIAL
     entries = {(0, 0): 1}
     for u in ideal.gens:
         m = u.max_index
@@ -51,17 +50,15 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
 
 
 def projective_dimension(ideal: MonomialIdeal) -> int:
-    """pd(S/I) = max over generators of the largest dividing variable index."""
-    _require_stable(ideal)
-    return max((u.max_index for u in ideal.gens), default=0)
+    """pd(S/I), the last column of the closed-form table."""
+    return ek_betti_table(ideal).projective_dimension
 
 
 def regularity(ideal: MonomialIdeal) -> int:
-    """reg(S/I) = maximal generator degree - 1, cross-checked against the table."""
-    table = ek_betti_table(ideal)
-    return table.regularity
+    """reg(S/I), the last row of the closed-form table."""
+    return ek_betti_table(ideal).regularity
 
 
 def depth(ideal: MonomialIdeal) -> int:
     """depth S/I = n - pd(S/I) (Auslander-Buchsbaum)."""
-    return ideal.n - projective_dimension(ideal)
+    return ideal.n - ek_betti_table(ideal).projective_dimension

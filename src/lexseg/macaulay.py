@@ -71,7 +71,11 @@ class MacaulayExpansion:
 
 
 def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
-    """Unique greedy binomial expansion of a >= 1 in degree d >= 1."""
+    """Unique greedy binomial expansion of a >= 1 in degree d >= 1.
+
+    Each top, the largest t with C(t, deg) <= rem, is found by doubling and
+    then bisection: O(log a) binomials, not a walk of O(a^(1/deg)) steps.
+    """
     if a < 1:
         raise ValueError("expansion defined for positive integers only")
     if d < 1:
@@ -87,16 +91,17 @@ def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
             # remainder of unit binomials: C(deg, deg) + ... + C(deg-rem+1, deg-rem+1)
             tops.extend(deg - i for i in range(rem))
             break
-        t = deg
-        c = 1
-        while True:
-            c2 = c * (t + 1) // (t + 1 - deg)
-            if c2 > rem:
-                break
-            t += 1
-            c = c2
-        tops.append(t)
-        rem -= c
+        lo, hi = deg, deg + 1  # C(lo, deg) <= rem; C(hi, deg) untested
+        while comb(hi, deg) <= rem:
+            lo, hi = hi, deg + 2 * (hi - deg)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if comb(mid, deg) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        tops.append(lo)
+        rem -= comb(lo, deg)
         deg -= 1
     return MacaulayExpansion(d, tuple(tops))
 

@@ -3,11 +3,15 @@
 Everything here goes through `contains` (one divisibility scan over the
 generators) and plain Python arithmetic only, so it shares no code path with
 the counting kernels, bucketed searches or closed forms it validates.
+`count_calls` is the one non-oracle: it counts calls to library functions.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
 from lexseg.monomials import Monomial, MonomialIdeal, contains
 
 
@@ -78,3 +82,45 @@ def rank_oracle(rows) -> int:
         if rank == nr:
             break
     return rank
+
+
+def linear_expansion_tops(a: int, d: int) -> tuple[int, ...]:
+    """Tops of the greedy Macaulay expansion of a in degree d, each found by
+    walking t upward from the lower index one binomial at a time."""
+    tops = []
+    rem = a
+    deg = d
+    while rem > 0:
+        t = deg
+        c = 1
+        while True:
+            c2 = c * (t + 1) // (t + 1 - deg)
+            if c2 > rem:
+                break
+            t += 1
+            c = c2
+        tops.append(t)
+        rem -= c
+        deg -= 1
+    return tuple(tops)
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Count calls to the named lexseg functions, however they are reached:
+    every lexseg module that binds a name gets a counting wrapper."""
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items()
+               if key == "lexseg" or key.startswith("lexseg.")]
+    for module in modules:
+        for name in names:
+            real = getattr(module, name, None)
+            if callable(real):
+                monkeypatch.setattr(module, name, counted(name, real))
+    return calls

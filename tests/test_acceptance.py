@@ -5,10 +5,12 @@ lines as they happen).  Criterion timings exclude one-time JIT compilation:
 the first test warms the kernels before taking any measurement.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,11 +104,14 @@ def test_criterion_1_flagship_end_to_end(report):
     assert text == EXPECTED_BETTI_TEXT
     assert elapsed < 1.0, f"construct+analyze took {elapsed:.3f}s"
 
-    # the installed CLI produces the same bytes (startup measured separately)
+    # the CLI of this checkout produces the same bytes (startup measured separately)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "lexseg.cli", "construct", "--r", "4", "--s", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     cli_elapsed = time.monotonic() - t0
     assert proc.returncode == 0
     assert EXPECTED_BETTI_TEXT in proc.stdout

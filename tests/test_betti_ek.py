@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import count_calls
 from lexseg.betti import BettiTable
 from lexseg.corpus import random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import (
@@ -122,6 +123,14 @@ class TestDerivedInvariants:
             n = rng.randint(1, 4)
             ideal = random_strongly_stable_ideal(rng, n, 5)
             assert depth(ideal) + projective_dimension(ideal) == n
+            assert projective_dimension(ideal) == max(
+                (u.max_index for u in ideal.gens), default=0)
+
+    @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
+    def test_each_helper_reads_one_table(self, monkeypatch, example2, helper):
+        calls = count_calls(monkeypatch, "ek_betti_table", "is_stable")
+        helper(example2)
+        assert calls == {"ek_betti_table": 1, "is_stable": 1}
 
     def test_euler_characteristic_matches_kpolynomial(self):
         rng = random.Random(57)

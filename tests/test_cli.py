@@ -1,13 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import count_calls
 from lexseg import cli
 from lexseg.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -48,6 +52,13 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out_path.read_text())
         assert data == {"n": 2, "generators": [[2, 0], [1, 1]]}
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "construct", "--r", "1", "--s", "2",
+                             "--out", str(target))
+        assert code == 2
+        assert out == "" and f"cannot write {target}" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "construct", "--r", "2", "--s", "1",
@@ -183,6 +194,15 @@ class TestLexify:
         assert code == 2
         assert out == "" and "not a valid Hilbert function spec" in err
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "6",
+                             "--out", str(target))
+        assert code == 2
+        assert out == "" and f"cannot write {target}" in err
+
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"
         spec.write_text(json.dumps({"initial": [1], "tail": {"constant": 1}}))
@@ -247,6 +267,54 @@ class TestVerifyGrid:
                            "--oracle")
         assert code == 0
         assert "oracle=ok" in out
+
+
+class TestGoldenOutput:
+    """stdout pinned byte for byte; verify-grid's elapsed time is masked."""
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
+    def test_stdout_unchanged(self, capsys, tmp_path, case):
+        path = tmp_path / "input.json"
+        if case["input"]:
+            path.write_text(json.dumps(GOLDEN["inputs"][case["input"]]))
+        code, out, _ = run(capsys, *(str(path) if a == "{input}" else a
+                                     for a in case["argv"]))
+        assert code == 0
+        if "stdout_json" in case:
+            assert out == json.dumps(case["stdout_json"], indent=2) + "\n"
+        else:
+            out = re.sub(r"in \d+\.\d\ds$", "in <time>s", out, flags=re.M)
+            assert out == "\n".join(case["stdout"]) + "\n"
+
+
+class TestMeasuredOnce:
+    @pytest.mark.parametrize("ideal, flags", [
+        ("example2", []), ("non-stable", []), ("example2", ["--oracle"])],
+        ids=["stable", "non-stable", "oracle"])
+    def test_analyze_one_series_dimension_and_stability_check(
+            self, capsys, tmp_path, monkeypatch, ideal, flags):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(GOLDEN["inputs"][ideal]))
+        calls = count_calls(monkeypatch, "kpolynomial", "krull_dimension", "is_stable")
+        code, _, _ = run(capsys, "analyze", str(path), *flags)
+        assert code == 0
+        assert calls == {"kpolynomial": 1, "krull_dimension": 1, "is_stable": 1}
+
+    def test_lexify_one_series(self, capsys, tmp_path, monkeypatch):
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
+        calls = count_calls(monkeypatch, "kpolynomial")
+        code, _, _ = run(capsys, "lexify", str(spec), "--n", "6")
+        assert code == 0
+        assert calls == {"kpolynomial": 1}
+
+    def test_verify_grid_oracle_one_table_per_cell(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "ek_betti_table")
+        code, out, _ = run(capsys, "verify-grid", "--rmax", "2", "--smax", "2",
+                           "--oracle")
+        assert code == 0
+        assert out.count("oracle=ok") == 4
+        assert calls == {"ek_betti_table": 4}
 
 
 class TestImport:

@@ -1,8 +1,6 @@
-from collections import Counter
-
 import pytest
 
-from lexseg import eliahou_kervaire, hilbert
+from helpers import count_calls
 from lexseg.constructions import (
     Invariants,
     construct,
@@ -117,19 +115,7 @@ class TestDispatch:
 class TestMeasuredOnce:
     @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
     def test_one_series_and_one_stability_check(self, monkeypatch, r, s):
-        calls = Counter()
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(hilbert, "kpolynomial")
-        count(eliahou_kervaire, "is_stable")
+        calls = count_calls(monkeypatch, "kpolynomial", "is_stable")
         report = construct(r, s)
         assert calls == {"kpolynomial": 1, "is_stable": 1}
         monkeypatch.undo()

@@ -1,10 +1,11 @@
 import random
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_function
+from helpers import brute_hilbert_function, linear_expansion_tops
 from lexseg.errors import NotOSequenceError
 from lexseg.macaulay import (
     MAX_GROWTH,
@@ -53,6 +54,23 @@ class TestExpansion:
         tops = exp.tops
         assert all(x > y for x, y in zip(tops, tops[1:]))
         assert all(top >= low >= 1 for top, low in exp.terms)
+
+    def test_bisection_matches_linear_walk(self):
+        rng = random.Random(2024)
+        cases = [(a, d) for d in range(1, 7) for a in range(1, 300)]
+        for _ in range(400):
+            d = rng.randint(1, 30)
+            cases.append((rng.randint(1, 10 ** rng.randint(1, 9 if d > 1 else 5)), d))
+        for a, d in cases:
+            assert macaulay_expansion(a, d).tops == linear_expansion_tops(a, d), (a, d)
+
+    def test_huge_value_in_degree_two(self):
+        a = 10 ** 30
+        exp = macaulay_expansion(a, 2)
+        assert exp.value() == a
+        top = (1 + isqrt(1 + 8 * a)) // 2  # largest t with t(t-1)/2 <= a
+        assert comb(top, 2) <= a < comb(top + 1, 2)
+        assert exp.tops[0] == top
 
     def test_invalid_structure_rejected(self):
         with pytest.raises(ValueError):
