@@ -3,12 +3,10 @@ lexsegment ideals realizing any prescribed (regularity, h-degree) pair."""
 
 from .betti import BettiTable
 from .betti_oracle import (
-    SimplicialComplexRecord,
     bruteforce_betti_table,
     bruteforce_depth,
     bruteforce_regularity,
     koszul_betti,
-    upper_koszul_complex,
 )
 from .constructions import (
     ConstructionReport,
@@ -81,7 +79,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "NotOSequenceError",
-    "SimplicialComplexRecord",
     "StabilityRequiredError",
     "UnitIdealError",
     "ZeroIdealError",
@@ -116,7 +113,6 @@ __all__ = [
     "minimal_generators",
     "projective_dimension",
     "regularity",
-    "upper_koszul_complex",
 ]
 
 __version__ = "0.1.0"

@@ -12,69 +12,24 @@ in `_kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from . import _kernels
 from .betti import BettiTable
-from .errors import BoxTooLargeError, UnitIdealError
-from .monomials import Monomial, MonomialIdeal, contains
+from .errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
+from .monomials import Monomial, MonomialIdeal
 
 BOX_CAP = 10**6
 
 _TRIVIAL = BettiTable(((1,),))
 
 
-@dataclass(frozen=True)
-class SimplicialComplexRecord:
-    """A simplicial complex stored by its maximal faces.
-
-    ``vertices`` are 0-based variable positions; membership of any subset is
-    derivable since complexes are closed under taking subsets.  The empty
-    complex (no faces at all) is distinct from the complex {emptyset}.
-    """
-
-    vertices: tuple[int, ...]
-    maximal_faces: tuple[frozenset, ...]
-
-    @property
-    def is_void(self) -> bool:
-        return not self.maximal_faces
-
-    def has_face(self, face) -> bool:
-        face = frozenset(face)
-        return any(face <= mx for mx in self.maximal_faces)
-
-
-def upper_koszul_complex(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplexRecord:
-    """The complex {s in supp(m) : m / x_s lies in the ideal}.
-
-    Downward closed since the ideal is closed under multiplication; its
-    reduced homology in dimension i-1 gives beta_{i,m}(I).
-    """
-    if m.n != ideal.n:
-        raise ValueError(f"monomial in {m.n} variables, ideal in {ideal.n}")
-    supp = m.support
-    k = len(supp)
-    faces = []
-    for b in range(1 << k):
-        mm = list(m.exponents)
-        sub = []
-        for idx in range(k):
-            if b >> idx & 1:
-                mm[supp[idx]] -= 1
-                sub.append(supp[idx])
-        if contains(ideal, Monomial(tuple(mm))):
-            faces.append(frozenset(sub))
-    maximal = tuple(f for f in faces
-                    if not any(f < g for g in faces))
-    return SimplicialComplexRecord(supp, maximal)
-
-
 def koszul_betti(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
     """Multigraded Betti numbers beta_{i,m}(I) for i = 0..n at one multidegree."""
     if ideal.is_unit:
         raise UnitIdealError("Betti numbers of the zero ring are undefined")
+    if m.n != ideal.n:
+        raise AmbientMismatchError(f"monomial in {m.n} variables, ideal in {ideal.n}")
     betas = _kernels.betti_at_multidegree(ideal.exponent_rows, m.exponents)
     betas += [0] * (ideal.n + 1 - len(betas))
     return tuple(betas)

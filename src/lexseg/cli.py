@@ -117,7 +117,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
     else:
         stable = is_stable(ideal) if force_oracle else table is not None
         strongly = is_strongly_stable(ideal)
-        lexseg = is_lexsegment(ideal)
+        lexseg = is_lexsegment(ideal, series)
     if table is None:
         engine, table = "oracle", bruteforce_betti_table(ideal)
     else:

@@ -80,7 +80,7 @@ def _finish(ideal, series, branch, predicted, expected_h, r, s) -> ConstructionR
             f"{branch} (r={r}, s={s}): measured {measured} != predicted {predicted}")
     if predicted.n > max(r, s) + 2:
         raise ConstructionError(f"{branch}: ambient bound n <= max(r,s)+2 violated")
-    if not is_lexsegment(ideal):
+    if not is_lexsegment(ideal, series):
         raise ConstructionError(f"{branch} (r={r}, s={s}): output not a lexsegment ideal")
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 

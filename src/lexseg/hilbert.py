@@ -6,7 +6,9 @@ inclusion-exclusion over generator lcms is kept as an independent engine,
 run only on request (``engine="subsets"``) as the test suite's cross-check:
 it visits all 2^g generator subsets.  The series is the K-polynomial with
 all (1-t) factors cancelled; its denominator exponent is asserted to equal
-the Krull dimension on every call.
+the Krull dimension on every call.  The series is the one source of Hilbert
+function values; counting standard monomials is left to the tests, as the
+reference it is compared against.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import UnitIdealError
-from .monomials import (
-    MonomialIdeal,
-    count_standard_monomials,
-    krull_dimension,
-    minimalize_rows,
-)
+from .monomials import MonomialIdeal, krull_dimension, minimalize_rows
 
 # largest subset count the explicit "subsets" engine will visit (g <= 20)
 SUBSET_CAP = 1 << 20
@@ -235,15 +232,14 @@ def _kpoly_pivot(gens0):
     return memo[gens0]
 
 
-def kpolynomial(ideal: MonomialIdeal, engine: str = "auto") -> tuple[int, ...]:
+def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     """Numerator N(t) with F(S/I, t) = N(t)/(1-t)^n exactly (unreduced).
 
-    engine: "pivot" (recursive splitting), "auto" (the default, same as
-    pivot), or "subsets" (inclusion-exclusion over all 2^g generator
-    subsets, capped at SUBSET_CAP; an independent cross-check, never chosen
-    by default).
+    engine: "pivot" (recursive splitting, the default and the only engine
+    any runtime path uses) or "subsets" (inclusion-exclusion over all 2^g
+    generator subsets, capped at SUBSET_CAP; an independent cross-check).
     """
-    if engine in ("auto", "pivot"):
+    if engine == "pivot":
         return _kpoly_pivot(tuple(m.exponents for m in ideal.gens))
     if engine == "subsets":
         g = len(ideal.gens)
@@ -255,11 +251,11 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "auto") -> tuple[int, ...]:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def hilbert_series(ideal: MonomialIdeal, engine: str = "auto") -> HilbertSeries:
+def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Reduced Hilbert series of S/I; rejects the unit ideal."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    coeffs = list(kpolynomial(ideal, engine))
+    coeffs = list(kpolynomial(ideal))
     d = ideal.n
     while sum(coeffs) == 0:
         acc = 0
@@ -285,19 +281,14 @@ def h_degree(ideal: MonomialIdeal) -> int:
     return h_polynomial(ideal).degree
 
 
-def hilbert_function(ideal: MonomialIdeal, k: int, method: str = "series") -> int:
+def hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     """H(S/I, k): number of degree-k monomials outside the ideal.
 
-    method "series" expands the reduced series with exact integer binomials;
-    method "enumeration" counts standard monomials directly.  The two agree
-    everywhere (a tested invariant).
+    Expands the reduced series with exact integer binomials; the tests check
+    it against direct enumeration (`count_standard_monomials`).
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert function")
     if k < 0:
         raise ValueError("degree must be non-negative")
-    if method == "series":
-        return hilbert_series(ideal).coefficient(k)
-    if method == "enumeration":
-        return count_standard_monomials(ideal, k)
-    raise ValueError(f"unknown method {method!r}")
+    return hilbert_series(ideal).coefficient(k)

@@ -18,12 +18,7 @@ from math import comb
 
 from .errors import NotOSequenceError
 from .hilbert import HilbertSeries, hilbert_series
-from .monomials import (
-    MonomialIdeal,
-    lex_unrank,
-    minimal_generators,
-    monomial_count,
-)
+from .monomials import MonomialIdeal, lex_unrank, monomial_count
 
 MAX_GROWTH = "max-growth"
 
@@ -280,9 +275,12 @@ def _lex_ideal_and_series(spec: HilbertFunctionSpec,
         for rank in range(shadow, block):
             gens.append(lex_unrank(n, k, rank))
         prev_h = hk
-    ideal = minimal_generators(n, gens)
-    if len(ideal.gens) != len(gens):
-        raise AssertionError("segment-minus-shadow generators were not minimal")
+    gens.sort(key=lambda m: m.exponents, reverse=True)
+    try:
+        ideal = MonomialIdeal(n, tuple(gens))  # checks minimality
+    except ValueError:
+        raise AssertionError(
+            "segment-minus-shadow generators were not minimal") from None
     series = hilbert_series(ideal)
     for k in range(stop + 4):
         got = series.coefficient(k)

@@ -8,8 +8,9 @@ the counting kernels, bucketed searches or closed forms it validates.
 
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
 from lexseg.monomials import Monomial, MonomialIdeal, contains
@@ -31,17 +32,41 @@ def brute_hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     return sum(1 for m in all_monomials(ideal.n, k) if not contains(ideal, m))
 
 
+def _lex_successor(e):
+    """The next monomial after ``e`` in the lex-descending order of its
+    degree, or None after the last one, xn^d."""
+    p = max((j for j in range(len(e) - 1) if e[j]), default=None)
+    if p is None:
+        return None
+    out = list(e[:p + 1]) + [0] * (len(e) - p - 1)
+    out[p] -= 1
+    out[p + 1] = sum(e[p + 1:]) + 1
+    return tuple(out)
+
+
 def brute_is_lexsegment(ideal: MonomialIdeal) -> bool:
     """Definition check: in each degree, once a monomial is missing no
-    lex-smaller one may be present."""
+    lex-smaller one may be present, i.e. the missing (standard) monomials
+    are closed under the lex successor.
+
+    The standard monomials of degree d are grown from those of degree d - 1,
+    since every divisor of a standard monomial is standard, so each degree
+    costs n membership tests per standard monomial, not one per monomial.
+    """
+    n = ideal.n
+    standard = {(0,) * n}
     for d in range(1, ideal.max_gen_degree + 1):
-        seen_gap = False
-        for m in all_monomials(ideal.n, d):
-            inside = contains(ideal, m)
-            if inside and seen_gap:
+        grown = set()
+        for e in standard:
+            for j in range(n):
+                t = e[:j] + (e[j] + 1,) + e[j + 1:]
+                if not contains(ideal, Monomial(t)):
+                    grown.add(t)
+        standard = grown
+        for e in standard:
+            nxt = _lex_successor(e)
+            if nxt is not None and nxt not in standard:
                 return False
-            if not inside:
-                seen_gap = True
     return True
 
 
@@ -59,6 +84,70 @@ def brute_is_stable(ideal: MonomialIdeal, strong: bool) -> bool:
                 if not contains(ideal, Monomial(tuple(e))):
                     return False
     return True
+
+
+@dataclass(frozen=True)
+class SimplicialComplexRecord:
+    """A simplicial complex stored by its maximal faces.
+
+    ``vertices`` are 0-based variable positions; membership of any subset is
+    derivable since complexes are closed under taking subsets.  The empty
+    complex (no faces at all) is distinct from the complex {emptyset}.
+    """
+
+    vertices: tuple[int, ...]
+    maximal_faces: tuple[frozenset, ...]
+
+    @property
+    def is_void(self) -> bool:
+        return not self.maximal_faces
+
+    def has_face(self, face) -> bool:
+        face = frozenset(face)
+        return any(face <= mx for mx in self.maximal_faces)
+
+
+def upper_koszul_complex(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplexRecord:
+    """The complex {s in supp(m) : m / x_s lies in the ideal}.
+
+    Downward closed since the ideal is closed under multiplication; its
+    reduced homology in dimension i-1 gives beta_{i,m}(I).
+    """
+    supp = m.support
+    faces = []
+    for k in range(len(supp) + 1):
+        for sub in combinations(supp, k):
+            e = list(m.exponents)
+            for v in sub:
+                e[v] -= 1
+            if contains(ideal, Monomial(tuple(e))):
+                faces.append(frozenset(sub))
+    maximal = tuple(f for f in faces if not any(f < g for g in faces))
+    return SimplicialComplexRecord(supp, maximal)
+
+
+def reduced_homology_ranks(K: SimplicialComplexRecord, length: int) -> tuple[int, ...]:
+    """dim H~_{i-1}(K; Q) for i = 0..length-1, from every face of K and the
+    simplicial boundary maps, ranked by `rank_oracle`."""
+    faces = {sub for mx in K.maximal_faces for k in range(len(mx) + 1)
+             for sub in combinations(sorted(mx), k)}
+    by_size = [[] for _ in range(length + 1)]
+    for f in faces:
+        by_size[len(f)].append(f)
+
+    def boundary_rank(k):
+        # the map from faces with k vertices to faces with k - 1
+        if k == 0 or not by_size[k]:
+            return 0
+        row = {f: i for i, f in enumerate(by_size[k - 1])}
+        M = [[0] * len(by_size[k]) for _ in by_size[k - 1]]
+        for col, f in enumerate(by_size[k]):
+            for pos in range(k):
+                M[row[f[:pos] + f[pos + 1:]]][col] = (-1) ** pos
+        return rank_oracle(M)
+
+    ranks = [boundary_rank(k) for k in range(length + 1)]
+    return tuple(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(length))
 
 
 def rank_oracle(rows) -> int:

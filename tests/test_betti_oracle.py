@@ -1,19 +1,20 @@
 import random
+from itertools import product
 
 import pytest
 
+from helpers import reduced_homology_ranks, upper_koszul_complex
 from lexseg.betti_oracle import (
     bruteforce_betti_table,
     bruteforce_depth,
     bruteforce_regularity,
     koszul_betti,
-    upper_koszul_complex,
 )
 from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import ek_betti_table
-from lexseg.errors import BoxTooLargeError, UnitIdealError
+from lexseg.errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
 from lexseg.hilbert import kpolynomial
-from lexseg.monomials import Monomial, MonomialIdeal, minimal_generators
+from lexseg.monomials import Monomial, MonomialIdeal, is_stable, minimal_generators
 
 
 def M(*expo):
@@ -33,6 +34,12 @@ class TestKoszulBetti:
     def test_outside_ideal_vanishes(self):
         ideal = minimal_generators(2, [M(2, 0)])
         assert koszul_betti(ideal, M(1, 1)) == (0, 0, 0)
+
+    def test_ambient_mismatch(self):
+        ideal = minimal_generators(2, [M(1, 0), M(0, 1)])
+        for m in (M(1, 1, 0), M(1)):
+            with pytest.raises(AmbientMismatchError):
+                koszul_betti(ideal, m)
 
     def test_totals_reproduce_ek_table(self, example2):
         # aggregate per (homological degree, total degree) over the whole box
@@ -59,6 +66,22 @@ class TestKoszulBetti:
             for q in range(p + table.regularity + 1):
                 if table.entry(p, q):
                     assert totals.get((p, q)) == table.entry(p, q)
+
+    def test_entries_match_complex_homology(self, example2):
+        # every multidegree of the box, against the homology of the complex
+        # built through `contains`, on non-stable ideals where EK cannot check
+        rng = random.Random(80)
+        ideals = []
+        while len(ideals) < 12:
+            ideal = random_monomial_ideal(rng, rng.randint(2, 4), 4, 5)
+            if not is_stable(ideal):
+                ideals.append(ideal)
+        for ideal in ideals + [example2]:
+            for m in product(*(range(e + 1) for e in ideal.lcm_exponents)):
+                m = Monomial(m)
+                want = reduced_homology_ranks(upper_koszul_complex(ideal, m),
+                                              ideal.n + 1)
+                assert koszul_betti(ideal, m) == want, (ideal, m)
 
 
 class TestUpperKoszulComplex:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import count_calls
-from lexseg import cli
+from lexseg import cli, macaulay
 from lexseg.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -203,6 +203,19 @@ class TestLexify:
         assert code == 2
         assert out == "" and f"cannot write {target}" in err
 
+    def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
+        # a realization bug that repeats a generator fails the constructor's
+        # minimality check, reported as a verification failure
+        from lexseg import macaulay
+        real = macaulay.lex_unrank
+        monkeypatch.setattr(macaulay, "lex_unrank",
+                            lambda n, d, rank: real(n, d, 0))
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
+        assert code == 4
+        assert out == "" and "generators were not minimal" in err
+
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"
         spec.write_text(json.dumps({"initial": [1], "tail": {"constant": 1}}))
@@ -315,6 +328,19 @@ class TestMeasuredOnce:
         assert code == 0
         assert out.count("oracle=ok") == 4
         assert calls == {"ek_betti_table": 4}
+
+
+class TestNoEnumeration:
+    @pytest.mark.parametrize("ideal, flags", [
+        ("example2", []), ("non-stable", []), ("example2", ["--oracle"])],
+        ids=["stable", "non-stable", "oracle"])
+    def test_analyze_reads_the_series(self, capsys, tmp_path, no_enumeration,
+                                      ideal, flags):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(GOLDEN["inputs"][ideal]))
+        code, out, err = run(capsys, "analyze", str(path), *flags)
+        assert code == 0, err
+        assert "lexsegment: " in out
 
 
 class TestImport:

@@ -123,6 +123,14 @@ class TestMeasuredOnce:
         assert report.betti == ek_betti_table(report.ideal)
 
 
+class TestNoEnumeration:
+    def test_construct_reads_the_series(self, no_enumeration):
+        for r in range(1, 13):
+            for s in range(1, 13):
+                assert construct(r, s).ok, (r, s)
+        assert construct(5, 30).ok
+
+
 class TestFixtures:
     def test_example2(self, example2):
         assert example2.n == 6

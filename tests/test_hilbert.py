@@ -17,7 +17,13 @@ from lexseg.hilbert import (
     hilbert_series,
     kpolynomial,
 )
-from lexseg.monomials import Monomial, MonomialIdeal, krull_dimension, minimal_generators
+from lexseg.monomials import (
+    Monomial,
+    MonomialIdeal,
+    count_standard_monomials,
+    krull_dimension,
+    minimal_generators,
+)
 
 
 def M(*expo):
@@ -62,6 +68,13 @@ class TestKPolynomial:
             assert series.numerator == expected
             assert series.denominator_exponent == s - r
 
+    def test_only_pivot_and_subsets_engines(self):
+        ideal = minimal_generators(2, [M(1, 1)])
+        assert kpolynomial(ideal, "pivot") == kpolynomial(ideal, "subsets")
+        for engine in ("auto", "enumeration"):
+            with pytest.raises(ValueError):
+                kpolynomial(ideal, engine)
+
     def test_engines_agree_on_corpus(self):
         for ideal in _corpus(seed=101, count=60):
             assert kpolynomial(ideal, "subsets") == kpolynomial(ideal, "pivot")
@@ -74,7 +87,7 @@ class TestKPolynomial:
             big = minimal_generators(22, [
                 M(*(2 if i == j else 0 for i in range(22))) for j in range(22)])
             kpolynomial(big, "subsets")
-        # auto mode routes it to the pivot engine instead
+        # the default pivot engine has no subset cap
         big = minimal_generators(22, [
             M(*(2 if i == j else 0 for i in range(22))) for j in range(22)])
         assert kpolynomial(big)[0] == 1
@@ -158,8 +171,8 @@ class TestHilbertFunction:
     def test_methods_agree_on_corpus(self):
         for ideal in _corpus(seed=404, count=30):
             for k in range(9):
-                assert (hilbert_function(ideal, k, "series")
-                        == hilbert_function(ideal, k, "enumeration"))
+                assert (hilbert_function(ideal, k)
+                        == count_standard_monomials(ideal, k))
 
     def test_series_matches_brute_force(self):
         for ideal in _corpus(seed=505, count=15, n_max=4):

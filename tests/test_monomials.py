@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_monomials, brute_is_lexsegment, brute_is_stable
-from lexseg.constructions import construct
 from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
+from lexseg.hilbert import hilbert_series
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
     contains,
-    count_ideal_monomials,
     count_standard_monomials,
     divides,
     is_lexsegment,
@@ -180,8 +179,9 @@ class TestStandardMonomialCounts:
                 assert count_standard_monomials(ideal, d) == brute
 
     def test_unit_ideal(self):
-        assert count_standard_monomials(MonomialIdeal.unit(2), 3) == 0
-        assert count_ideal_monomials(MonomialIdeal.unit(2), 3) == 4
+        unit = MonomialIdeal.unit(2)
+        assert count_standard_monomials(unit, 3) == 0
+        assert monomial_count(2, 3) - count_standard_monomials(unit, 3) == 4
 
 
 class TestLexRankUnrank:
@@ -261,21 +261,30 @@ class TestStabilityPredicates:
             if strong:
                 assert stab
 
-    def test_fast_lexsegment_check_matches_definition(self):
+    def test_fast_lexsegment_check_matches_definition(self, example2, remark3,
+                                                       grid_ideals):
         rng = random.Random(17)
-        for _ in range(40):
-            ideal = random_monomial_ideal(rng, rng.randint(1, 4), 4, 6)
-            assert is_lexsegment(ideal) == brute_is_lexsegment(ideal)
+        ideals = [random_monomial_ideal(rng, rng.randint(1, 4), 4, 6)
+                  for _ in range(40)]
+        # strongly stable: most are lexsegment, some are not
+        ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
+                   for _ in range(60)]
+        ideals += grid_ideals + [example2, remark3]
+        outcomes = set()
+        for ideal in ideals:
+            want = brute_is_lexsegment(ideal)
+            assert is_lexsegment(ideal) == want, ideal
+            assert is_lexsegment(ideal, hilbert_series(ideal)) == want, ideal
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
-    def test_bucketed_swaps_match_definition(self, example2, remark3):
+    def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals):
         rng = random.Random(23)
         ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 5, 8)
                   for _ in range(350)]
         ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                    for _ in range(150)]
-        ideals += [construct(r, s).ideal
-                   for r in range(1, 13) for s in range(1, 13)]
-        ideals += [example2, remark3]
+        ideals += grid_ideals + [example2, remark3]
         # stable, but not strongly: x2 -> x1 takes x2*x3 to x1*x3, outside
         ideals.append(minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0),
                                              M(0, 1, 1)]))
