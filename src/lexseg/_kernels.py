@@ -1,8 +1,10 @@
-"""Hot inner loops shared by the series and Betti machinery.
+"""Inner loops of the Betti oracle, plus the test references beside them.
 
-Plain Python over tuple rows: a generating set is a sequence of exponent
-tuples of one common length n.  All arithmetic is on Python ints, so ranks
-and counts are exact at any size.
+At runtime only the Betti oracle runs these loops, apart from `_in_ideal`
+behind the public `contains`; the Hilbert series uses none of them.
+`count_standard`, `kpoly_counts` and `kernel_mode` are test references that
+`perfbench/` still names.  Plain Python over tuple rows of one common length
+n; all arithmetic is on Python ints, so ranks and counts are exact.
 """
 
 from collections import Counter

@@ -1,24 +1,25 @@
 """Hilbert functions, Hilbert series, and h-polynomials of monomial quotients.
 
 The K-polynomial comes from the pivot recursion
-N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti).  Subset
-inclusion-exclusion over generator lcms is kept as an independent engine,
-run only on request (``engine="subsets"``) as the test suite's cross-check:
-it visits all 2^g generator subsets.  The series is the K-polynomial with
-all (1-t) factors cancelled; its denominator exponent is asserted to equal
-the Krull dimension on every call.  The series is the one source of Hilbert
-function values; counting standard monomials is left to the tests, as the
-reference it is compared against.
+N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti).  It has
+one base case, pure powers in distinct variables, and builds each child's
+minimal generators straight from the split (`_with_power`, `_colon_power`).
+Subset inclusion-exclusion over all 2^g generator lcms (``engine="subsets"``)
+is kept only as the tests' independent cross-check.  The series is the
+K-polynomial with all (1-t) factors cancelled; its denominator exponent is
+asserted to equal the Krull dimension on every call.  The series is the one
+source of Hilbert function values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le
 
 from . import _kernels
 from .errors import UnitIdealError
-from .monomials import MonomialIdeal, krull_dimension, minimalize_rows
+from .monomials import MonomialIdeal, krull_dimension
 
 # largest subset count the explicit "subsets" engine will visit (g <= 20)
 SUBSET_CAP = 1 << 20
@@ -142,27 +143,6 @@ def _mixed_count(row) -> int:
     return sum(1 for e in row if e > 0)
 
 
-def _kpoly_base(gens):
-    """Closed form when at most one generator involves several variables."""
-    mixed = [g for g in gens if _mixed_count(g) > 1]
-    if len(mixed) > 1:
-        return None
-    pures = [g for g in gens if _mixed_count(g) == 1]
-    res = (1,)
-    for p in pures:
-        res = _pmul_one_minus(res, sum(p))
-    if mixed:
-        m = mixed[0]
-        colon = (1,)
-        for p in pures:
-            v = max(range(len(p)), key=lambda j: p[j])
-            e = p[v] - m[v]
-            # e > 0 since no pure power divides the mixed generator
-            colon = _pmul_one_minus(colon, e)
-        res = _padd(res, [-c for c in _pshift(colon, sum(m))])
-    return res
-
-
 def _choose_pivot(gens):
     """Variable occurring in the most generators, split at its lowest exponent.
 
@@ -185,17 +165,36 @@ def _choose_pivot(gens):
 
 
 def _with_power(gens, v, k):
-    row = tuple(k if j == v else 0 for j in range(len(gens[0])))
-    return minimalize_rows(list(gens) + [row])
+    """I + (xv^k), a filter since k is the least positive exponent of xv.
+
+    xv^k divides exactly the rows with g[v] > 0, and no other row divides
+    xv^k: only the zero row could, and it never shares a set with a mixed row.
+    """
+    power = tuple(k if j == v else 0 for j in range(len(gens[0])))
+    return tuple(sorted([g for g in gens if not g[v]] + [power], reverse=True))
 
 
 def _colon_power(gens, v, k):
-    rows = [tuple(max(e - k, 0) if j == v else e for j, e in enumerate(g))
-            for g in gens]
-    return minimalize_rows(rows)
+    """I : xv^k.  Rows with g[v] > 0 lose k at v and stay minimal among
+    themselves, as do the untouched rows.  An untouched row cannot divide a
+    reduced one without dividing its original, so the only row that can drop
+    is an untouched row divided by a reduced row left with no xv.
+    """
+    reduced = [g[:v] + (g[v] - k,) + g[v + 1:] for g in gens if g[v]]
+    cleared = [r for r in reduced if not r[v]]
+    kept = [g for g in gens if not g[v]
+            and not any(all(map(le, r, g)) for r in cleared)]
+    return tuple(sorted(reduced + kept, reverse=True))
 
 
 def _kpoly_pivot(gens0):
+    """K-polynomial of a minimal, lex-descending set of exponent rows.
+
+    One base case: with no mixed generator the rows are pure powers in
+    distinct variables, so K = prod (1 - t^deg g); the empty set gives 1 and
+    the zero row (the unit ideal) gives 1 - t^0 = 0.  Both children of a
+    split come out minimal and lex-descending, so equal ideals share a key.
+    """
     memo = {}
     stack = [gens0]
     while stack:
@@ -203,17 +202,11 @@ def _kpoly_pivot(gens0):
         if gens in memo:
             stack.pop()
             continue
-        if not gens:
-            memo[gens] = (1,)
-            stack.pop()
-            continue
-        if any(sum(g) == 0 for g in gens):
-            memo[gens] = (0,)
-            stack.pop()
-            continue
-        base = _kpoly_base(gens)
-        if base is not None:
-            memo[gens] = base
+        if all(_mixed_count(g) <= 1 for g in gens):
+            res = (1,)
+            for g in gens:
+                res = _pmul_one_minus(res, sum(g))
+            memo[gens] = res
             stack.pop()
             continue
         v, k = _choose_pivot(gens)
@@ -284,8 +277,9 @@ def h_degree(ideal: MonomialIdeal) -> int:
 def hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     """H(S/I, k): number of degree-k monomials outside the ideal.
 
-    Expands the reduced series with exact integer binomials; the tests check
-    it against direct enumeration (`count_standard_monomials`).
+    Each call computes the whole series; a caller that needs several degrees
+    should read ``hilbert_series(ideal).coefficient(k)`` for each instead.
+    The tests check it against direct enumeration (`count_standard_monomials`).
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert function")

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_non_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    return str(path)
+
+
 def write_ideal(tmp_path, name, n, rows):
     path = tmp_path / name
     path.write_text(json.dumps({"n": n, "generators": rows}))
@@ -101,6 +107,11 @@ class TestAnalyze:
         assert code == 2
         code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
         assert code == 2
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", write_non_utf8(tmp_path))
+        assert code == 2
+        assert out == "" and "not valid JSON" in err
 
     def test_non_int_values_exit_2(self, capsys, tmp_path):
         for n, rows in ((2, [[1.5, 0], [0, True]]), (2.0, [[1, 0]])):
@@ -186,6 +197,11 @@ class TestLexify:
         assert code == 3
         assert "degree 1" in err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "lexify", write_non_utf8(tmp_path), "--n", "2")
+        assert code == 2
+        assert out == "" and "not valid JSON" in err
+
     def test_non_int_values_exit_2(self, capsys, tmp_path):
         spec = tmp_path / "coerced.json"
         spec.write_text(json.dumps({"initial": [1, 2.7, True],
@@ -260,6 +276,11 @@ class TestBetti:
         code, out, _ = run(capsys, "betti", path, "--oracle")
         assert code == 0
         assert out.splitlines()[0] == "1 ."
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "betti", write_non_utf8(tmp_path))
+        assert code == 2
+        assert out == "" and "not valid JSON" in err
 
     def test_oracle_matches_ek_json(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,

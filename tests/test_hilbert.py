@@ -2,11 +2,18 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_hilbert_function
-from lexseg import _kernels
+from lexseg import _kernels, hilbert
 from lexseg.constructions import construct, fixture
-from lexseg.corpus import random_monomial_ideal
+from lexseg.corpus import (
+    borel_closure,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+)
+from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import UnitIdealError
 from lexseg.hilbert import (
     HilbertSeries,
@@ -23,6 +30,7 @@ from lexseg.monomials import (
     count_standard_monomials,
     krull_dimension,
     minimal_generators,
+    minimalize_rows,
 )
 
 
@@ -101,6 +109,125 @@ class TestKPolynomial:
         monkeypatch.setattr(_kernels, "kpoly_counts", forbidden)
         assert str(hilbert_series(fixture("example2"))) == "(1 + 5*t - t^2) / (1-t)^1"
         assert construct(4, 2).ok
+
+
+def _stable_corpus(seed, count):
+    rng = random.Random(seed)
+    return [random_strongly_stable_ideal(rng, rng.randint(1, 4), 5)
+            for _ in range(count)]
+
+
+class TestSplitOracle:
+    """Each child the pivot recursion builds from a split equals
+    `minimalize_rows` of the naive rows: all of I's rows plus xv^k, and
+    I's rows with k taken off at v (floored at 0)."""
+
+    @pytest.fixture
+    def checked_splits(self, monkeypatch):
+        with_power, colon_power = hilbert._with_power, hilbert._colon_power
+        visits = []
+
+        def checked_with_power(gens, v, k):
+            power = tuple(k if j == v else 0 for j in range(len(gens[0])))
+            child = with_power(gens, v, k)
+            assert child == minimalize_rows(list(gens) + [power]), (gens, v, k)
+            visits.append(gens)
+            return child
+
+        def checked_colon_power(gens, v, k):
+            naive = [g[:v] + (max(g[v] - k, 0),) + g[v + 1:] for g in gens]
+            child = colon_power(gens, v, k)
+            assert child == minimalize_rows(naive), (gens, v, k)
+            return child
+
+        monkeypatch.setattr(hilbert, "_with_power", checked_with_power)
+        monkeypatch.setattr(hilbert, "_colon_power", checked_colon_power)
+        return visits
+
+    def _check(self, ideals, visits):
+        for ideal in ideals:
+            kpolynomial(ideal)
+        assert visits, "no split was visited"
+
+    def test_random_corpus(self, checked_splits):
+        self._check(_corpus(seed=606, count=200), checked_splits)
+
+    def test_strongly_stable_corpus(self, checked_splits):
+        self._check(_stable_corpus(seed=707, count=100), checked_splits)
+
+    def test_grid(self, checked_splits, grid_ideals):
+        self._check(grid_ideals, checked_splits)
+
+    def test_fixtures(self, checked_splits, example2, remark3):
+        self._check([example2, remark3], checked_splits)
+
+
+class TestEngineAgreement:
+    """The pivot recursion against the subsets engine on the families its
+    one base case and its splits have to get right."""
+
+    @staticmethod
+    def _agree(ideal):
+        assert kpolynomial(ideal) == kpolynomial(ideal, "subsets"), ideal
+        return kpolynomial(ideal)
+
+    def test_pure_powers_only(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            pures = [M(*(rng.randint(1, 5) if j == i else 0 for j in range(n)))
+                     for i in range(n) if rng.random() < 0.7]
+            ideal = minimal_generators(n, pures)
+            expected = (1,)
+            for g in ideal.gens:
+                expected = hilbert._pmul_one_minus(expected, g.degree)
+            assert self._agree(ideal) == expected
+
+    def test_pure_powers_and_one_mixed(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            tops = [rng.randint(2, 5) for _ in range(n)]
+            pures = [M(*(tops[i] if j == i else 0 for j in range(n)))
+                     for i in range(n) if rng.random() < 0.7]
+            support = rng.sample(range(n), rng.randint(2, n))
+            # below every pure power, so the mixed generator stays minimal
+            mixed = M(*(rng.randint(1, tops[j] - 1) if j in support else 0
+                        for j in range(n)))
+            ideal = minimal_generators(n, pures + [mixed])
+            assert len(ideal.gens) == len(pures) + 1
+            self._agree(ideal)
+
+    def test_with_a_pure_power_generator(self):
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            v, k = rng.randrange(n), rng.randint(1, 4)
+            power = M(*(k if j == v else 0 for j in range(n)))
+            rest = random_monomial_ideal(rng, n, 6, 8).gens
+            ideal = minimal_generators(n, [power, *rest])
+            if power in ideal.gens:
+                self._agree(ideal)
+                checked += 1
+        assert checked > 100
+
+    def test_zero_and_unit_ideals(self):
+        for n in (1, 3):
+            assert self._agree(MonomialIdeal.zero(n)) == (1,)
+            assert self._agree(MonomialIdeal.unit(n)) == (0,)
+
+    @given(st.integers(1, 4),
+           st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                    min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_strongly_stable_three_ways(self, n, seeds):
+        rows = [tuple(r[:n]) for r in seeds if any(r[:n])]
+        assume(rows)
+        ideal = borel_closure(n, [M(*r) for r in rows])
+        assume(len(ideal.gens) <= 20)
+        assert (kpolynomial(ideal) == kpolynomial(ideal, "subsets")
+                == ek_betti_table(ideal).euler_kpolynomial())
 
 
 class TestHilbertSeries:
