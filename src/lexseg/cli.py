@@ -23,7 +23,7 @@ from .errors import (
     NotOSequenceError,
     StabilityRequiredError,
 )
-from .hilbert import hilbert_series
+from .hilbert import _reduced_series, hilbert_series
 from .macaulay import (
     HilbertFunctionSpec,
     _lex_ideal_and_series,
@@ -105,13 +105,17 @@ def _flag(value) -> str:
 
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
-    series = hilbert_series(ideal)
     table = None
-    if not force_oracle:
+    if not force_oracle and not ideal.is_unit:
         try:
-            table = ek_betti_table(ideal)  # its stability check picks the engine
+            # its stability check picks the Betti engine and the series route
+            table = ek_betti_table(ideal)
         except StabilityRequiredError:
             pass
+    if table is None:  # hilbert_series also rejects the unit ideal
+        series = hilbert_series(ideal)
+    else:
+        series = _reduced_series(ideal, table.euler_kpolynomial())
     if ideal.is_zero:
         stable = strongly = lexseg = None
     else:
@@ -210,7 +214,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_lexify(args) -> int:
     spec = _load_hf_spec(args.spec)
-    ideal, series = _lex_ideal_and_series(spec, args.n)
+    ideal, series, _ = _lex_ideal_and_series(spec, args.n)
     horizon = generation_horizon(spec)
     values = [series.coefficient(k) for k in range(horizon + 4)]
     if args.out:

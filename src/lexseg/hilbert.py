@@ -6,9 +6,16 @@ one base case, pure powers in distinct variables, and builds each child's
 minimal generators straight from the split (`_with_power`, `_colon_power`).
 Subset inclusion-exclusion over all 2^g generator lcms (``engine="subsets"``)
 is kept only as the tests' independent cross-check.  The series is the
-K-polynomial with all (1-t) factors cancelled; its denominator exponent is
-asserted to equal the Krull dimension on every call.  The series is the one
-source of Hilbert function values.
+K-polynomial with all (1-t) factors cancelled (`_reduced_series`); its
+denominator exponent is asserted to equal the Krull dimension on every call.
+The series is the one source of Hilbert function values.
+
+A stable ideal's K-polynomial also has a closed form: the alternating sum of
+its Eliahou-Kervaire Betti table (`BettiTable.euler_kpolynomial`).  Callers
+that build that table anyway (`construct`, `lexify`, `analyze` of a stable
+ideal) pass its K-polynomial to `_reduced_series` and skip the recursion.
+`hilbert_series` keeps the recursion for arbitrary ideals, and the tests
+check that the two routes agree.
 """
 
 from __future__ import annotations
@@ -244,11 +251,15 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
-    """Reduced Hilbert series of S/I; rejects the unit ideal."""
-    if ideal.is_unit:
-        raise UnitIdealError("the zero ring has no Hilbert series")
-    coeffs = list(kpolynomial(ideal))
+def _reduced_series(ideal: MonomialIdeal, kpoly) -> HilbertSeries:
+    """The series K(t)/(1-t)^n of S/I with every (1-t) factor cancelled.
+
+    ``kpoly`` is the K-polynomial of S/I by either route: the pivot
+    recursion, or the Euler characteristic of a stable ideal's closed-form
+    Betti table.  The reduced denominator exponent is asserted to equal the
+    Krull dimension.  Callers reject the unit ideal, whose K-polynomial is 0.
+    """
+    coeffs = list(kpoly)
     d = ideal.n
     while sum(coeffs) == 0:
         acc = 0
@@ -264,6 +275,13 @@ def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
         raise AssertionError(
             f"reduced denominator exponent {d} != Krull dimension {dim}")
     return series
+
+
+def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
+    """Reduced Hilbert series of S/I by the pivot recursion; rejects the unit ideal."""
+    if ideal.is_unit:
+        raise UnitIdealError("the zero ring has no Hilbert series")
+    return _reduced_series(ideal, kpolynomial(ideal))
 
 
 def h_polynomial(ideal: MonomialIdeal) -> HPolynomial:

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NotOSequenceError
-from .hilbert import HilbertSeries, hilbert_series
-from .monomials import MonomialIdeal, lex_unrank, monomial_count
+from .betti import BettiTable
+from .eliahou_kervaire import ek_betti_table
+from .errors import NotOSequenceError, StabilityRequiredError
+from .hilbert import HilbertSeries, _reduced_series
+from .monomials import MonomialIdeal, lex_walk, monomial_count
 
 MAX_GROWTH = "max-growth"
 
@@ -245,15 +247,19 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     Generation stops at max(t+1, c) for a constant-c tail (growth stabilizes)
     and at t for a max-growth tail (no generators can appear after it).
 
-    The result's Hilbert function is re-verified against the spec through the
-    series engine up to three degrees past the stopping point.
+    The result's Hilbert function is re-verified against the spec up to three
+    degrees past the stopping point.  The series it is read from comes from
+    the ideal's Eliahou-Kervaire table: a lexsegment ideal is stable, and the
+    table's stability check is the one gate of that closed form.
     """
     return _lex_ideal_and_series(spec, n)[0]
 
 
-def _lex_ideal_and_series(spec: HilbertFunctionSpec,
-                          n: int) -> tuple[MonomialIdeal, HilbertSeries]:
-    """`lex_ideal_from_hf` with the Hilbert series it verified against."""
+def _lex_ideal_and_series(
+        spec: HilbertFunctionSpec,
+        n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
+    """`lex_ideal_from_hf` with the Hilbert series it verified against and
+    the Eliahou-Kervaire table that series was read from."""
     check = is_o_sequence(spec, n)
     if not check:
         raise NotOSequenceError(
@@ -272,8 +278,7 @@ def _lex_ideal_and_series(spec: HilbertFunctionSpec,
         if not 0 <= shadow <= block:
             raise AssertionError(
                 f"degree {k}: shadow {shadow} vs block {block} out of order")
-        for rank in range(shadow, block):
-            gens.append(lex_unrank(n, k, rank))
+        gens.extend(lex_walk(n, k, shadow, block))
         prev_h = hk
     gens.sort(key=lambda m: m.exponents, reverse=True)
     try:
@@ -281,11 +286,15 @@ def _lex_ideal_and_series(spec: HilbertFunctionSpec,
     except ValueError:
         raise AssertionError(
             "segment-minus-shadow generators were not minimal") from None
-    series = hilbert_series(ideal)
+    try:
+        table = ek_betti_table(ideal)
+    except StabilityRequiredError:
+        raise AssertionError("realized ideal is not stable") from None
+    series = _reduced_series(ideal, table.euler_kpolynomial())
     for k in range(stop + 4):
         got = series.coefficient(k)
         want = spec.value(k, n)
         if got != want:
             raise AssertionError(
                 f"realized Hilbert function differs at degree {k}: {got} != {want}")
-    return ideal, series
+    return ideal, series, table

@@ -113,15 +113,19 @@ class MonomialIdeal:
     def __post_init__(self):
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
-        if self.n < 1:
-            raise ValueError("ambient ring needs at least one variable")
-        for m in gens:
-            if m.n != self.n:
-                raise AmbientMismatchError(
-                    f"generator {m} has {m.n} exponents, ambient ring has {self.n}")
+        _check_generators(self.n, gens)
         rows = tuple(m.exponents for m in gens)
         if minimalize_rows(rows) != rows:
             raise ValueError("generating set not minimal and sorted lex-descending")
+
+    @classmethod
+    def _from_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """The ideal on ``gens``, already checked against n, minimal and
+        sorted lex-descending: skips the constructor's O(g^2) minimality check."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -199,13 +203,20 @@ def minimal_generators(n: int, raw) -> MonomialIdeal:
     Idempotent and independent of input order; the empty set gives the zero
     ideal.
     """
-    by_row = {}
-    for m in raw:
+    raw = tuple(raw)
+    _check_generators(n, raw)
+    by_row = {m.exponents: m for m in raw}
+    return MonomialIdeal._from_minimal(
+        n, tuple(by_row[r] for r in minimalize_rows(by_row)))
+
+
+def _check_generators(n: int, gens) -> None:
+    if n < 1:
+        raise ValueError("ambient ring needs at least one variable")
+    for m in gens:
         if m.n != n:
             raise AmbientMismatchError(
                 f"generator {m} has {m.n} exponents, ambient ring has {n}")
-        by_row[m.exponents] = m
-    return MonomialIdeal(n, tuple(by_row[r] for r in minimalize_rows(by_row)))
 
 
 def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -280,6 +291,34 @@ def lex_unrank(n: int, d: int, rank: int) -> Monomial:
             rank -= block
     expos.append(rem)
     return Monomial(tuple(expos))
+
+
+def lex_walk(n: int, d: int, start: int, stop: int) -> list[Monomial]:
+    """The degree-d monomials of lex ranks start, ..., stop - 1, in order.
+
+    Equal to ``[lex_unrank(n, d, r) for r in range(start, stop)]``, but only
+    ``start`` is unranked; each later monomial is the lex-next-smaller one.
+    """
+    total = monomial_count(n, d)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"ranks {start}..{stop} out of range for {total} monomials")
+    if start == stop:
+        return []
+    first = lex_unrank(n, d, start)
+    out = [first]
+    e = list(first.exponents)
+    for _ in range(stop - start - 1):
+        # lower the last exponent before xn and move everything after it,
+        # all of which sits on xn, plus one to the next variable
+        p = n - 2
+        while not e[p]:
+            p -= 1
+        tail = e[n - 1]
+        e[n - 1] = 0
+        e[p] -= 1
+        e[p + 1] = tail + 1
+        out.append(Monomial(tuple(e)))
+    return out
 
 
 def _require_quotient_invariants(ideal: MonomialIdeal) -> None:

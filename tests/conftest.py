@@ -14,8 +14,13 @@ def remark3():
 
 
 @pytest.fixture(scope="session")
-def grid_ideals():
-    return [construct(r, s).ideal for r in range(1, 13) for s in range(1, 13)]
+def grid_reports():
+    return [construct(r, s) for r in range(1, 13) for s in range(1, 13)]
+
+
+@pytest.fixture(scope="session")
+def grid_ideals(grid_reports):
+    return [report.ideal for report in grid_reports]
 
 
 @pytest.fixture

@@ -99,6 +99,7 @@ class TestAnalyze:
         path = write_ideal(tmp_path, "unit.json", 2, [[0, 0]])
         code, _, err = run(capsys, "analyze", path)
         assert code == 3
+        assert err == "error: the zero ring has no Hilbert series\n"
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
@@ -223,14 +224,32 @@ class TestLexify:
         # a realization bug that repeats a generator fails the constructor's
         # minimality check, reported as a verification failure
         from lexseg import macaulay
-        real = macaulay.lex_unrank
-        monkeypatch.setattr(macaulay, "lex_unrank",
-                            lambda n, d, rank: real(n, d, 0))
+        real = macaulay.lex_walk
+        monkeypatch.setattr(macaulay, "lex_walk", lambda n, d, start, stop:
+                            real(n, d, start, start + 1) * (stop - start))
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
         code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 4
         assert out == "" and "generators were not minimal" in err
+
+    def test_non_stable_realization_exit_4(self, capsys, tmp_path, monkeypatch):
+        # a realization bug that takes the lex-last monomials of a degree
+        # keeps the Hilbert function 1, 3, 2, 2, ... but not stability
+        from lexseg import macaulay
+        from lexseg.monomials import monomial_count
+        real = macaulay.lex_walk
+
+        def last_slice(n, d, start, stop):
+            total = monomial_count(n, d)
+            return real(n, d, total - (stop - start), total)
+
+        monkeypatch.setattr(macaulay, "lex_walk", last_slice)
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 3], "tail": {"constant": 2}}))
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
+        assert code == 4
+        assert out == "" and "realized ideal is not stable" in err
 
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"
@@ -322,25 +341,31 @@ class TestGoldenOutput:
 
 
 class TestMeasuredOnce:
-    @pytest.mark.parametrize("ideal, flags", [
-        ("example2", []), ("non-stable", []), ("example2", ["--oracle"])],
+    PIVOT = {"kpolynomial": 1, "krull_dimension": 1, "is_stable": 1}
+    # a stable ideal's series comes from its one EK table
+    EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 1,
+          "is_stable": 1}
+
+    @pytest.mark.parametrize("ideal, flags, expected", [
+        ("example2", [], EK), ("non-stable", [], PIVOT),
+        ("example2", ["--oracle"], PIVOT)],
         ids=["stable", "non-stable", "oracle"])
     def test_analyze_one_series_dimension_and_stability_check(
-            self, capsys, tmp_path, monkeypatch, ideal, flags):
+            self, capsys, tmp_path, monkeypatch, ideal, flags, expected):
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps(GOLDEN["inputs"][ideal]))
-        calls = count_calls(monkeypatch, "kpolynomial", "krull_dimension", "is_stable")
+        calls = count_calls(monkeypatch, *expected)
         code, _, _ = run(capsys, "analyze", str(path), *flags)
         assert code == 0
-        assert calls == {"kpolynomial": 1, "krull_dimension": 1, "is_stable": 1}
+        assert {name: calls[name] for name in expected} == expected
 
     def test_lexify_one_series(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
-        calls = count_calls(monkeypatch, "kpolynomial")
+        calls = count_calls(monkeypatch, *self.EK)
         code, _, _ = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 0
-        assert calls == {"kpolynomial": 1}
+        assert {name: calls[name] for name in self.EK} == self.EK
 
     def test_verify_grid_oracle_one_table_per_cell(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "ek_betti_table")

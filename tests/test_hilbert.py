@@ -266,6 +266,21 @@ class TestHilbertSeries:
             assert hilbert_series(ideal).numerator[0] == 1
 
 
+class TestSeriesRoutes:
+    """The pivot recursion and the Euler characteristic of the closed-form
+    EK table are independent routes to a stable ideal's series; construct,
+    lexify and stable analyze requests take the second."""
+
+    def test_pivot_and_ek_agree(self, grid_reports, example2, remark3):
+        for report in grid_reports:
+            assert report.series == hilbert_series(report.ideal), report.ideal
+        ideals = [example2, remark3] + _stable_corpus(seed=707, count=100)
+        ideals += [MonomialIdeal.zero(n) for n in (1, 3)]
+        for ideal in ideals:
+            kpoly = ek_betti_table(ideal).euler_kpolynomial()
+            assert hilbert._reduced_series(ideal, kpoly) == hilbert_series(ideal), ideal
+
+
 class TestHPolynomial:
     def test_fixture_h_degree(self, example2, remark3):
         assert h_degree(example2) == 2

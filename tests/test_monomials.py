@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_monomials, brute_is_lexsegment, brute_is_stable
+from helpers import all_monomials, brute_is_lexsegment, brute_is_stable, count_calls
 from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
+from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
-from lexseg.hilbert import hilbert_series
+from lexseg.hilbert import _reduced_series, hilbert_series
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
@@ -22,6 +23,7 @@ from lexseg.monomials import (
     lex_compare,
     lex_rank,
     lex_unrank,
+    lex_walk,
     minimal_generators,
     monomial_count,
 )
@@ -132,6 +134,18 @@ class TestMinimalGenerators:
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
         assert unit.is_unit and not unit.is_proper
 
+    def test_minimalizes_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "minimalize_rows")
+        ideal = minimal_generators(3, [M(1, 1, 0), M(2, 0, 0), M(2, 1, 0), M(0, 0, 1)])
+        assert calls == {"minimalize_rows": 1}
+        assert [g.exponents for g in ideal.gens] == [(2, 0, 0), (1, 1, 0), (0, 0, 1)]
+
+    def test_ambient_checks_kept(self):
+        with pytest.raises(AmbientMismatchError):
+            minimal_generators(2, [M(1, 0), M(1, 0, 0)])
+        with pytest.raises(ValueError):
+            minimal_generators(0, [])
+
 
 class TestContains:
     def test_principal(self):
@@ -196,6 +210,26 @@ class TestLexRankUnrank:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             lex_unrank(2, 2, 3)
+
+    def test_walk_matches_unrank(self):
+        # every start (to the end of the block), every stop (from its start)
+        # and every range of length <= 2; all start-stop pairs at n = d = 6
+        # alone would build 16 M monomials
+        for n in range(1, 7):
+            for d in range(7):
+                total = monomial_count(n, d)
+                block = [lex_unrank(n, d, r) for r in range(total)]
+                ranges = {(a, total) for a in range(total + 1)}
+                ranges |= {(0, b) for b in range(total + 1)}
+                ranges |= {(a, min(a + k, total)) for a in range(total + 1)
+                           for k in (0, 1, 2)}
+                for a, b in ranges:
+                    assert lex_walk(n, d, a, b) == block[a:b], (n, d, a, b)
+
+    def test_walk_out_of_range(self):
+        for a, b in [(-1, 2), (2, 1), (0, 4)]:
+            with pytest.raises(ValueError):
+                lex_walk(2, 2, a, b)
 
 
 class TestKrullDimension:
@@ -275,8 +309,12 @@ class TestStabilityPredicates:
             want = brute_is_lexsegment(ideal)
             assert is_lexsegment(ideal) == want, ideal
             assert is_lexsegment(ideal, hilbert_series(ideal)) == want, ideal
+            if is_stable(ideal):  # the series route construct and lexify take
+                ek = _reduced_series(ideal, ek_betti_table(ideal).euler_kpolynomial())
+                assert is_lexsegment(ideal, ek) == want, ideal
+                outcomes.add(("stable", want))
             outcomes.add(want)
-        assert outcomes == {True, False}
+        assert outcomes == {True, False, ("stable", True), ("stable", False)}
 
     def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals):
         rng = random.Random(23)
