@@ -269,7 +269,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_verify_grid(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     matrix = []
     for r in range(1, args.rmax + 1):
@@ -301,7 +301,7 @@ def cmd_verify_grid(args) -> int:
         print(f"r={r:2d} | " + "  ".join("ok" if ok else " X" for ok in row))
     total = args.rmax * args.smax
     passed = total - len(failures)
-    print(f"{passed}/{total} cells passed in {time.time() - t0:.2f}s")
+    print(f"{passed}/{total} cells passed in {time.perf_counter() - t0:.2f}s")
     return EXIT_OK if not failures else EXIT_VERIFY
 
 

@@ -34,13 +34,15 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     if not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
-    entries = {(0, 0): 1}
+    shapes = {}  # (max index, degree) -> number of generators
     for u in ideal.gens:
-        m = u.max_index
-        j = u.degree
+        shape = (u.max_index, u.degree)
+        shapes[shape] = shapes.get(shape, 0) + 1
+    entries = {(0, 0): 1}
+    for (m, j), count in shapes.items():
         for i in range(m):
-            key = (i + 1, i + 1 + j - 1)
-            entries[key] = entries.get(key, 0) + comb(m - 1, i)
+            key = (i + 1, i + j)
+            entries[key] = entries.get(key, 0) + count * comb(m - 1, i)
     table = BettiTable.from_entries(entries)
     want = ideal.max_gen_degree - 1
     if table.regularity != want:

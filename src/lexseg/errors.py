@@ -37,5 +37,9 @@ class BoxTooLargeError(LexsegError):
         self.box_size = box_size
 
 
+class TooManyGeneratorsError(LexsegError):
+    """A lexsegment realization would list more minimal generators than the enforced cap."""
+
+
 class ConstructionError(LexsegError):
     """A constructed ideal failed its own predicted-vs-measured verification."""

@@ -18,11 +18,13 @@ from math import comb
 
 from .betti import BettiTable
 from .eliahou_kervaire import ek_betti_table
-from .errors import NotOSequenceError, StabilityRequiredError
+from .errors import NotOSequenceError, StabilityRequiredError, TooManyGeneratorsError
 from .hilbert import HilbertSeries, _reduced_series
 from .monomials import MonomialIdeal, lex_walk, monomial_count
 
 MAX_GROWTH = "max-growth"
+
+GENERATOR_CAP = 10**6  # minimal generators a realization may list
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,9 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     Generation stops at max(t+1, c) for a constant-c tail (growth stabilizes)
     and at t for a max-growth tail (no generators can appear after it).
 
-    The result's Hilbert function is re-verified against the spec up to three
+    A spec whose ideal would have more than `GENERATOR_CAP` minimal
+    generators raises `TooManyGeneratorsError` before any is listed.  The
+    result's Hilbert function is re-verified against the spec up to three
     degrees past the stopping point.  The series it is read from comes from
     the ideal's Eliahou-Kervaire table: a lexsegment ideal is stable, and the
     table's stability check is the one gate of that closed form.
@@ -265,7 +269,7 @@ def _lex_ideal_and_series(
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
     stop = generation_horizon(spec)
-    gens = []
+    slices = []
     prev_h = 1
     for k in range(1, stop + 1):
         hk = spec.value(k, n)
@@ -278,8 +282,16 @@ def _lex_ideal_and_series(
         if not 0 <= shadow <= block:
             raise AssertionError(
                 f"degree {k}: shadow {shadow} vs block {block} out of order")
-        gens.extend(lex_walk(n, k, shadow, block))
+        slices.append((k, shadow, block))
         prev_h = hk
+    count = sum(block - shadow for _, shadow, block in slices)
+    if count > GENERATOR_CAP:
+        raise TooManyGeneratorsError(
+            f"the lexsegment ideal would have {count} minimal generators, "
+            f"cap is {GENERATOR_CAP}")
+    gens = []
+    for k, shadow, block in slices:
+        gens.extend(lex_walk(n, k, shadow, block))
     gens.sort(key=lambda m: m.exponents, reverse=True)
     try:
         ideal = MonomialIdeal(n, tuple(gens))  # checks minimality

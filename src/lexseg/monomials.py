@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
 from typing import TYPE_CHECKING
 
 from . import _kernels
@@ -121,7 +120,7 @@ class MonomialIdeal:
     @classmethod
     def _from_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
         """The ideal on ``gens``, already checked against n, minimal and
-        sorted lex-descending: skips the constructor's O(g^2) minimality check."""
+        sorted lex-descending: skips the constructor's minimality check."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
         object.__setattr__(ideal, "gens", gens)
@@ -222,13 +221,44 @@ def _check_generators(n: int, gens) -> None:
 def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     """The minimal exponent tuples under divisibility, sorted lex-descending.
 
-    Duplicates collapse; every row must have the same length.
+    Duplicates collapse; every row must have the same length.  Rows are
+    taken by ascending degree and each is queried against a divisor trie of
+    the kept rows of strictly smaller degree, since distinct rows of equal
+    degree never divide each other; a single-degree set makes no query.
     """
+    by_degree = {}
+    for r in set(rows):
+        by_degree.setdefault(sum(r), []).append(r)
+    trie = {}
     kept = []
-    for r in sorted(set(rows), key=sum):
-        if not any(all(map(le, k, r)) for k in kept):
-            kept.append(r)
+    level = []
+    for d in sorted(by_degree):
+        for r in level:  # the previous degree's kept rows join the trie
+            node = trie
+            for e in r:
+                node = node.setdefault(e, {})
+        level = by_degree[d]
+        if trie:
+            level = [r for r in level if not _trie_divides(trie, r)]
+        kept += level
     return tuple(sorted(kept, reverse=True))
+
+
+def _trie_divides(trie, w) -> bool:
+    """Whether some row stored in ``trie`` (nested dicts keyed by the
+    exponent at each position) divides w; only children keyed <= w[p] are
+    walked at depth p."""
+    last = len(w) - 1
+    stack = [(trie, 0)]
+    while stack:
+        node, p = stack.pop()
+        bound = w[p]
+        for e, child in node.items():
+            if e <= bound:
+                if p == last:
+                    return True
+                stack.append((child, p + 1))
+    return False
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -361,17 +391,19 @@ def _swaps_stay_inside(rows, strong: bool) -> bool:
     row u lies in the ideal minimally generated by ``rows``; j runs over the
     support of u when ``strong``, else only over its largest variable.
 
-    Only one bucket of generators can divide w.  Since u is a minimal
-    generator, u / x_j = w / x_i lies outside the ideal, so a generator g
-    dividing w does not divide w / x_i: g_i > w_i - 1 = u_i, and g | w gives
-    g_i <= w_i = u_i + 1.  Hence g_i = u_i + 1, and the rows are bucketed
-    once by (position, exponent) so each swap scans bucket (i, u_i + 1) only.
+    A swap passes when its prefix of some generator degree is a generator;
+    the prefix of degree d is the first d variables of w in index order,
+    counted with multiplicity.  Every swap is first looked up whole (its
+    prefix of full degree), and only those that are not generators are
+    tried at the lower degrees.  The test is exact both ways.  A prefix
+    divides w, so a hit puts w in the ideal.  Conversely, if every swap lies
+    in the ideal, the ideal is stable (strongly stable when ``strong``), and
+    by the Eliahou-Kervaire decomposition every w in a stable ideal is g * v
+    with g a minimal generator and max(g) <= min(v); then g is the prefix of
+    w of its own degree, so every swap hits.
     """
-    buckets = {}
-    for g in rows:
-        for p, e in enumerate(g):
-            if e:
-                buckets.setdefault((p, e), []).append(g)
+    gens = set(rows)
+    missed = []  # swaps that are not generators themselves
     for u in rows:
         support = [j for j, e in enumerate(u) if e]
         for j in (support if strong else support[-1:]):
@@ -379,10 +411,28 @@ def _swaps_stay_inside(rows, strong: bool) -> bool:
                 w = list(u)
                 w[j] -= 1
                 w[i] += 1
-                if not any(all(map(le, g, w))
-                           for g in buckets.get((i, w[i]), ())):
-                    return False
-    return True
+                if tuple(w) not in gens:
+                    missed.append(w)
+    if not missed:
+        return True
+    degrees = sorted(set(map(sum, rows)))
+    return all(_has_lower_prefix(gens, degrees, w) for w in missed)
+
+
+def _has_lower_prefix(gens, degrees, w) -> bool:
+    """Whether the prefix of w of some degree in ``degrees`` (ascending)
+    below deg w is in ``gens``."""
+    total = sum(w)
+    p = below = 0  # below = degree of w[:p]
+    for d in degrees:
+        if d >= total:
+            return False
+        while below + w[p] < d:
+            below += w[p]
+            p += 1
+        if tuple(w[:p]) + (d - below,) + (0,) * (len(w) - p - 1) in gens:
+            return True
+    return False
 
 
 def is_stable(ideal: MonomialIdeal) -> bool:
@@ -405,28 +455,27 @@ def is_lexsegment(ideal: MonomialIdeal,
     suffices: beyond it every graded piece is the shadow of the previous one,
     and shadows of lex segments are lex segments.  The piece in degree d is a
     segment iff its size equals 1 + the rank of its lex-least element, which
-    is min over generators g of g * xn^(d - deg g).  Its size is
-    dim S_d - H(S/I, d), read off the reduced Hilbert series: ``series``,
-    when the caller already holds it, else `hilbert_series(ideal)`.
+    is min over generators g of g * xn^(d - deg g); degree by degree that is
+    the smaller of xn times the previous one and the lex-least generator of
+    degree d.  Its size is dim S_d - H(S/I, d), read off the reduced Hilbert
+    series: ``series``, when the caller already holds it, else
+    `hilbert_series(ideal)`.
     """
     _require_quotient_invariants(ideal)
     if series is None:
         from .hilbert import hilbert_series  # hilbert imports this module
         series = hilbert_series(ideal)
     n = ideal.n
+    # gens are lex-descending, so the last of each degree is its lex-least
+    least_gen = {sum(g): g for g in ideal.exponent_rows}
+    least = None
     for d in range(ideal.min_gen_degree, ideal.max_gen_degree + 1):
+        if least is not None:
+            least = least[:-1] + (least[-1] + 1,)
+        g = least_gen.get(d)
+        if g is not None and (least is None or g < least):
+            least = g
         cnt = monomial_count(n, d) - series.coefficient(d)
-        if cnt == 0:
-            continue
-        least = None
-        for g in ideal.gens:
-            if g.degree > d:
-                continue
-            e = list(g.exponents)
-            e[n - 1] += d - g.degree
-            cand = tuple(e)
-            if least is None or cand < least:
-                least = cand
         if lex_rank(Monomial(least)) != cnt - 1:
             return False
     return True

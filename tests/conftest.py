@@ -23,6 +23,12 @@ def grid_ideals(grid_reports):
     return [report.ideal for report in grid_reports]
 
 
+@pytest.fixture(scope="session")
+def wide_ideal():
+    """construct(40, 3): 1,113 generators, the largest ideal the tests build."""
+    return construct(40, 3).ideal
+
+
 @pytest.fixture
 def no_enumeration(monkeypatch):
     """Make standard-monomial enumeration fail: runtime paths must not use it."""

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here goes through `contains` (one divisibility scan over the
-generators) and plain Python arithmetic only, so it shares no code path with
-the counting kernels, bucketed searches or closed forms it validates.
-`count_calls` is the one non-oracle: it counts calls to library functions.
+generators) or a plain pairwise scan, and plain Python arithmetic only, so it
+shares no code path with the counting kernels, the divisor trie, the prefix
+lookups or the closed forms it validates.  `count_calls` is the one
+non-oracle: it counts calls to library functions.
 """
 
 import sys
 from collections import Counter
+from operator import le
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -70,10 +72,21 @@ def brute_is_lexsegment(ideal: MonomialIdeal) -> bool:
     return True
 
 
+def brute_minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The minimal exponent tuples under divisibility, sorted lex-descending:
+    each row, by ascending degree, is scanned against every row kept so far."""
+    kept = []
+    for r in sorted(set(rows), key=sum):
+        if not any(all(map(le, k, r)) for k in kept):
+            kept.append(r)
+    return tuple(sorted(kept, reverse=True))
+
+
 def brute_is_stable(ideal: MonomialIdeal, strong: bool) -> bool:
     """Definition check: every swap x_j -> x_i with i < j of a generator stays
     in the ideal; j runs over the support when ``strong``, else over the
-    largest dividing variable only."""
+    largest dividing variable only.  Each distinct swap is tested once."""
+    inside = set()
     for u in ideal.gens:
         support = u.support
         for j in (support if strong else support[-1:]):
@@ -81,8 +94,11 @@ def brute_is_stable(ideal: MonomialIdeal, strong: bool) -> bool:
                 e = list(u.exponents)
                 e[j] -= 1
                 e[i] += 1
-                if not contains(ideal, Monomial(tuple(e))):
-                    return False
+                w = tuple(e)
+                if w not in inside:
+                    if not contains(ideal, Monomial(w)):
+                        return False
+                    inside.add(w)
     return True
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -250,6 +251,33 @@ class TestLexify:
         code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
         assert code == 4
         assert out == "" and "realized ideal is not stable" in err
+
+    def test_over_generator_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        # H = dim S_k through degree 8, then 0: every one of the C(38, 9)
+        # degree-9 monomials in 30 variables is a generator.  The cap is
+        # arithmetic, so a walk here would be the bug; it exits 4, not 3.
+        def no_walk(n, d, start, stop):
+            raise AssertionError("walked an over-cap degree")
+
+        monkeypatch.setattr(macaulay, "lex_walk", no_walk)
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"initial": [math.comb(29 + k, k) for k in range(9)],
+                                    "tail": {"constant": 0}}))
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "30")
+        assert code == 3
+        assert out == ""
+        assert f"{math.comb(38, 9)} minimal generators, cap is {macaulay.GENERATOR_CAP}" in err
+
+    def test_generator_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
+        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 20)
+        code, out, _ = run(capsys, "lexify", str(spec), "--n", "6")
+        assert code == 0 and "20 minimal generators" in out
+        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 19)
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
+        assert code == 3 and out == ""
+        assert "20 minimal generators, cap is 19" in err
 
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"

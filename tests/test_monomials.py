@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_monomials, brute_is_lexsegment, brute_is_stable, count_calls
-from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
+from helpers import (
+    all_monomials,
+    brute_is_lexsegment,
+    brute_is_stable,
+    brute_minimalize_rows,
+    count_calls,
+)
+from lexseg.corpus import borel_closure, random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 from lexseg.hilbert import _reduced_series, hilbert_series
@@ -25,6 +31,7 @@ from lexseg.monomials import (
     lex_unrank,
     lex_walk,
     minimal_generators,
+    minimalize_rows,
     monomial_count,
 )
 
@@ -129,6 +136,39 @@ class TestMinimalGenerators:
     def test_constructor_rejects_unsorted(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, (M(1, 1), M(2, 0)))
+
+    def test_trie_matches_pairwise_scan(self, grid_ideals, wide_ideal):
+        rng = random.Random(31)
+        row_sets = [[], [(0,)], [(3,), (1,), (3,), (2,)], [(0, 0), (1, 2)]]
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            pool = [tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, 12))]
+            # drawing from a small pool repeats rows
+            row_sets.append([rng.choice(pool) for _ in range(rng.randint(0, 20))])
+        for ideal in grid_ideals:
+            rows = list(ideal.exponent_rows)
+            row_sets.append(rows)
+            # each generator times x1 and times xn: dropped as multiples
+            row_sets.append(rows + [(g[0] + 1,) + g[1:] for g in rows]
+                            + [g[:-1] + (g[-1] + 1,) for g in rows])
+        row_sets.append(wide_ideal.exponent_rows)
+        for rows in row_sets:
+            assert minimalize_rows(rows) == brute_minimalize_rows(rows), rows
+
+    def test_constructor_rejects_non_normalized_lex_generators(self, grid_ideals):
+        ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2): 20 generators, 6 variables
+        gens = list(ideal.gens)
+        assert len(gens) == 20 and len({g.degree for g in gens}) == 4
+        low = min(gens, key=lambda g: g.degree)
+        multiple = Monomial(low.exponents[:-1] + (low.exponents[-1] + 2,))
+        duplicated = sorted(gens + [gens[7]], key=lambda g: g.exponents, reverse=True)
+        non_minimal = sorted(gens + [multiple], key=lambda g: g.exponents, reverse=True)
+        unsorted = gens[:5] + [gens[6], gens[5]] + gens[7:]
+        for bad in (duplicated, non_minimal, unsorted):
+            with pytest.raises(ValueError):
+                MonomialIdeal(ideal.n, tuple(bad))
+        assert MonomialIdeal(ideal.n, tuple(gens)).gens == ideal.gens
 
     def test_unit_ideal_representable(self):
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
@@ -316,13 +356,15 @@ class TestStabilityPredicates:
             outcomes.add(want)
         assert outcomes == {True, False, ("stable", True), ("stable", False)}
 
-    def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals):
+    def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals,
+                                              wide_ideal):
         rng = random.Random(23)
         ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 5, 8)
                   for _ in range(350)]
         ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                    for _ in range(150)]
-        ideals += grid_ideals + [example2, remark3]
+        ideals += grid_ideals + [example2, remark3, wide_ideal]
+        ideals += self._borel_closures_in_several_degrees(rng)
         # stable, but not strongly: x2 -> x1 takes x2*x3 to x1*x3, outside
         ideals.append(minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0),
                                              M(0, 1, 1)]))
@@ -334,6 +376,48 @@ class TestStabilityPredicates:
             outcomes.add(got)
         # stable and strongly stable, stable only, and neither all occur
         assert outcomes == {(True, True), (True, False), (False, False)}
+
+    @staticmethod
+    def _borel_closures_in_several_degrees(rng):
+        """Borel closures in 6-7 variables whose generators span at least
+        three degrees, some swaps of which lie in the ideal only through a
+        generator of lower degree; each comes with a copy that has one
+        generator swapped back (x_i -> x_j), which may break stability."""
+        out = []
+        lower_degree_hits = 0
+        while len(out) < 120:
+            n = rng.randint(6, 7)
+            seeds = []
+            # the higher the degree, the more variables: the closure of a
+            # low-degree seed in late variables would absorb the others
+            for k, d in enumerate(sorted(rng.sample(range(2, 7), 3))):
+                e = [0] * n
+                for _ in range(d):
+                    e[rng.randrange(2 * k + 2)] += 1
+                seeds.append(Monomial(tuple(e)))
+            ideal = borel_closure(n, seeds)
+            rows = ideal.exponent_rows
+            if len({sum(g) for g in rows}) < 3:
+                continue
+            gens = set(rows)
+            for u in rows:
+                j = max(p for p, e in enumerate(u) if e)
+                for i in range(j):
+                    w = list(u)
+                    w[j] -= 1
+                    w[i] += 1
+                    lower_degree_hits += tuple(w) not in gens
+            out.append(ideal)
+            u = rng.choice(rows)
+            i = rng.choice([p for p, e in enumerate(u) if e])
+            if i < n - 1:
+                w = list(u)
+                w[i] -= 1
+                w[rng.randrange(i + 1, n)] += 1
+                out.append(minimal_generators(
+                    n, [Monomial(g) for g in rows if g != u] + [Monomial(tuple(w))]))
+        assert lower_degree_hits > 0
+        return out
 
     def test_zero_and_unit_rejected(self):
         for pred in (is_stable, is_strongly_stable, is_lexsegment):
