@@ -17,7 +17,9 @@ class BettiTable:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
+        if any(type(v) is not int for r in rows for v in r):
+            raise TypeError(f"Betti numbers must be ints, got {rows}")
         if not rows or not rows[0]:
             raise ValueError("empty Betti table")
         width = len(rows[0])
@@ -89,3 +91,6 @@ class BettiTable:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+TRIVIAL = BettiTable(((1,),))  # S/(0): the free quotient's trivial resolution

@@ -15,13 +15,11 @@ from __future__ import annotations
 from math import prod
 
 from . import _kernels
-from .betti import BettiTable
+from .betti import TRIVIAL, BettiTable
 from .errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
 from .monomials import Monomial, MonomialIdeal
 
 BOX_CAP = 10**6
-
-_TRIVIAL = BettiTable(((1,),))
 
 
 def koszul_betti(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
@@ -44,7 +42,7 @@ def bruteforce_betti_table(ideal: MonomialIdeal) -> BettiTable:
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
     if ideal.is_zero:
-        return _TRIVIAL
+        return TRIVIAL
     box = _box_size(ideal)
     if box > BOX_CAP:
         raise BoxTooLargeError(

@@ -12,7 +12,6 @@ import json
 import sys
 import time
 
-from .betti import BettiTable
 from .betti_oracle import bruteforce_betti_table
 from .constructions import ConstructionReport, _measure, construct
 from .eliahou_kervaire import ek_betti_table
@@ -96,8 +95,9 @@ def _write_json(path: str, data: dict) -> None:
         raise _UsageError(f"cannot write {path}: {exc}")
 
 
-def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+def _print_json(data) -> None:
+    """Indented JSON; ideals, specs and Betti tables go as their `to_json_dict`."""
+    print(json.dumps(data, indent=2, default=lambda obj: obj.to_json_dict()))
 
 
 def _flag(value) -> str:
@@ -105,6 +105,7 @@ def _flag(value) -> str:
 
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
+    """The `analyze` report; "ideal" and "betti" hold the ideal and its table."""
     table = None
     if not force_oracle and not ideal.is_unit:
         try:
@@ -128,7 +129,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
         engine = "eliahou-kervaire"
     inv = _measure(ideal, series, table)
     return {
-        "ideal": ideal.to_json_dict(),
+        "ideal": ideal,
         "generators": [str(m) for m in ideal.gens],
         "dim": inv.dim,
         "depth": inv.depth,
@@ -143,7 +144,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
         "lexsegment": lexseg,
         "inequality_slack": (inv.dim - inv.depth) - (inv.h_degree - inv.regularity),
         "betti_engine": engine,
-        "betti": table.to_json_dict(),
+        "betti": table,
     }
 
 
@@ -159,11 +160,11 @@ def cmd_construct(args) -> int:
             "branch": report.branch,
             "predicted": report.predicted._asdict(),
             "measured": report.measured._asdict(),
-            "ideal": ideal.to_json_dict(),
+            "ideal": ideal,
             "generators": [str(m) for m in ideal.gens],
             "hilbert_series": str(series),
             "h_polynomial": list(series.numerator),
-            "betti": table.to_json_dict(),
+            "betti": table,
         })
         return EXIT_OK
     p, m = report.predicted, report.measured
@@ -207,8 +208,7 @@ def cmd_analyze(args) -> int:
     print(f"(dim - depth) - (h-degree - regularity) = {slack} "
           f"{'>=' if slack >= 0 else '<'} 0")
     print(f"betti table (engine: {data['betti_engine']}):")
-    rows = data["betti"]["rows"]
-    print(BettiTable(tuple(tuple(r) for r in rows)).to_text())
+    print(data["betti"].to_text())
     return EXIT_OK
 
 
@@ -222,8 +222,8 @@ def cmd_lexify(args) -> int:
     if args.format == "json":
         _print_json({
             "n": args.n,
-            "spec": spec.to_json_dict(),
-            "ideal": ideal.to_json_dict(),
+            "spec": spec,
+            "ideal": ideal,
             "generators": [str(m) for m in ideal.gens],
             "verified_hilbert_function": values,
         })
@@ -262,7 +262,7 @@ def cmd_betti(args) -> int:
     ideal = _load_ideal(args.ideal)
     table = bruteforce_betti_table(ideal) if args.oracle else ek_betti_table(ideal)
     if args.format == "json":
-        _print_json(table.to_json_dict())
+        _print_json(table)
     else:
         print(table.to_text())
     return EXIT_OK

@@ -29,7 +29,7 @@ from .eliahou_kervaire import ek_betti_table
 from .errors import ConstructionError
 from .hilbert import HilbertSeries, _reduced_series
 from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series
-from .monomials import Monomial, MonomialIdeal, is_lexsegment, minimal_generators
+from .monomials import MonomialIdeal, is_lexsegment
 
 
 class Invariants(NamedTuple):
@@ -93,16 +93,10 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
-    gens = []
-    top = [0] * n
-    top[0] = r + 1
-    gens.append(Monomial(tuple(top)))
-    for j in range(1, n):
-        e = [0] * n
-        e[0] = r
-        e[j] = 1
-        gens.append(Monomial(tuple(e)))
-    ideal = minimal_generators(n, gens)
+    # x1^(r+1) > x1^r x2 > ... > x1^r xn: one degree, lex-descending
+    rows = [(r + 1,) + (0,) * (n - 1)]
+    rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
+    ideal = MonomialIdeal(n, rows)
     # 1 + t + ... + t^(r-1) + t^r (1-t)^(s-r), coefficientwise
     from math import comb
     hs = [1 if i < r else 0 for i in range(s + 1)]

@@ -58,7 +58,7 @@ def borel_closure(n: int, seeds) -> MonomialIdeal:
                 if t not in pool:
                     pool.add(t)
                     frontier.append(t)
-    return minimal_generators(n, [Monomial(t) for t in pool])
+    return MonomialIdeal.from_exponent_rows(n, pool)
 
 
 def random_strongly_stable_ideal(rng: random.Random, n: int, max_degree: int,

@@ -12,13 +12,12 @@ read off the one table.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
-from .betti import BettiTable
+from .betti import TRIVIAL, BettiTable
 from .errors import StabilityRequiredError, UnitIdealError
 from .monomials import MonomialIdeal, is_stable
-
-_TRIVIAL = BettiTable(((1,),))
 
 
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
@@ -30,14 +29,16 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
     if ideal.is_zero:
-        return _TRIVIAL  # free quotient, trivial resolution
+        return TRIVIAL  # free quotient, trivial resolution
     if not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
-    shapes = {}  # (max index, degree) -> number of generators
-    for u in ideal.gens:
-        shape = (u.max_index, u.degree)
-        shapes[shape] = shapes.get(shape, 0) + 1
+    shapes = Counter()  # (max index, degree) -> number of generators
+    for u in ideal.exponent_rows:
+        m = len(u)  # lowered to the largest index of a variable dividing u
+        while not u[m - 1]:
+            m -= 1
+        shapes[m, sum(u)] += 1
     entries = {(0, 0): 1}
     for (m, j), count in shapes.items():
         for i in range(m):

@@ -58,7 +58,9 @@ class HPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        if any(type(c) is not int for c in coeffs):
+            raise TypeError(f"h-polynomial coefficients must be ints, got {coeffs}")
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("h-polynomial needs a nonzero trailing coefficient")
         object.__setattr__(self, "coefficients", coeffs)
@@ -83,7 +85,9 @@ class HilbertSeries:
     denominator_exponent: int
 
     def __post_init__(self):
-        num = tuple(int(c) for c in self.numerator)
+        num = tuple(self.numerator)
+        if any(type(c) is not int for c in num):
+            raise TypeError(f"series numerator coefficients must be ints, got {num}")
         if not num or num[-1] == 0:
             raise ValueError("numerator needs a nonzero trailing coefficient")
         if sum(num) == 0:
@@ -120,7 +124,7 @@ def _trim(coeffs) -> tuple[int, ...]:
     out = list(coeffs)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return tuple(int(c) for c in out)
+    return tuple(out)
 
 
 def _padd(a, b):
@@ -240,9 +244,9 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     generator subsets, capped at SUBSET_CAP; an independent cross-check).
     """
     if engine == "pivot":
-        return _kpoly_pivot(tuple(m.exponents for m in ideal.gens))
+        return _kpoly_pivot(ideal.exponent_rows)
     if engine == "subsets":
-        g = len(ideal.gens)
+        g = len(ideal.exponent_rows)
         if (1 << g) > SUBSET_CAP:
             raise ValueError(f"{g} generators exceed the 2^20 subset cap; use pivot")
         if g == 0:

@@ -289,12 +289,12 @@ def _lex_ideal_and_series(
         raise TooManyGeneratorsError(
             f"the lexsegment ideal would have {count} minimal generators, "
             f"cap is {GENERATOR_CAP}")
-    gens = []
+    rows = []
     for k, shadow, block in slices:
-        gens.extend(lex_walk(n, k, shadow, block))
-    gens.sort(key=lambda m: m.exponents, reverse=True)
+        rows += lex_walk(n, k, shadow, block)
+    rows.sort(reverse=True)
     try:
-        ideal = MonomialIdeal(n, tuple(gens))  # checks minimality
+        ideal = MonomialIdeal(n, rows)  # checks minimality
     except ValueError:
         raise AssertionError(
             "segment-minus-shadow generators were not minimal") from None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import _kernels
@@ -29,13 +30,7 @@ class Monomial:
 
     def __post_init__(self):
         expo = tuple(self.exponents)
-        if any(type(e) is not int for e in expo):
-            raise TypeError(f"exponents must be ints, got {expo}")
-        if len(expo) < 1:
-            raise ValueError("ambient ring needs at least one variable")
-        if any(e < 0 for e in expo):
-            raise ValueError(f"negative exponent in {expo}")
-        object.__setattr__(self, "exponents", expo)
+        object.__setattr__(self, "exponents", _check_rows((expo,), len(expo))[0])
 
     @property
     def n(self) -> int:
@@ -72,6 +67,25 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+def _check_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples, each checked as an exponent vector in n variables:
+    ints (bools rejected), none negative, n of them; errors name a bad row."""
+    if n < 1:
+        raise ValueError("ambient ring needs at least one variable")
+    rows = tuple(map(tuple, rows))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(r for r in rows if not set(map(type, r)) <= {int})
+        raise TypeError(f"exponents must be ints, got {bad}")
+    if min(chain.from_iterable(rows), default=0) < 0:
+        bad = next(r for r in rows if min(r, default=0) < 0)
+        raise ValueError(f"negative exponent in {bad}")
+    if not set(map(len, rows)) <= {n}:
+        bad = next(r for r in rows if len(r) != n)
+        raise AmbientMismatchError(
+            f"generator {bad} has {len(bad)} exponents, ambient ring has {n}")
+    return rows
+
+
 def _check_ambient(u: Monomial, v: Monomial) -> None:
     if u.n != v.n:
         raise AmbientMismatchError(f"monomials live in {u.n} and {v.n} variables")
@@ -100,31 +114,21 @@ def divides(u: Monomial, v: Monomial) -> bool:
 class MonomialIdeal:
     """A monomial ideal stored by its unique minimal generating set.
 
-    ``gens`` is always minimal (no generator divides another) and sorted
-    lex-descending.  Use `minimal_generators` / `from_monomials` to build
-    ideals from arbitrary generating sets; the constructor itself rejects
-    non-normalized input.
+    ``exponent_rows`` holds one tuple per generator, minimal (none divides
+    another) and lex-descending; ``gens`` views them as `Monomial` objects.
+    `from_exponent_rows` and `minimal_generators` normalize any generating
+    set; the constructor itself rejects non-normalized input.
     """
 
     n: int
-    gens: tuple[Monomial, ...]
+    exponent_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gens = tuple(self.gens)
-        object.__setattr__(self, "gens", gens)
-        _check_generators(self.n, gens)
-        rows = tuple(m.exponents for m in gens)
-        if minimalize_rows(rows) != rows:
+        rows = _check_rows(self.exponent_rows, self.n)
+        object.__setattr__(self, "exponent_rows", rows)
+        if (any(a <= b for a, b in zip(rows, rows[1:]))
+                or len(_undivided(rows)) < len(rows)):
             raise ValueError("generating set not minimal and sorted lex-descending")
-
-    @classmethod
-    def _from_minimal(cls, n: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
-        """The ideal on ``gens``, already checked against n, minimal and
-        sorted lex-descending: skips the constructor's minimality check."""
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "n", n)
-        object.__setattr__(ideal, "gens", gens)
-        return ideal
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -132,23 +136,25 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (Monomial((0,) * n),))
-
-    @classmethod
-    def from_monomials(cls, n: int, monomials) -> "MonomialIdeal":
-        return minimal_generators(n, monomials)
+        return cls(n, ((0,) * n,))
 
     @classmethod
     def from_exponent_rows(cls, n: int, rows) -> "MonomialIdeal":
-        return minimal_generators(n, [Monomial(tuple(r)) for r in rows])
+        """The ideal generated by any exponent vectors, minimalized."""
+        return cls(n, minimalize_rows(_check_rows(rows, n)))
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as `Monomial` objects, lex-descending."""
+        return tuple(map(Monomial, self.exponent_rows))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exponent_rows
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].degree == 0
+        return self.exponent_rows == ((0,) * self.n,)
 
     @property
     def is_proper(self) -> bool:
@@ -156,32 +162,19 @@ class MonomialIdeal:
 
     @property
     def max_gen_degree(self) -> int:
-        return max((m.degree for m in self.gens), default=0)
+        return max(map(sum, self.exponent_rows), default=0)
 
     @property
     def min_gen_degree(self) -> int:
-        return min((m.degree for m in self.gens), default=0)
-
-    @cached_property
-    def exponent_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The generator exponent vectors, one tuple per generator."""
-        return tuple(m.exponents for m in self.gens)
+        return min(map(sum, self.exponent_rows), default=0)
 
     @cached_property
     def lcm_exponents(self) -> tuple[int, ...]:
         """Componentwise max of the generator exponent vectors."""
-        out = [0] * self.n
-        for m in self.gens:
-            for i, e in enumerate(m.exponents):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
-
-    def contains(self, m: Monomial) -> bool:
-        return contains(self, m)
+        return tuple(map(max, zip((0,) * self.n, *self.exponent_rows)))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "generators": [list(m.exponents) for m in self.gens]}
+        return {"n": self.n, "generators": [list(r) for r in self.exponent_rows]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
@@ -202,32 +195,26 @@ def minimal_generators(n: int, raw) -> MonomialIdeal:
     Idempotent and independent of input order; the empty set gives the zero
     ideal.
     """
-    raw = tuple(raw)
-    _check_generators(n, raw)
-    by_row = {m.exponents: m for m in raw}
-    return MonomialIdeal._from_minimal(
-        n, tuple(by_row[r] for r in minimalize_rows(by_row)))
-
-
-def _check_generators(n: int, gens) -> None:
-    if n < 1:
-        raise ValueError("ambient ring needs at least one variable")
-    for m in gens:
-        if m.n != n:
-            raise AmbientMismatchError(
-                f"generator {m} has {m.n} exponents, ambient ring has {n}")
+    return MonomialIdeal.from_exponent_rows(n, [m.exponents for m in raw])
 
 
 def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     """The minimal exponent tuples under divisibility, sorted lex-descending.
 
-    Duplicates collapse; every row must have the same length.  Rows are
-    taken by ascending degree and each is queried against a divisor trie of
-    the kept rows of strictly smaller degree, since distinct rows of equal
-    degree never divide each other; a single-degree set makes no query.
+    Duplicates collapse; every row must have the same length.
+    """
+    return tuple(sorted(_undivided(set(rows)), reverse=True))
+
+
+def _undivided(rows) -> list[tuple[int, ...]]:
+    """The rows of a duplicate-free collection that no other row divides.
+
+    Rows are taken by ascending degree and each is queried against a divisor
+    trie of the kept rows of strictly smaller degree, since distinct rows of
+    equal degree never divide each other; a single-degree set makes no query.
     """
     by_degree = {}
-    for r in set(rows):
+    for r in rows:
         by_degree.setdefault(sum(r), []).append(r)
     trie = {}
     kept = []
@@ -241,7 +228,7 @@ def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
         if trie:
             level = [r for r in level if not _trie_divides(trie, r)]
         kept += level
-    return tuple(sorted(kept, reverse=True))
+    return kept
 
 
 def _trie_divides(trie, w) -> bool:
@@ -293,11 +280,15 @@ def count_standard_monomials(ideal: MonomialIdeal, d: int) -> int:
 
 def lex_rank(m: Monomial) -> int:
     """0-based position of m in the lex-descending list of its degree block."""
-    n, d = m.n, m.degree
+    return _rank_row(m.exponents)
+
+
+def _rank_row(row) -> int:
+    n = len(row)
     rank = 0
-    rem = d
+    rem = sum(row)
     for pos in range(n - 1):
-        e = m.exponents[pos]
+        e = row[pos]
         for v in range(rem, e, -1):
             rank += monomial_count(n - pos - 1, rem - v)
         rem -= e
@@ -306,6 +297,10 @@ def lex_rank(m: Monomial) -> int:
 
 def lex_unrank(n: int, d: int, rank: int) -> Monomial:
     """Inverse of `lex_rank`: the monomial at 0-based ``rank`` in degree d."""
+    return Monomial(_unrank_row(n, d, rank))
+
+
+def _unrank_row(n: int, d: int, rank: int) -> tuple[int, ...]:
     total = monomial_count(n, d)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range for {total} monomials")
@@ -320,23 +315,24 @@ def lex_unrank(n: int, d: int, rank: int) -> Monomial:
                 break
             rank -= block
     expos.append(rem)
-    return Monomial(tuple(expos))
+    return tuple(expos)
 
 
-def lex_walk(n: int, d: int, start: int, stop: int) -> list[Monomial]:
-    """The degree-d monomials of lex ranks start, ..., stop - 1, in order.
+def lex_walk(n: int, d: int, start: int, stop: int) -> list[tuple[int, ...]]:
+    """The exponent rows of the degree-d monomials of lex ranks start, ...,
+    stop - 1, in order.
 
-    Equal to ``[lex_unrank(n, d, r) for r in range(start, stop)]``, but only
-    ``start`` is unranked; each later monomial is the lex-next-smaller one.
+    Equal to ``[lex_unrank(n, d, r).exponents for r in range(start, stop)]``,
+    but only ``start`` is unranked; each later row is the lex-next-smaller one.
     """
     total = monomial_count(n, d)
     if not 0 <= start <= stop <= total:
         raise ValueError(f"ranks {start}..{stop} out of range for {total} monomials")
     if start == stop:
         return []
-    first = lex_unrank(n, d, start)
+    first = _unrank_row(n, d, start)
     out = [first]
-    e = list(first.exponents)
+    e = list(first)
     for _ in range(stop - start - 1):
         # lower the last exponent before xn and move everything after it,
         # all of which sits on xn, plus one to the next variable
@@ -347,7 +343,7 @@ def lex_walk(n: int, d: int, start: int, stop: int) -> list[Monomial]:
         e[n - 1] = 0
         e[p] -= 1
         e[p + 1] = tail + 1
-        out.append(Monomial(tuple(e)))
+        out.append(tuple(e))
     return out
 
 
@@ -368,7 +364,8 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
         raise UnitIdealError("the zero ring has no dimension")
     if ideal.is_zero:
         return ideal.n
-    supports = [frozenset(g.support) for g in ideal.gens]
+    supports = [frozenset(j for j, e in enumerate(r) if e)
+                for r in ideal.exponent_rows]
     best = [ideal.n]
 
     def cover(remaining, used):
@@ -476,6 +473,6 @@ def is_lexsegment(ideal: MonomialIdeal,
         if g is not None and (least is None or g < least):
             least = g
         cnt = monomial_count(n, d) - series.coefficient(d)
-        if lex_rank(Monomial(least)) != cnt - 1:
+        if _rank_row(least) != cnt - 1:
             return False
     return True

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from helpers import count_calls
-from lexseg.betti import BettiTable
+from lexseg.betti import TRIVIAL, BettiTable
+from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.corpus import random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import (
     depth,
@@ -157,6 +158,18 @@ class TestBettiTableType:
             BettiTable(((1, 0), (0,)))
         with pytest.raises(ValueError):
             BettiTable(())
+
+    @pytest.mark.parametrize("rows", [((1.7,),), ((True,),), ((1, 0), (0, 2.0))],
+                             ids=["float", "bool", "float-entry"])
+    def test_rejects_non_int_entries(self, rows):
+        # no silent int() coercion: ((1.7,),) used to become ((1,),)
+        with pytest.raises(TypeError):
+            BettiTable(rows)
+
+    def test_one_trivial_table(self):
+        zero = MonomialIdeal.zero(3)
+        assert ek_betti_table(zero) is TRIVIAL is bruteforce_betti_table(zero)
+        assert TRIVIAL.rows == ((1,),)
 
     def test_text_is_deterministic(self, example2):
         a = ek_betti_table(example2).to_text()

@@ -123,6 +123,18 @@ class TestAnalyze:
             assert code == 2, (n, rows)
             assert out == "" and "not a valid ideal file" in err
 
+    @pytest.mark.parametrize("bad", [
+        [1.0, 0], [True, 0], ["1", 0], [None, 0], [-1, 0], [1, 0, 0],
+        7, "10", None, {"0": 1}],
+        ids=["float", "bool", "string", "null", "negative", "wrong-length",
+             "int-not-list", "string-not-list", "null-not-list", "object-not-list"])
+    def test_malformed_generator_exit_2(self, capsys, tmp_path, bad):
+        # main returns 2 instead of raising, so no traceback reaches the user
+        path = write_ideal(tmp_path, "bad.json", 2, [[0, 1], bad])
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "not a valid ideal file" in err
+
     def test_row_length_mismatch_exit_2(self, capsys, tmp_path):
         path = write_ideal(tmp_path, "short.json", 3, [[1, 0, 0], [0, 1]])
         code, _, err = run(capsys, "analyze", path)

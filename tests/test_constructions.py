@@ -11,7 +11,7 @@ from lexseg.constructions import (
 )
 from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.hilbert import h_polynomial, hilbert_function, hilbert_series
-from lexseg.monomials import is_lexsegment
+from lexseg.monomials import Monomial, is_lexsegment
 
 
 class TestFirstStep:
@@ -124,6 +124,18 @@ class TestMeasuredOnce:
         monkeypatch.undo()
         assert report.series == hilbert_series(report.ideal)
         assert report.betti == ek_betti_table(report.ideal)
+
+
+class TestRowsOnly:
+    def test_construct_wraps_no_monomial(self, monkeypatch):
+        # the construct path works on exponent rows; only `gens` wraps them
+        wrapped = []
+        real = Monomial.__post_init__
+        monkeypatch.setattr(Monomial, "__post_init__",
+                            lambda self: wrapped.append(real(self)))
+        reports = [construct(r, s) for r, s in [(1, 1), (2, 5), (4, 2), (12, 3)]]
+        assert wrapped == []
+        assert str(reports[2].ideal.gens[0]) == "x1^2" and len(wrapped) == 20
 
 
 class TestNoEnumeration:

@@ -339,6 +339,15 @@ class TestSeriesType:
         with pytest.raises(ValueError):
             HilbertSeries((1,), -1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: HilbertSeries((1.5, True), 0), lambda: HilbertSeries((1, 2.0), 1),
+        lambda: HPolynomial((1, True)), lambda: HPolynomial((1.0,))],
+        ids=["series-float-bool", "series-float", "hpoly-bool", "hpoly-float"])
+    def test_rejects_non_int_coefficients(self, make):
+        # no silent int() coercion: (1.5, True) used to become (1, 1)
+        with pytest.raises(TypeError):
+            make()
+
     def test_rendering_signs(self):
         assert str(HilbertSeries((1, -2, 2), 0)) == "1 - 2*t + 2*t^2"
         assert str(HilbertSeries((1, 0, -1, 3), 2)) == "(1 - t^2 + 3*t^3) / (1-t)^2"

@@ -131,11 +131,11 @@ class TestMinimalGenerators:
 
     def test_constructor_rejects_non_minimal(self):
         with pytest.raises(ValueError):
-            MonomialIdeal(2, (M(1, 0), M(1, 1)))
+            MonomialIdeal(2, ((1, 0), (1, 1)))
 
     def test_constructor_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            MonomialIdeal(2, (M(1, 1), M(2, 0)))
+            MonomialIdeal(2, ((1, 1), (2, 0)))
 
     def test_trie_matches_pairwise_scan(self, grid_ideals, wide_ideal):
         rng = random.Random(31)
@@ -158,12 +158,12 @@ class TestMinimalGenerators:
 
     def test_constructor_rejects_non_normalized_lex_generators(self, grid_ideals):
         ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2): 20 generators, 6 variables
-        gens = list(ideal.gens)
-        assert len(gens) == 20 and len({g.degree for g in gens}) == 4
-        low = min(gens, key=lambda g: g.degree)
-        multiple = Monomial(low.exponents[:-1] + (low.exponents[-1] + 2,))
-        duplicated = sorted(gens + [gens[7]], key=lambda g: g.exponents, reverse=True)
-        non_minimal = sorted(gens + [multiple], key=lambda g: g.exponents, reverse=True)
+        gens = list(ideal.exponent_rows)
+        assert len(gens) == 20 and len({sum(g) for g in gens}) == 4
+        low = min(gens, key=sum)
+        multiple = low[:-1] + (low[-1] + 2,)
+        duplicated = sorted(gens + [gens[7]], reverse=True)
+        non_minimal = sorted(gens + [multiple], reverse=True)
         unsorted = gens[:5] + [gens[6], gens[5]] + gens[7:]
         for bad in (duplicated, non_minimal, unsorted):
             with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ class TestLexRankUnrank:
         for n in range(1, 7):
             for d in range(7):
                 total = monomial_count(n, d)
-                block = [lex_unrank(n, d, r) for r in range(total)]
+                block = [lex_unrank(n, d, r).exponents for r in range(total)]
                 ranges = {(a, total) for a in range(total + 1)}
                 ranges |= {(0, b) for b in range(total + 1)}
                 ranges |= {(a, min(a + k, total)) for a in range(total + 1)
@@ -437,3 +437,17 @@ class TestIdealJson:
         data = {"n": 2, "generators": [[0, 2], [1, 1], [2, 1]]}
         ideal = MonomialIdeal.from_json_dict(data)
         assert [g.exponents for g in ideal.gens] == [(1, 1), (0, 2)]
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=10))))
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_random_rows(self, case):
+        n, rows = case
+        ideal = MonomialIdeal.from_exponent_rows(n, rows)
+        again = MonomialIdeal.from_json_dict(json.loads(json.dumps(ideal.to_json_dict())))
+        assert again == ideal
+        assert again.gens == ideal.gens
+        # the rows are the only stored form; gens is a view of them
+        assert again.exponent_rows == minimalize_rows(map(tuple, rows))
+        assert tuple(g.exponents for g in again.gens) == again.exponent_rows
