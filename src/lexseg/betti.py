@@ -7,17 +7,16 @@ is the regularity and the width the projective dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value, _set
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Value):
     """Dense grid rows[r][p] = beta_{p, p+r}(S/I), trimmed on both axes."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
         if any(type(v) is not int for r in rows for v in r):
             raise TypeError(f"Betti numbers must be ints, got {rows}")
         if not rows or not rows[0]:
@@ -29,7 +28,7 @@ class BettiTable:
             raise ValueError("negative Betti number")
         if rows[0][0] != 1:
             raise ValueError("beta_{0,0} must be 1")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
 
     @property
     def projective_dimension(self) -> int:

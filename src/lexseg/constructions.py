@@ -21,9 +21,9 @@ against the pivot recursion on every grid cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._value import Value, _set
 from .betti import BettiTable
 from .eliahou_kervaire import ek_betti_table
 from .errors import ConstructionError
@@ -32,22 +32,20 @@ from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series
 from .monomials import MonomialIdeal, is_lexsegment
 
 
-class Invariants(NamedTuple):
-    n: int
-    regularity: int
-    h_degree: int
-    dim: int
-    depth: int
+Invariants = namedtuple("Invariants", "n regularity h_degree dim depth")
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    ideal: MonomialIdeal
-    branch: str
-    predicted: Invariants
-    measured: Invariants
-    series: HilbertSeries
-    betti: BettiTable
+class ConstructionReport(Value):
+    __slots__ = ("ideal", "branch", "predicted", "measured", "series", "betti")
+
+    def __init__(self, ideal: MonomialIdeal, branch: str, predicted: Invariants,
+                 measured: Invariants, series: HilbertSeries, betti: BettiTable):
+        _set(self, "ideal", ideal)
+        _set(self, "branch", branch)
+        _set(self, "predicted", predicted)
+        _set(self, "measured", measured)
+        _set(self, "series", series)
+        _set(self, "betti", betti)
 
     @property
     def ok(self) -> bool:

@@ -21,10 +21,10 @@ check that the two routes agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import le
 
 from . import _kernels
+from ._value import Value, _set
 from .errors import UnitIdealError
 from .monomials import MonomialIdeal, krull_dimension
 
@@ -51,19 +51,18 @@ def _poly_str(coeffs, var: str = "t") -> str:
     return " ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class HPolynomial:
+class HPolynomial(Value):
     """Numerator of the fully reduced Hilbert series; trailing coefficient nonzero."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
+    def __init__(self, coefficients):
+        coeffs = tuple(coefficients)
         if any(type(c) is not int for c in coeffs):
             raise TypeError(f"h-polynomial coefficients must be ints, got {coeffs}")
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("h-polynomial needs a nonzero trailing coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
 
     @property
     def degree(self) -> int:
@@ -73,28 +72,27 @@ class HPolynomial:
         return _poly_str(self.coefficients)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Value):
     """Series of a monomial quotient in the reduced form h(t)/(1-t)^d.
 
     Reduced means h(1) != 0, so d is forced; it always equals the Krull
     dimension of the quotient.
     """
 
-    numerator: tuple[int, ...]
-    denominator_exponent: int
+    __slots__ = ("numerator", "denominator_exponent")
 
-    def __post_init__(self):
-        num = tuple(self.numerator)
+    def __init__(self, numerator, denominator_exponent: int):
+        num = tuple(numerator)
         if any(type(c) is not int for c in num):
             raise TypeError(f"series numerator coefficients must be ints, got {num}")
         if not num or num[-1] == 0:
             raise ValueError("numerator needs a nonzero trailing coefficient")
         if sum(num) == 0:
             raise ValueError("numerator still divisible by (1-t)")
-        if self.denominator_exponent < 0:
+        if denominator_exponent < 0:
             raise ValueError("denominator exponent must be >= 0")
-        object.__setattr__(self, "numerator", num)
+        _set(self, "numerator", num)
+        _set(self, "denominator_exponent", denominator_exponent)
 
     def h_polynomial(self) -> HPolynomial:
         return HPolynomial(self.numerator)

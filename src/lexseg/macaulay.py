@@ -13,9 +13,9 @@ All binomially-sized integers here are Python ints (arbitrary precision).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._value import Value, _set
 from .betti import BettiTable
 from .eliahou_kervaire import ek_betti_table
 from .errors import NotOSequenceError, StabilityRequiredError, TooManyGeneratorsError
@@ -27,8 +27,7 @@ MAX_GROWTH = "max-growth"
 GENERATOR_CAP = 10**6  # minimal generators a realization may list
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
+class MacaulayExpansion(Value):
     """Greedy expansion a = C(a_d, d) + C(a_{d-1}, d-1) + ... + C(a_j, j).
 
     ``tops`` lists a_d, a_{d-1}, ..., a_j; the lower index of position p is
@@ -36,23 +35,24 @@ class MacaulayExpansion:
     representation unique.
     """
 
-    degree: int
-    tops: tuple[int, ...]
+    __slots__ = ("degree", "tops")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int, tops):
+        if degree < 1:
             raise ValueError("expansion degree must be >= 1")
-        if not self.tops:
+        if not tops:
             raise ValueError("empty expansion")
-        lower = self.degree
+        lower = degree
         prev = None
-        for top in self.tops:
+        for top in tops:
             if lower < 1 or top < lower:
                 raise ValueError(f"invalid expansion term C({top}, {lower})")
             if prev is not None and top >= prev:
                 raise ValueError("tops must be strictly decreasing")
             prev = top
             lower -= 1
+        _set(self, "degree", degree)
+        _set(self, "tops", tops)
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
@@ -116,33 +116,32 @@ def macaulay_growth(a: int, d: int) -> int:
     return macaulay_expansion(a, d).grow()
 
 
-@dataclass(frozen=True)
-class HilbertFunctionSpec:
+class HilbertFunctionSpec(Value):
     """Prescribed Hilbert function: explicit initial values plus a tail rule.
 
     ``tail`` is either a non-negative int c (H(k) = c strictly after the
     initial segment) or the string "max-growth" (H(k+1) = H(k)^<k> after it).
     """
 
-    initial: tuple[int, ...]
-    tail: int | str
+    __slots__ = ("initial", "tail")
 
-    def __post_init__(self):
-        init = tuple(self.initial)
+    def __init__(self, initial, tail: int | str):
+        init = tuple(initial)
         if any(type(v) is not int for v in init):
             raise TypeError(f"Hilbert function values must be ints, got {init}")
         if not init:
             raise ValueError("need at least the degree-0 value")
         if any(v < 0 for v in init):
             raise ValueError("Hilbert function values must be >= 0")
-        if isinstance(self.tail, str):
-            if self.tail != MAX_GROWTH:
-                raise ValueError(f"unknown tail rule {self.tail!r}")
-        elif type(self.tail) is not int:
-            raise TypeError(f"constant tail must be an int, got {self.tail!r}")
-        elif self.tail < 0:
+        if isinstance(tail, str):
+            if tail != MAX_GROWTH:
+                raise ValueError(f"unknown tail rule {tail!r}")
+        elif type(tail) is not int:
+            raise TypeError(f"constant tail must be an int, got {tail!r}")
+        elif tail < 0:
             raise ValueError("constant tail must be >= 0")
-        object.__setattr__(self, "initial", init)
+        _set(self, "initial", init)
+        _set(self, "tail", tail)
 
     @property
     def last_explicit_degree(self) -> int:
@@ -185,13 +184,16 @@ class HilbertFunctionSpec:
         return cls(tuple(data["initial"]), tail)
 
 
-@dataclass(frozen=True)
-class OSequenceCheck:
+class OSequenceCheck(Value):
     """Outcome of the Macaulay-condition test, with the first violation if any."""
 
-    ok: bool
-    degree: int | None = None
-    reason: str | None = None
+    __slots__ = ("ok", "degree", "reason")
+
+    def __init__(self, ok: bool, degree: int | None = None,
+                 reason: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "degree", degree)
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,27 +10,27 @@ the mathematical variable index (as in "largest variable dividing u") is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from . import _kernels
+from ._value import Value, _set
 from .errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 
-if TYPE_CHECKING:
-    from .hilbert import HilbertSeries
 
-
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """A monomial given by its exponent vector in a fixed ambient ring."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents):
+        _set(self, "exponents", exponents)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the row check, a step of its own so that tests can count Monomials
         expo = tuple(self.exponents)
-        object.__setattr__(self, "exponents", _check_rows((expo,), len(expo))[0])
+        _set(self, "exponents", _check_rows((expo,), len(expo))[0])
 
     @property
     def n(self) -> int:
@@ -110,8 +110,7 @@ def divides(u: Monomial, v: Monomial) -> bool:
     return u.divides(v)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """A monomial ideal stored by its unique minimal generating set.
 
     ``exponent_rows`` holds one tuple per generator, minimal (none divides
@@ -120,15 +119,15 @@ class MonomialIdeal:
     set; the constructor itself rejects non-normalized input.
     """
 
-    n: int
-    exponent_rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "exponent_rows", "__dict__")  # __dict__ holds the caches
 
-    def __post_init__(self):
-        rows = _check_rows(self.exponent_rows, self.n)
-        object.__setattr__(self, "exponent_rows", rows)
+    def __init__(self, n: int, exponent_rows):
+        rows = _check_rows(exponent_rows, n)
         if (any(a <= b for a, b in zip(rows, rows[1:]))
                 or len(_undivided(rows)) < len(rows)):
             raise ValueError("generating set not minimal and sorted lex-descending")
+        _set(self, "n", n)
+        _set(self, "exponent_rows", rows)
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -141,7 +140,12 @@ class MonomialIdeal:
     @classmethod
     def from_exponent_rows(cls, n: int, rows) -> "MonomialIdeal":
         """The ideal generated by any exponent vectors, minimalized."""
-        return cls(n, minimalize_rows(_check_rows(rows, n)))
+        # minimalize_rows gives checked, minimal, lex-descending rows: the
+        # constructor's checks would only repeat its passes
+        ideal = object.__new__(cls)
+        _set(ideal, "n", n)
+        _set(ideal, "exponent_rows", minimalize_rows(_check_rows(rows, n)))
+        return ideal
 
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:

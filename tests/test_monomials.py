@@ -12,6 +12,7 @@ from helpers import (
     brute_minimalize_rows,
     count_calls,
 )
+from lexseg.constructions import fixture
 from lexseg.corpus import borel_closure, random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
@@ -179,6 +180,13 @@ class TestMinimalGenerators:
         ideal = minimal_generators(3, [M(1, 1, 0), M(2, 0, 0), M(2, 1, 0), M(0, 0, 1)])
         assert calls == {"minimalize_rows": 1}
         assert [g.exponents for g in ideal.gens] == [(2, 0, 0), (1, 1, 0), (0, 0, 1)]
+
+    def test_from_exponent_rows_runs_one_trie_pass(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_undivided")
+        ideal = fixture("example2")
+        assert calls == {"_undivided": 1}
+        assert MonomialIdeal(ideal.n, ideal.exponent_rows) == ideal
+        assert calls == {"_undivided": 2}  # the constructor keeps its check
 
     def test_ambient_checks_kept(self):
         with pytest.raises(AmbientMismatchError):
