@@ -22,6 +22,7 @@ against the pivot recursion on every grid cell.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
 from ._value import Value, _set
 from .betti import BettiTable
@@ -81,13 +82,13 @@ def _finish(ideal, series, table, branch, predicted, expected_h, r,
             f"{branch} (r={r}, s={s}): measured {measured} != predicted {predicted}")
     if predicted.n > max(r, s) + 2:
         raise ConstructionError(f"{branch}: ambient bound n <= max(r,s)+2 violated")
-    if not is_lexsegment(ideal, series):
+    if not is_lexsegment(ideal):
         raise ConstructionError(f"{branch} (r={r}, s={s}): output not a lexsegment ideal")
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
 def construct_first_step(r: int, s: int) -> ConstructionReport:
-    """The branch for 1 <= r <= s, generated in degrees r and r+1."""
+    """The branch for 1 <= r <= s, generated in degree r+1."""
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
@@ -96,7 +97,6 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
     ideal = MonomialIdeal(n, rows)
     # 1 + t + ... + t^(r-1) + t^r (1-t)^(s-r), coefficientwise
-    from math import comb
     hs = [1 if i < r else 0 for i in range(s + 1)]
     for j in range(s - r + 1):
         hs[r + j] += (-1) ** j * comb(s - r, j)

@@ -24,12 +24,7 @@ class Monomial(Value):
     __slots__ = ("exponents",)
 
     def __init__(self, exponents):
-        _set(self, "exponents", exponents)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # the row check, a step of its own so that tests can count Monomials
-        expo = tuple(self.exponents)
+        expo = tuple(exponents)
         _set(self, "exponents", _check_rows((expo,), len(expo))[0])
 
     @property
@@ -334,21 +329,27 @@ def lex_walk(n: int, d: int, start: int, stop: int) -> list[tuple[int, ...]]:
         raise ValueError(f"ranks {start}..{stop} out of range for {total} monomials")
     if start == stop:
         return []
-    first = _unrank_row(n, d, start)
-    out = [first]
-    e = list(first)
+    row = _unrank_row(n, d, start)
+    out = [row]
     for _ in range(stop - start - 1):
-        # lower the last exponent before xn and move everything after it,
-        # all of which sits on xn, plus one to the next variable
-        p = n - 2
-        while not e[p]:
-            p -= 1
-        tail = e[n - 1]
-        e[n - 1] = 0
-        e[p] -= 1
-        e[p + 1] = tail + 1
-        out.append(tuple(e))
+        row = _lex_next(row)
+        out.append(row)
     return out
+
+
+def _lex_next(row) -> tuple[int, ...] | None:
+    """The row after ``row`` in the lex-descending order of its degree, or
+    None after the last one, xn^d.
+
+    The last exponent before xn drops by one, and everything after it (all
+    of which sits on xn) plus that one moves to the next variable.
+    """
+    p = len(row) - 2
+    while p >= 0 and not row[p]:
+        p -= 1
+    if p < 0:
+        return None
+    return row[:p] + (row[p] - 1, row[-1] + 1) + (0,) * (len(row) - p - 2)
 
 
 def _require_quotient_invariants(ideal: MonomialIdeal) -> None:
@@ -448,35 +449,33 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     return _swaps_stay_inside(ideal.exponent_rows, strong=True)
 
 
-def is_lexsegment(ideal: MonomialIdeal,
-                  series: HilbertSeries | None = None) -> bool:
+def is_lexsegment(ideal: MonomialIdeal) -> bool:
     """True iff every graded piece of the ideal is a lex-descending initial segment.
 
-    Checked for each degree up to the maximal generator degree, which
-    suffices: beyond it every graded piece is the shadow of the previous one,
-    and shadows of lex segments are lex segments.  The piece in degree d is a
-    segment iff its size equals 1 + the rank of its lex-least element, which
-    is min over generators g of g * xn^(d - deg g); degree by degree that is
-    the smaller of xn times the previous one and the lex-least generator of
-    degree d.  Its size is dim S_d - H(S/I, d), read off the reduced Hilbert
-    series: ``series``, when the caller already holds it, else
-    `hilbert_series(ideal)`.
+    A walk over the generators, degree by degree up to the largest generator
+    degree; beyond it every graded piece is the shadow of the previous one,
+    and shadows of lex segments are lex segments.  The piece I_d is the
+    shadow of I_(d-1) plus the degree-d generators, and when I_(d-1) is a
+    segment with lex-least element u, its shadow is the segment ending at
+    u * xn (Macaulay).  So I_d is a segment iff its generators, in
+    lex-descending order, are the monomials right after that shadow: the
+    first is x1^d when I_(d-1) = 0, else the successor of u * xn, and each
+    later one the successor of the one before it.
     """
     _require_quotient_invariants(ideal)
-    if series is None:
-        from .hilbert import hilbert_series  # hilbert imports this module
-        series = hilbert_series(ideal)
-    n = ideal.n
-    # gens are lex-descending, so the last of each degree is its lex-least
-    least_gen = {sum(g): g for g in ideal.exponent_rows}
-    least = None
+    by_degree = {}
+    for g in ideal.exponent_rows:  # lex-descending within each degree
+        by_degree.setdefault(sum(g), []).append(g)
+    least = None  # the lex-least monomial of I_(d-1)
     for d in range(ideal.min_gen_degree, ideal.max_gen_degree + 1):
-        if least is not None:
+        if least is None:
+            nxt = (d,) + (0,) * (ideal.n - 1)
+        else:
             least = least[:-1] + (least[-1] + 1,)
-        g = least_gen.get(d)
-        if g is not None and (least is None or g < least):
+            nxt = _lex_next(least)
+        for g in by_degree.get(d, ()):
+            if g != nxt:
+                return False
             least = g
-        cnt = monomial_count(n, d) - series.coefficient(d)
-        if _rank_row(least) != cnt - 1:
-            return False
+            nxt = _lex_next(g)
     return True

@@ -34,7 +34,7 @@ def brute_hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     return sum(1 for m in all_monomials(ideal.n, k) if not contains(ideal, m))
 
 
-def _lex_successor(e):
+def lex_successor(e):
     """The next monomial after ``e`` in the lex-descending order of its
     degree, or None after the last one, xn^d."""
     p = max((j for j in range(len(e) - 1) if e[j]), default=None)
@@ -43,6 +43,19 @@ def _lex_successor(e):
     out = list(e[:p + 1]) + [0] * (len(e) - p - 1)
     out[p] -= 1
     out[p + 1] = sum(e[p + 1:]) + 1
+    return tuple(out)
+
+
+def lex_predecessor(e):
+    """The monomial before ``e`` in the lex-descending order of its degree,
+    or None before the first one, x1^d: the inverse of `lex_successor`."""
+    q = max((j for j in range(1, len(e)) if e[j]), default=None)
+    if q is None:
+        return None
+    out = list(e)
+    out[q - 1] += 1
+    out[q] = 0
+    out[-1] += e[q] - 1
     return tuple(out)
 
 
@@ -66,7 +79,7 @@ def brute_is_lexsegment(ideal: MonomialIdeal) -> bool:
                     grown.add(t)
         standard = grown
         for e in standard:
-            nxt = _lex_successor(e)
+            nxt = lex_successor(e)
             if nxt is not None and nxt not in standard:
                 return False
     return True

@@ -162,8 +162,9 @@ def test_criterion_4_oracle_equivalence(report, stable_corpus, random_corpus):
                 == bruteforce_betti_table(ideal).rows), ideal
     for ideal in random_corpus:
         assert kpolynomial(ideal, "subsets") == kpolynomial(ideal, "pivot"), ideal
+        series = hilbert_series(ideal)
         for k in range(9):
-            assert (hilbert_function(ideal, k)
+            assert (series.coefficient(k)
                     == count_standard_monomials(ideal, k)), (ideal, k)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"oracle equivalence took {elapsed:.1f}s"

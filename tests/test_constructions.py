@@ -130,9 +130,9 @@ class TestRowsOnly:
     def test_construct_wraps_no_monomial(self, monkeypatch):
         # the construct path works on exponent rows; only `gens` wraps them
         wrapped = []
-        real = Monomial.__post_init__
-        monkeypatch.setattr(Monomial, "__post_init__",
-                            lambda self: wrapped.append(real(self)))
+        real = Monomial.__init__
+        monkeypatch.setattr(Monomial, "__init__",
+                            lambda self, expo: wrapped.append(real(self, expo)))
         reports = [construct(r, s) for r, s in [(1, 1), (2, 5), (4, 2), (12, 3)]]
         assert wrapped == []
         assert str(reports[2].ideal.gens[0]) == "x1^2" and len(wrapped) == 20

@@ -11,12 +11,12 @@ from helpers import (
     brute_is_stable,
     brute_minimalize_rows,
     count_calls,
+    lex_predecessor,
+    lex_successor,
 )
 from lexseg.constructions import fixture
 from lexseg.corpus import borel_closure, random_monomial_ideal, random_strongly_stable_ideal
-from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
-from lexseg.hilbert import _reduced_series, hilbert_series
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
@@ -356,13 +356,51 @@ class TestStabilityPredicates:
         for ideal in ideals:
             want = brute_is_lexsegment(ideal)
             assert is_lexsegment(ideal) == want, ideal
-            assert is_lexsegment(ideal, hilbert_series(ideal)) == want, ideal
-            if is_stable(ideal):  # the series route construct and lexify take
-                ek = _reduced_series(ideal, ek_betti_table(ideal).euler_kpolynomial())
-                assert is_lexsegment(ideal, ek) == want, ideal
+            if is_stable(ideal):
                 outcomes.add(("stable", want))
             outcomes.add(want)
         assert outcomes == {True, False, ("stable", True), ("stable", False)}
+
+    def test_lex_neighbours_walk_each_block(self):
+        # the oracle's successor and predecessor, against the sorted block
+        for n in range(1, 5):
+            for d in range(5):
+                block = [m.exponents for m in all_monomials(n, d)]
+                assert [lex_successor(e) for e in block] == block[1:] + [None]
+                assert [lex_predecessor(e) for e in block] == [None] + block[:-1]
+
+    def test_lexsegment_near_misses_match_definition(self, example2, remark3,
+                                                     grid_ideals):
+        # one generator swapped for its lex neighbour, then re-minimalized
+        rng = random.Random(31)
+        outcomes = set()
+        for ideal in grid_ideals + [example2, remark3]:
+            rows = ideal.exponent_rows
+            for step in (lex_successor, lex_predecessor):
+                u = rng.choice(rows)
+                w = step(u)
+                if w is None:
+                    continue
+                near = MonomialIdeal.from_exponent_rows(
+                    ideal.n, [g for g in rows if g != u] + [w])
+                want = brute_is_lexsegment(near)
+                assert is_lexsegment(near) == want, (ideal, u, w)
+                outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_lexsegment_reads_no_series(self, monkeypatch, example2, wide_ideal):
+        rng = random.Random(2)
+        n = 40  # squarefree quadrics, edge probability 0.2
+        edges = [(0,) * i + (1,) + (0,) * (j - i - 1) + (1,) + (0,) * (n - j - 1)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+        edge_ideal = MonomialIdeal.from_exponent_rows(n, edges)
+        names = ("hilbert_series", "kpolynomial", "krull_dimension",
+                 "ek_betti_table")
+        calls = count_calls(monkeypatch, *names)
+        for ideal, want in [(example2, True), (wide_ideal, True),
+                            (edge_ideal, False)]:
+            assert is_lexsegment(ideal) == want
+            assert sum(calls.values()) == 0, calls
 
     def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals,
                                               wide_ideal):
