@@ -60,8 +60,6 @@ from .monomials import (
     is_strongly_stable,
     krull_dimension,
     lex_compare,
-    lex_rank,
-    lex_unrank,
     minimal_generators,
 )
 
@@ -108,8 +106,6 @@ __all__ = [
     "krull_dimension",
     "lex_compare",
     "lex_ideal_from_hf",
-    "lex_rank",
-    "lex_unrank",
     "macaulay_expansion",
     "macaulay_growth",
     "minimal_generators",

@@ -53,9 +53,8 @@ class BettiTable(Value):
         nz = {k: v for k, v in entries.items() if v != 0}
         pd = max((p for p, _ in nz), default=0)
         reg = max((q - p for p, q in nz), default=0)
-        rows = [[nz.get((p, p + r), 0) for p in range(pd + 1)]
-                for r in range(reg + 1)]
-        return cls(tuple(tuple(r) for r in rows))
+        return cls([nz.get((p, p + r), 0) for p in range(pd + 1)]
+                   for r in range(reg + 1))
 
     def euler_kpolynomial(self) -> tuple[int, ...]:
         """Alternating column sums: coefficients of sum (-1)^p beta_{p,q} t^q."""

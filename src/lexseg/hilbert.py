@@ -89,6 +89,9 @@ class HilbertSeries(Value):
             raise ValueError("numerator needs a nonzero trailing coefficient")
         if sum(num) == 0:
             raise ValueError("numerator still divisible by (1-t)")
+        if type(denominator_exponent) is not int:
+            raise TypeError(
+                f"denominator exponent must be an int, got {denominator_exponent!r}")
         if denominator_exponent < 0:
             raise ValueError("denominator exponent must be >= 0")
         _set(self, "numerator", num)
@@ -299,7 +302,7 @@ def hilbert_function(ideal: MonomialIdeal, k: int) -> int:
 
     Each call computes the whole series; a caller that needs several degrees
     should read ``hilbert_series(ideal).coefficient(k)`` for each instead.
-    The tests check it against direct enumeration (`count_standard_monomials`).
+    The tests check it against direct enumeration of the standard monomials.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert function")

@@ -4,9 +4,9 @@ The growth operator a^<d> bounds how a Hilbert function may grow from degree
 d to d+1; numerical functions obeying it (O-sequences) are exactly the
 Hilbert functions of graded quotients, each realized by a unique lexsegment
 ideal.  `lex_ideal_from_hf` builds that ideal degree by degree without ever
-materializing a full degree block: the new minimal generators in degree k
-are the lex-descending monomials ranked between the shadow of the previous
-block and the block itself, and both sizes come from the growth operator.
+materializing a full degree block: the growth operator gives the number of
+new minimal generators in degree k, and they are the monomials right after
+the shadow of the previous degree, reached by walking lex successors.
 
 All binomially-sized integers here are Python ints (arbitrary precision).
 """
@@ -20,7 +20,7 @@ from .betti import BettiTable
 from .eliahou_kervaire import ek_betti_table
 from .errors import NotOSequenceError, StabilityRequiredError, TooManyGeneratorsError
 from .hilbert import HilbertSeries, _reduced_series
-from .monomials import MonomialIdeal, lex_walk, monomial_count
+from .monomials import MonomialIdeal, _lex_segment_rows
 
 MAX_GROWTH = "max-growth"
 
@@ -38,6 +38,10 @@ class MacaulayExpansion(Value):
     __slots__ = ("degree", "tops")
 
     def __init__(self, degree: int, tops):
+        tops = tuple(tops)
+        if type(degree) is not int or any(type(t) is not int for t in tops):
+            raise TypeError(
+                f"expansion degree and tops must be ints, got {degree!r}, {tops}")
         if degree < 1:
             raise ValueError("expansion degree must be >= 1")
         if not tops:
@@ -244,12 +248,14 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
 def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     """The unique lexsegment ideal whose quotient has the given Hilbert function.
 
-    Degree by degree, the ideal's block is the lex-descending initial segment
-    of size dim S_k - H(k); the new minimal generators are the slice of that
-    segment past the shadow of the previous block, whose size is
-    dim S_k - H(k-1)^<k-1> (shadows of lex segments are lex segments).
-    Generation stops at max(t+1, c) for a constant-c tail (growth stabilizes)
-    and at t for a max-growth tail (no generators can appear after it).
+    Degree by degree, the ideal's piece is a lex-descending initial segment,
+    and the shadow of the previous piece fills dim S_k - H(k-1)^<k-1> of it
+    (shadows of lex segments are lex segments, Macaulay).  So the new minimal
+    generators in degree k number H(k-1)^<k-1> - H(k) (n - H(1) in degree 1),
+    and they are the monomials right after that shadow, one lex successor
+    after another.  Generation stops at max(t+1, c) for a constant-c tail
+    (growth stabilizes) and at t for a max-growth tail (no generators can
+    appear after it).
 
     A spec whose ideal would have more than `GENERATOR_CAP` minimal
     generators raises `TooManyGeneratorsError` before any is listed.  The
@@ -271,30 +277,19 @@ def _lex_ideal_and_series(
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
     stop = generation_horizon(spec)
-    slices = []
-    prev_h = 1
+    counts = []  # new minimal generators per degree 1..stop
     for k in range(1, stop + 1):
+        bound = macaulay_growth(hk, k - 1) if k > 1 else n  # largest H(k)
         hk = spec.value(k, n)
-        dim_k = monomial_count(n, k)
-        block = dim_k - hk
-        if k == 1:
-            shadow = 0
-        else:
-            shadow = dim_k - macaulay_growth(prev_h, k - 1) if prev_h > 0 else dim_k
-        if not 0 <= shadow <= block:
-            raise AssertionError(
-                f"degree {k}: shadow {shadow} vs block {block} out of order")
-        slices.append((k, shadow, block))
-        prev_h = hk
-    count = sum(block - shadow for _, shadow, block in slices)
-    if count > GENERATOR_CAP:
+        count = bound - hk
+        if count < 0:
+            raise AssertionError(f"degree {k}: {count} new generators")
+        counts.append(count)
+    if sum(counts) > GENERATOR_CAP:
         raise TooManyGeneratorsError(
-            f"the lexsegment ideal would have {count} minimal generators, "
+            f"the lexsegment ideal would have {sum(counts)} minimal generators, "
             f"cap is {GENERATOR_CAP}")
-    rows = []
-    for k, shadow, block in slices:
-        rows += lex_walk(n, k, shadow, block)
-    rows.sort(reverse=True)
+    rows = _lex_segment_rows(n, counts)
     try:
         ideal = MonomialIdeal(n, rows)  # checks minimality
     except ValueError:

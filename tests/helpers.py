@@ -1,12 +1,17 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles used to pin expected values, and the
+seeded random ideals the property tests run them on.
 
-Everything here goes through `contains` (one divisibility scan over the
-generators) or a plain pairwise scan, and plain Python arithmetic only, so it
-shares no code path with the counting kernels, the divisor trie, the prefix
-lookups or the closed forms it validates.  `count_calls` is the one
-non-oracle: it counts calls to library functions.
+The oracles go through `contains` (one divisibility scan over the
+generators) or a plain pairwise scan, and plain Python arithmetic only, so
+they share no code path with the divisor trie, the prefix lookups or the
+closed forms they validate.  `count_standard_monomials` is the enumeration
+the Hilbert series is compared against; it runs the standard-monomial
+counting kernel, which no runtime path uses.  `count_calls` counts calls to
+library functions.
 """
 
+import math
+import random
 import sys
 from collections import Counter
 from operator import le
@@ -15,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
-from lexseg.monomials import Monomial, MonomialIdeal, contains
+from lexseg import _kernels
+from lexseg.monomials import Monomial, MonomialIdeal, contains, minimal_generators
 
 
 def all_monomials(n: int, d: int) -> list[Monomial]:
@@ -32,6 +38,85 @@ def all_monomials(n: int, d: int) -> list[Monomial]:
 
 def brute_hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     return sum(1 for m in all_monomials(ideal.n, k) if not contains(ideal, m))
+
+
+def monomial_count(n: int, d: int) -> int:
+    """Number of degree-d monomials in n variables."""
+    if d < 0:
+        return 0
+    return math.comb(n - 1 + d, d)
+
+
+def count_standard_monomials(ideal: MonomialIdeal, d: int) -> int:
+    """Number of degree-d monomials outside the ideal, by pruned enumeration."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    if ideal.is_unit:
+        return 0
+    if ideal.is_zero or d < ideal.min_gen_degree:
+        return monomial_count(ideal.n, d)
+    return _kernels.count_standard(ideal.exponent_rows, d)
+
+
+def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
+    """Uniformly spread monomial of degree 1..max_degree."""
+    d = rng.randint(1, max_degree)
+    e = [0] * n
+    for _ in range(d):
+        e[rng.randrange(n)] += 1
+    return Monomial(tuple(e))
+
+
+def random_monomial_ideal(rng: random.Random, n: int, max_degree: int,
+                          max_gens: int) -> MonomialIdeal:
+    """Proper nonzero monomial ideal with a seeded generating set.
+
+    Candidates related by divisibility to an already chosen generator are
+    resampled a few times, so the minimal generating set usually keeps the
+    requested size instead of collapsing.
+    """
+    count = rng.randint(1, max_gens)
+    chosen: list[Monomial] = []
+    for _ in range(count):
+        m = random_monomial(rng, n, max_degree)
+        for _attempt in range(6):
+            if not any(g.divides(m) or m.divides(g) for g in chosen):
+                break
+            m = random_monomial(rng, n, max_degree)
+        chosen.append(m)
+    return minimal_generators(n, chosen)
+
+
+def borel_closure(n: int, seeds) -> MonomialIdeal:
+    """Smallest strongly stable ideal containing the seed monomials.
+
+    Closes the generating set under every exchange x_j -> x_i with i < j and
+    minimalizes; termination is immediate since exchanges never raise degree
+    and the degree blocks are finite.
+    """
+    pool = {m.exponents for m in seeds}
+    frontier = list(pool)
+    while frontier:
+        expo = frontier.pop()
+        for j in range(n):
+            if expo[j] == 0:
+                continue
+            for i in range(j):
+                e = list(expo)
+                e[j] -= 1
+                e[i] += 1
+                t = tuple(e)
+                if t not in pool:
+                    pool.add(t)
+                    frontier.append(t)
+    return MonomialIdeal.from_exponent_rows(n, pool)
+
+
+def random_strongly_stable_ideal(rng: random.Random, n: int, max_degree: int,
+                                 max_seeds: int = 3) -> MonomialIdeal:
+    seeds = [random_monomial(rng, n, max_degree)
+             for _ in range(rng.randint(1, max_seeds))]
+    return borel_closure(n, seeds)
 
 
 def lex_successor(e):

@@ -14,17 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from helpers import (
+    count_standard_monomials,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+)
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.constructions import construct, fixture
-from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import depth, ek_betti_table, regularity
 from lexseg.hilbert import h_degree, hilbert_function, hilbert_series, kpolynomial
-from lexseg.monomials import (
-    count_standard_monomials,
-    is_lexsegment,
-    is_stable,
-    krull_dimension,
-)
+from lexseg.monomials import is_lexsegment, is_stable, krull_dimension
 
 STABLE_SEED = 20240401
 RANDOM_SEED = 20240402

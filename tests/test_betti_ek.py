@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, random_strongly_stable_ideal
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
-from lexseg.corpus import random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import (
     depth,
     ek_betti_table,

@@ -3,14 +3,18 @@ from itertools import product
 
 import pytest
 
-from helpers import reduced_homology_ranks, upper_koszul_complex
+from helpers import (
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+    reduced_homology_ranks,
+    upper_koszul_complex,
+)
 from lexseg.betti_oracle import (
     bruteforce_betti_table,
     bruteforce_depth,
     bruteforce_regularity,
     koszul_betti,
 )
-from lexseg.corpus import random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
 from lexseg.hilbert import kpolynomial

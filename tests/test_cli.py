@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_calls
+from helpers import all_monomials, count_calls
 from lexseg import cli, macaulay
 from lexseg.cli import main
 
@@ -236,10 +236,9 @@ class TestLexify:
     def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
         # a realization bug that repeats a generator fails the constructor's
         # minimality check, reported as a verification failure
-        from lexseg import macaulay
-        real = macaulay.lex_walk
-        monkeypatch.setattr(macaulay, "lex_walk", lambda n, d, start, stop:
-                            real(n, d, start, start + 1) * (stop - start))
+        real = macaulay._lex_segment_rows
+        monkeypatch.setattr(macaulay, "_lex_segment_rows", lambda n, counts:
+                            [row for row in real(n, counts) for _ in (0, 1)])
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
         code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
@@ -249,15 +248,11 @@ class TestLexify:
     def test_non_stable_realization_exit_4(self, capsys, tmp_path, monkeypatch):
         # a realization bug that takes the lex-last monomials of a degree
         # keeps the Hilbert function 1, 3, 2, 2, ... but not stability
-        from lexseg import macaulay
-        from lexseg.monomials import monomial_count
-        real = macaulay.lex_walk
+        def last_slice(n, counts):
+            return sorted((m.exponents for d, count in enumerate(counts, 1) if count
+                           for m in all_monomials(n, d)[-count:]), reverse=True)
 
-        def last_slice(n, d, start, stop):
-            total = monomial_count(n, d)
-            return real(n, d, total - (stop - start), total)
-
-        monkeypatch.setattr(macaulay, "lex_walk", last_slice)
+        monkeypatch.setattr(macaulay, "_lex_segment_rows", last_slice)
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 3], "tail": {"constant": 2}}))
         code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
@@ -268,10 +263,10 @@ class TestLexify:
         # H = dim S_k through degree 8, then 0: every one of the C(38, 9)
         # degree-9 monomials in 30 variables is a generator.  The cap is
         # arithmetic, so a walk here would be the bug; it exits 4, not 3.
-        def no_walk(n, d, start, stop):
+        def no_walk(n, counts):
             raise AssertionError("walked an over-cap degree")
 
-        monkeypatch.setattr(macaulay, "lex_walk", no_walk)
+        monkeypatch.setattr(macaulay, "_lex_segment_rows", no_walk)
         spec = tmp_path / "huge.json"
         spec.write_text(json.dumps({"initial": [math.comb(29 + k, k) for k in range(9)],
                                     "tail": {"constant": 0}}))

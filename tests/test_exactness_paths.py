@@ -4,8 +4,8 @@ of the series and Betti computations."""
 import random
 from math import comb
 
+from helpers import random_monomial_ideal
 from lexseg.betti_oracle import bruteforce_betti_table
-from lexseg.corpus import random_monomial_ideal
 from lexseg.macaulay import macaulay_expansion
 
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_function
-from lexseg import _kernels, hilbert
-from lexseg.constructions import construct, fixture
-from lexseg.corpus import (
+from helpers import (
     borel_closure,
+    brute_hilbert_function,
+    count_standard_monomials,
     random_monomial_ideal,
     random_strongly_stable_ideal,
 )
+from lexseg import _kernels, hilbert
+from lexseg.constructions import construct, fixture
 from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import UnitIdealError
 from lexseg.hilbert import (
@@ -27,7 +28,6 @@ from lexseg.hilbert import (
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
-    count_standard_monomials,
     krull_dimension,
     minimal_generators,
     minimalize_rows,

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_hilbert_function, linear_expansion_tops
+from helpers import (
+    brute_hilbert_function,
+    brute_is_lexsegment,
+    linear_expansion_tops,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+)
 from lexseg.errors import NotOSequenceError
 from lexseg.macaulay import (
     MAX_GROWTH,
@@ -184,8 +190,9 @@ class TestRealization:
 
     def test_outputs_are_lexsegment_and_hf_matches(self):
         rng = random.Random(71)
+        tails = set()
         trials = 0
-        while trials < 20:
+        while trials < 40:
             n = rng.randint(2, 5)
             h1 = rng.randint(1, n)
             length = rng.randint(1, 4)
@@ -195,18 +202,41 @@ class TestRealization:
                 if cap == 0:
                     break
                 vals.append(rng.randint(0, cap))
-            tail = rng.randint(0, max(1, vals[-1]))
-            spec = HilbertFunctionSpec(tuple(vals), min(tail, vals[-1]))
+            if rng.random() < 0.5:
+                tail = MAX_GROWTH
+            else:
+                tail = min(rng.randint(0, max(1, vals[-1])), vals[-1])
+            spec = HilbertFunctionSpec(tuple(vals), tail)
             if not is_o_sequence(spec, n).ok:
                 continue
             trials += 1
+            tails.add(spec.is_max_growth)
             ideal = lex_ideal_from_hf(spec, n)
             if not ideal.is_zero:
                 assert is_lexsegment(ideal)
+                assert brute_is_lexsegment(ideal)
                 assert is_strongly_stable(ideal)
             horizon = generation_horizon(spec)
             for k in range(min(horizon + 4, 9)):
                 assert brute_hilbert_function(ideal, k) == spec.value(k, n), (spec, n, k)
+        assert tails == {True, False}
+
+    def test_round_trip_through_max_growth_spec(self, grid_reports):
+        # a lexsegment ideal generated in degrees <= D is the realization of
+        # its own Hilbert function through D with a max-growth tail
+        cases = [(r.ideal, r.series.coefficient) for r in grid_reports]
+        rng = random.Random(83)
+        corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 4), 5)
+                  for _ in range(300)]
+        corpus += [random_monomial_ideal(rng, rng.randint(1, 3), 4, 4)
+                   for _ in range(300)]
+        lex = [i for i in corpus if brute_is_lexsegment(i)]
+        assert len(lex) >= 30
+        cases += [(i, lambda k, i=i: brute_hilbert_function(i, k)) for i in lex]
+        for ideal, hf in cases:
+            spec = HilbertFunctionSpec(
+                tuple(hf(k) for k in range(ideal.max_gen_degree + 1)), MAX_GROWTH)
+            assert lex_ideal_from_hf(spec, ideal.n) == ideal, ideal
 
     def test_zero_tail(self):
         # 1, 2, 0, 0, ...: everything from degree 2 on

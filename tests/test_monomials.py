@@ -7,33 +7,34 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_monomials,
+    borel_closure,
     brute_is_lexsegment,
     brute_is_stable,
     brute_minimalize_rows,
     count_calls,
+    count_standard_monomials,
     lex_predecessor,
     lex_successor,
+    monomial_count,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
 )
 from lexseg.constructions import fixture
-from lexseg.corpus import borel_closure, random_monomial_ideal, random_strongly_stable_ideal
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
+    _lex_next,
+    _lex_segment_rows,
     contains,
-    count_standard_monomials,
     divides,
     is_lexsegment,
     is_stable,
     is_strongly_stable,
     krull_dimension,
     lex_compare,
-    lex_rank,
-    lex_unrank,
-    lex_walk,
     minimal_generators,
     minimalize_rows,
-    monomial_count,
 )
 
 
@@ -246,38 +247,40 @@ class TestStandardMonomialCounts:
         assert monomial_count(2, 3) - count_standard_monomials(unit, 3) == 4
 
 
-class TestLexRankUnrank:
-    @given(st.integers(1, 5), st.integers(0, 7))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_whole_degree_block(self, n, d):
-        total = monomial_count(n, d)
-        ms = [lex_unrank(n, d, i) for i in range(total)]
-        assert ms == all_monomials(n, d)
-        assert [lex_rank(m) for m in ms] == list(range(total))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            lex_unrank(2, 2, 3)
-
-    def test_walk_matches_unrank(self):
-        # every start (to the end of the block), every stop (from its start)
-        # and every range of length <= 2; all start-stop pairs at n = d = 6
-        # alone would build 16 M monomials
+class TestLexWalk:
+    def test_successor_walks_each_block(self):
         for n in range(1, 7):
             for d in range(7):
-                total = monomial_count(n, d)
-                block = [lex_unrank(n, d, r).exponents for r in range(total)]
-                ranges = {(a, total) for a in range(total + 1)}
-                ranges |= {(0, b) for b in range(total + 1)}
-                ranges |= {(a, min(a + k, total)) for a in range(total + 1)
-                           for k in (0, 1, 2)}
-                for a, b in ranges:
-                    assert lex_walk(n, d, a, b) == block[a:b], (n, d, a, b)
+                block = [m.exponents for m in all_monomials(n, d)]
+                for e in block:
+                    assert _lex_next(e) == lex_successor(e), e
+                row = block[0]
+                walked = []
+                while row is not None:
+                    walked.append(row)
+                    row = _lex_next(row)
+                assert walked == block, (n, d)
 
-    def test_walk_out_of_range(self):
-        for a, b in [(-1, 2), (2, 1), (0, 4)]:
-            with pytest.raises(ValueError):
-                lex_walk(2, 2, a, b)
+    def test_segment_rows_match_brute_force(self):
+        # the brute-force lexsegment ideal takes, in each degree, the first
+        # `count` monomials outside the ideal built so far
+        rng = random.Random(29)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            counts = []
+            rows = []
+            for d in range(1, rng.randint(1, 6) + 1):
+                ideal = MonomialIdeal.from_exponent_rows(n, rows)
+                outside = [m.exponents for m in all_monomials(n, d)
+                           if not contains(ideal, m)]
+                count = rng.choice([0, min(1, len(outside)), rng.randint(0, len(outside))])
+                counts.append(count)
+                rows += outside[:count]
+            want = sorted(rows, reverse=True)
+            assert _lex_segment_rows(n, counts) == want, (n, counts)
+            ideal = MonomialIdeal(n, want)  # minimal and sorted
+            if ideal.is_proper and not ideal.is_zero:
+                assert brute_is_lexsegment(ideal)
 
 
 class TestKrullDimension:

@@ -96,6 +96,36 @@ def test_distinct_types_never_equal():
     assert HPolynomial((1, 2)) != Monomial((1, 2))
 
 
+NON_INT_SCALARS = {
+    "ideal-float-n": lambda: MonomialIdeal(2.0, [(1, 1)]),
+    "ideal-bool-n": lambda: MonomialIdeal(True, [(1,)]),
+    "ideal-rows-float-n": lambda: MonomialIdeal.from_exponent_rows(2.0, [(1, 1)]),
+    "ideal-json-bool-n": lambda: MonomialIdeal.from_json_dict(
+        {"n": True, "generators": [[1]]}),
+    "series-float-exponent": lambda: HilbertSeries((1,), 1.5),
+    "series-bool-exponent": lambda: HilbertSeries((1,), True),
+    "expansion-float-degree": lambda: MacaulayExpansion(2.0, (3, 1)),
+    "expansion-bool-degree": lambda: MacaulayExpansion(True, (1,)),
+    "expansion-float-top": lambda: MacaulayExpansion(2, (3.0, 1)),
+    "expansion-bool-top": lambda: MacaulayExpansion(1, (True,)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_INT_SCALARS))
+def test_non_int_scalars_rejected(name):
+    with pytest.raises(TypeError):
+        NON_INT_SCALARS[name]()
+
+
+def test_expansion_tops_stored_as_tuple():
+    tops = [3, 1]
+    expansion = MacaulayExpansion(2, tops)
+    tops.append(0)
+    assert expansion.tops == (3, 1)
+    assert expansion.value() == 4
+    _same(expansion, MacaulayExpansion(2, (3, 1)))
+
+
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
