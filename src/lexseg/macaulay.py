@@ -211,7 +211,11 @@ def is_o_sequence(spec: HilbertFunctionSpec, n: int) -> OSequenceCheck:
     unit binomials, so growth returns c forever.  In fact a^<d> >= a always
     (each C(a_i, i) with a_i >= i satisfies C(a_i + 1, i + 1) >= C(a_i, i)),
     so a constant can never violate the bound against itself.
+
+    Raises `TypeError` when n is not an int (bools included).
     """
+    if type(n) is not int:
+        raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
         return OSequenceCheck(False, None, "ambient variable count must be >= 1")
     if spec.value(0) != 1:

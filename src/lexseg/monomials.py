@@ -329,65 +329,89 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
     return ideal.n - best[0]
 
 
-def _swaps_stay_inside(rows, strong: bool) -> bool:
-    """Whether every swap w = x_i * u / x_j (i < j, x_j | u) of a generator
-    row u lies in the ideal minimally generated by ``rows``; j runs over the
-    support of u when ``strong``, else only over its largest variable.
+def _prefixes_cover(rows, strong: bool) -> bool:
+    """Whether the minimal generator ``rows`` span a stable ideal (strongly
+    stable when ``strong``), by one walk over each generator's prefixes.
 
-    A swap passes when its prefix of some generator degree is a generator;
-    the prefix of degree d is the first d variables of w in index order,
-    counted with multiplicity.  Every swap is first looked up whole (its
-    prefix of full degree), and only those that are not generators are
-    tried at the lower degrees.  The test is exact both ways.  A prefix
-    divides w, so a hit puts w in the ideal.  Conversely, if every swap lies
-    in the ideal, the ideal is stable (strongly stable when ``strong``), and
-    by the Eliahou-Kervaire decomposition every w in a stable ideal is g * v
-    with g a minimal generator and max(g) <= min(v); then g is the prefix of
-    w of its own degree, so every swap hits.
+    A generator u is read as its word, the positions of its variables in
+    ascending order, each repeated by its exponent; P_k(u) is the monomial of
+    its first k letters.  Each generator g sets a bit in a table under each
+    of its neighbours: bit i under g - e_i for every i in supp(g), or, when
+    ``strong``, bit j under g + e_j - e_(j-1) for every j with g_(j-1) > 0.
+    Then u passes when the bits found under P_(d-1)(u) (under P_d(u) when
+    ``strong``), OR-ed over the generator degrees d <= deg u, cover every
+    position below max(u) (every position of supp(u) but the first).  No
+    swap is built and no membership query is made.
     """
-    gens = set(rows)
-    missed = []  # swaps that are not generators themselves
-    for u in rows:
-        support = [j for j, e in enumerate(u) if e]
-        for j in (support if strong else support[-1:]):
-            for i in range(j):
-                w = list(u)
-                w[j] -= 1
-                w[i] += 1
-                if tuple(w) not in gens:
-                    missed.append(w)
-    if not missed:
-        return True
+    n = len(rows[0])
+    words = []
+    table = {}
+    for g in rows:
+        w = ()
+        ends = []  # the position of the last copy of each letter
+        for i, e in enumerate(g):
+            if e:
+                w += (i,) * e
+                ends.append(len(w) - 1)
+        support = 0
+        for p in ends:
+            i = w[p]
+            support |= 1 << i
+            if not strong:  # g - e_i
+                key, bit = w[:p] + w[p + 1:], i
+            elif i + 1 < n:  # g + e_(i+1) - e_i
+                key, bit = w[:p] + (i + 1,) + w[p + 1:], i + 1
+            else:
+                continue
+            table[key] = table.get(key, 0) | 1 << bit
+        # the bits u must collect: supp(u) but x1, or every i below max(u)
+        words.append((w, support & ~1 if strong else (1 << w[-1]) - 1))
     degrees = sorted(set(map(sum, rows)))
-    return all(_has_lower_prefix(gens, degrees, w) for w in missed)
-
-
-def _has_lower_prefix(gens, degrees, w) -> bool:
-    """Whether the prefix of w of some degree in ``degrees`` (ascending)
-    below deg w is in ``gens``."""
-    total = sum(w)
-    p = below = 0  # below = degree of w[:p]
-    for d in degrees:
-        if d >= total:
+    lag = 0 if strong else 1
+    for w, need in words:
+        got = 0
+        for d in degrees:
+            if d > len(w):
+                break
+            got |= table.get(w[:d - lag], 0)
+        if got & need != need:
             return False
-        while below + w[p] < d:
-            below += w[p]
-            p += 1
-        if tuple(w[:p]) + (d - below,) + (0,) * (len(w) - p - 1) in gens:
-            return True
-    return False
+    return True
 
 
 def is_stable(ideal: MonomialIdeal) -> bool:
-    """Stability: x_i * u / x_max(u) stays in the ideal for every generator u, i < max(u)."""
+    """Stability: x_i * u / x_m stays in the ideal for every generator u with
+    largest variable x_m and every i < m.
+
+    Decided by `_prefixes_cover` without a membership query: a swap passes
+    when x_i * P_(d-1)(u) is a generator for some generator degree d <= deg u.
+    Such a generator divides x_i * u / x_m, since P_(d-1)(u) divides u / x_m,
+    so every passing swap is in the ideal.  Conversely, in a stable ideal
+    every monomial w is g * v with g a minimal generator and max(g) <= min(v)
+    (Eliahou-Kervaire), so g is the prefix of w of its own degree d.  For
+    w = x_i * u / x_m that prefix is x_i * P_(d-1)(u): the other candidate,
+    P_d(u) with d < deg u, divides u and so is no minimal generator.
+    """
     _require_quotient_invariants(ideal)
-    return _swaps_stay_inside(ideal.exponent_rows, strong=False)
+    return _prefixes_cover(ideal.exponent_rows, strong=False)
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
-    """Strong stability: every swap x_j -> x_i with i < j keeps generators in the ideal."""
+    """Strong stability: x_i * u / x_j stays in the ideal for every generator
+    u, every x_j dividing u and every i < j.
+
+    The adjacent swaps x_(j-1) * u / x_j are enough: any swap is a chain of
+    them, and closure on the generators extends to the whole ideal (a swap
+    of g * v moves a letter of g or leaves g dividing it).  Decided by
+    `_prefixes_cover` as in `is_stable`: an adjacent swap of u passes when
+    x_(j-1) * P_d(u) / x_j is a generator for some generator degree
+    d <= deg u with x_j | P_d(u).  That generator divides the swap; and in a
+    strongly stable ideal the swap's Eliahou-Kervaire generator is its
+    prefix of that form, since the swap changes the first x_j of u's word
+    into x_(j-1) and a shorter prefix would be a generator properly dividing u.
+    """
     _require_quotient_invariants(ideal)
-    return _swaps_stay_inside(ideal.exponent_rows, strong=True)
+    return _prefixes_cover(ideal.exponent_rows, strong=True)
 
 
 def is_lexsegment(ideal: MonomialIdeal) -> bool:

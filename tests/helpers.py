@@ -88,19 +88,30 @@ def random_monomial_ideal(rng: random.Random, n: int, max_degree: int,
 
 
 def borel_closure(n: int, seeds) -> MonomialIdeal:
-    """Smallest strongly stable ideal containing the seed monomials.
+    """Smallest strongly stable ideal containing the seed monomials."""
+    return _swap_closure(n, seeds, strong=True)
 
-    Closes the generating set under every exchange x_j -> x_i with i < j and
-    minimalizes; termination is immediate since exchanges never raise degree
-    and the degree blocks are finite.
+
+def stable_closure(n: int, seeds) -> MonomialIdeal:
+    """Smallest stable ideal containing the seed monomials; unlike
+    `borel_closure`, often not strongly stable."""
+    return _swap_closure(n, seeds, strong=False)
+
+
+def _swap_closure(n: int, seeds, strong: bool) -> MonomialIdeal:
+    """Closes the seeds under every exchange x_j -> x_i with i < j, where
+    x_j runs over the support when ``strong``, else over the largest
+    variable only, and minimalizes.  The closed set's ideal is (strongly)
+    stable, since its minimal generators are among the closed set.
+    Termination is immediate since exchanges never raise degree and the
+    degree blocks are finite.
     """
     pool = {m.exponents for m in seeds}
     frontier = list(pool)
     while frontier:
         expo = frontier.pop()
-        for j in range(n):
-            if expo[j] == 0:
-                continue
+        support = [j for j, e in enumerate(expo) if e]
+        for j in (support if strong else support[-1:]):
             for i in range(j):
                 e = list(expo)
                 e[j] -= 1
@@ -110,6 +121,13 @@ def borel_closure(n: int, seeds) -> MonomialIdeal:
                     pool.add(t)
                     frontier.append(t)
     return MonomialIdeal.from_exponent_rows(n, pool)
+
+
+def random_stable_ideal(rng: random.Random, n: int, max_degree: int,
+                        max_seeds: int = 3) -> MonomialIdeal:
+    seeds = [random_monomial(rng, n, max_degree)
+             for _ in range(rng.randint(1, max_seeds))]
+    return stable_closure(n, seeds)
 
 
 def random_strongly_stable_ideal(rng: random.Random, n: int, max_degree: int,

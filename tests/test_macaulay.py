@@ -138,6 +138,14 @@ class TestOSequence:
         chk = is_o_sequence(HilbertFunctionSpec((1, 2, 0, 3), 3), 2)
         assert not chk.ok and chk.degree == 2
 
+    def test_non_int_variable_count_rejected(self):
+        spec = HilbertFunctionSpec((1, 2), 1)
+        for n in (2.5, 2.0, True):
+            with pytest.raises(TypeError, match="variable count must be an int"):
+                is_o_sequence(spec, n)
+            with pytest.raises(TypeError, match="variable count must be an int"):
+                lex_ideal_from_hf(spec, n)
+
     def test_max_growth_always_fine_past_initial(self):
         spec = HilbertFunctionSpec((1, 3, 4), MAX_GROWTH)
         assert is_o_sequence(spec, 3).ok

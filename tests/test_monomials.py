@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from helpers import (
     lex_successor,
     monomial_count,
     random_monomial_ideal,
+    random_stable_ideal,
     random_strongly_stable_ideal,
+    stable_closure,
 )
 from lexseg.constructions import fixture
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
@@ -405,8 +408,8 @@ class TestStabilityPredicates:
             assert is_lexsegment(ideal) == want
             assert sum(calls.values()) == 0, calls
 
-    def test_bucketed_swaps_match_definition(self, example2, remark3, grid_ideals,
-                                              wide_ideal):
+    def test_prefix_walk_matches_definition(self, example2, remark3, grid_ideals,
+                                            wide_ideal):
         rng = random.Random(23)
         ideals = [random_monomial_ideal(rng, rng.randint(1, 5), 5, 8)
                   for _ in range(350)]
@@ -417,14 +420,55 @@ class TestStabilityPredicates:
         # stable, but not strongly: x2 -> x1 takes x2*x3 to x1*x3, outside
         ideals.append(minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0),
                                              M(0, 1, 1)]))
-        outcomes = set()
-        for ideal in ideals:
+        closures = [random_stable_ideal(rng, rng.randint(1, 6), 6)
+                    for _ in range(100)]
+        outcomes = []
+        for ideal in ideals + closures:
             got = (is_stable(ideal), is_strongly_stable(ideal))
             assert got == (brute_is_stable(ideal, strong=False),
                            brute_is_stable(ideal, strong=True)), ideal
-            outcomes.add(got)
-        # stable and strongly stable, stable only, and neither all occur
-        assert outcomes == {(True, True), (True, False), (False, False)}
+            outcomes.append(got)
+        # stable and strongly stable, stable only, and neither all occur;
+        # every stable closure is stable, and many are not strongly stable
+        assert set(outcomes) == {(True, True), (True, False), (False, False)}
+        from_closures = Counter(outcomes[len(ideals):])
+        assert from_closures[False, False] == 0
+        assert from_closures[True, False] >= 20
+
+    @pytest.mark.parametrize("n, rows, want", [
+        (1, [(3,)], (True, True)),  # one variable
+        (3, [(4, 0, 0)], (True, True)),  # a single generator
+        (2, [(2, 1)], (False, False)),
+        (3, [(1, 0, 0), (0, 1, 0)], (True, True)),  # linear: the key P_0 = 1
+        (3, [(1, 0, 0), (0, 0, 1)], (False, False)),
+        (2, [(1, 0), (0, 2)], (True, True)),  # x1 * x2 lies in the ideal via x1
+        (3, [(1, 0, 0), (0, 2, 0), (0, 1, 2), (0, 0, 4)], (True, True)),
+        (3, [(1, 0, 0), (0, 2, 0), (0, 0, 4)], (False, False)),
+    ], ids=["n=1", "single", "single-unstable", "linear", "linear-gap",
+            "linear-and-square", "degrees-1-to-4", "degrees-1-to-4-gap"])
+    def test_edge_shapes(self, n, rows, want):
+        ideal = MonomialIdeal.from_exponent_rows(n, rows)
+        assert (is_stable(ideal), is_strongly_stable(ideal)) == want
+        assert want == (brute_is_stable(ideal, strong=False),
+                        brute_is_stable(ideal, strong=True))
+
+    def test_stable_closures_over_many_degrees(self):
+        # seeds in four degrees, each in later variables than the one before
+        seeds = [M(0, 1, 1, 0, 0, 0), M(0, 0, 1, 2, 0, 0), M(0, 0, 0, 1, 3, 0),
+                 M(0, 0, 0, 0, 2, 4)]
+        ideal = stable_closure(6, seeds)
+        assert {sum(g) for g in ideal.exponent_rows} == {2, 3, 4, 6}
+        assert (is_stable(ideal), is_strongly_stable(ideal)) == (True, False)
+        assert brute_is_stable(ideal, strong=False)
+        assert not brute_is_stable(ideal, strong=True)
+
+    def test_predicates_make_no_membership_query(self, monkeypatch, example2,
+                                                 remark3, grid_ideals):
+        calls = count_calls(monkeypatch, "_in_ideal", "contains")
+        for ideal in grid_ideals + [example2, remark3]:
+            assert is_stable(ideal)
+            assert is_strongly_stable(ideal)
+        assert sum(calls.values()) == 0, calls
 
     @staticmethod
     def _borel_closures_in_several_degrees(rng):
