@@ -4,6 +4,13 @@ A value type lists its fields in ``__slots__`` (plus ``"__dict__"`` when it
 caches with `functools.cached_property`) and sets them in ``__init__`` with
 `_set`.  Equality, hashing, ``repr`` and pickling follow the fields in slot
 order; assigning or deleting an attribute raises `AttributeError`.
+
+Tuples on the construct and print paths are built at their exact size, from a
+list (``tuple([...])``), never from a generator or a ``map``.  CPython builds
+a tuple from an iterator of unknown length at a guessed length and resizes
+it, so the tuple is freed onto the free list of another length than it was
+taken from; those per-length free lists then only grow until a full garbage
+collection empties them.
 """
 
 _set = object.__setattr__  # bypasses the refusal below; for ``__init__`` only

@@ -16,7 +16,7 @@ class BettiTable(Value):
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple([tuple(row) for row in rows])  # exact size, see _value
         if any(type(v) is not int for r in rows for v in r):
             raise TypeError(f"Betti numbers must be ints, got {rows}")
         if not rows or not rows[0]:

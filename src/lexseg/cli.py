@@ -22,7 +22,7 @@ from .errors import (
     NotOSequenceError,
     StabilityRequiredError,
 )
-from .hilbert import _reduced_series, hilbert_series
+from .hilbert import _stable_series, hilbert_series
 from .macaulay import (
     HilbertFunctionSpec,
     _lex_ideal_and_series,
@@ -109,14 +109,15 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
     table = None
     if not force_oracle and not ideal.is_unit:
         try:
-            # its stability check picks the Betti engine and the series route
+            # its stability check picks the Betti engine, the series route
+            # and the dimension's closed form
             table = ek_betti_table(ideal)
         except StabilityRequiredError:
             pass
     if table is None:  # hilbert_series also rejects the unit ideal
         series = hilbert_series(ideal)
     else:
-        series = _reduced_series(ideal, table.euler_kpolynomial())
+        series = _stable_series(ideal, table)
     if ideal.is_zero:
         stable = strongly = lexseg = None
     else:

@@ -13,9 +13,12 @@ Two branches cover all pairs (r, s) with r, s >= 1:
 Either way n <= max(r, s) + 2.  Every constructor measures the produced
 ideal and raises `ConstructionError` on any divergence from the predicted
 invariants: divergence is a hard failure, never a warning.  Both branches
-give lexsegment, hence stable, ideals, so one Eliahou-Kervaire table per
-ideal yields its regularity, its depth and, through the table's Euler
-characteristic, its reduced Hilbert series; the tests check that series
+give lexsegment ideals, and each is certified once, as it is built, by the
+`is_lexsegment` walk over its rows, which also proves them minimal.  A
+lexsegment ideal is stable, so with no further check one Eliahou-Kervaire
+table per ideal yields its regularity, its depth and, through the table's
+Euler characteristic, its reduced Hilbert series, whose dimension is
+asserted against the stable closed form; the tests check that series
 against the pivot recursion on every grid cell.
 """
 
@@ -26,11 +29,11 @@ from math import comb
 
 from ._value import Value, _set
 from .betti import BettiTable
-from .eliahou_kervaire import ek_betti_table
+from .eliahou_kervaire import _ek_table
 from .errors import ConstructionError
-from .hilbert import HilbertSeries, _reduced_series
+from .hilbert import HilbertSeries, _stable_series
 from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series
-from .monomials import MonomialIdeal, is_lexsegment
+from .monomials import MonomialIdeal, _certified_lexsegment
 
 
 Invariants = namedtuple("Invariants", "n regularity h_degree dim depth")
@@ -82,8 +85,6 @@ def _finish(ideal, series, table, branch, predicted, expected_h, r,
             f"{branch} (r={r}, s={s}): measured {measured} != predicted {predicted}")
     if predicted.n > max(r, s) + 2:
         raise ConstructionError(f"{branch}: ambient bound n <= max(r,s)+2 violated")
-    if not is_lexsegment(ideal):
-        raise ConstructionError(f"{branch} (r={r}, s={s}): output not a lexsegment ideal")
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
@@ -95,14 +96,17 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     # x1^(r+1) > x1^r x2 > ... > x1^r xn: one degree, lex-descending
     rows = [(r + 1,) + (0,) * (n - 1)]
     rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
-    ideal = MonomialIdeal(n, rows)
+    try:
+        ideal = _certified_lexsegment(n, rows)
+    except ValueError as exc:
+        raise ConstructionError(f"first-step (r={r}, s={s}): {exc}") from None
     # 1 + t + ... + t^(r-1) + t^r (1-t)^(s-r), coefficientwise
     hs = [1 if i < r else 0 for i in range(s + 1)]
     for j in range(s - r + 1):
         hs[r + j] += (-1) ** j * comb(s - r, j)
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=s - r, depth=0)
-    table = ek_betti_table(ideal)
-    series = _reduced_series(ideal, table.euler_kpolynomial())
+    table = _ek_table(ideal)
+    series = _stable_series(ideal, table)
     return _finish(ideal, series, table, "first-step", predicted, tuple(hs),
                    r, s)
 

@@ -23,16 +23,25 @@ from .monomials import MonomialIdeal, is_stable
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    Raises `StabilityRequiredError` for a non-stable ideal: this is the one
-    stability gate of the closed form.
+    Raises `StabilityRequiredError` for a non-stable ideal.  This stability
+    check is the gate of the closed form for every ideal whose stability is
+    not already known; a realized lexsegment ideal carries its own
+    certificate (`monomials._certified_lexsegment`) and goes straight to
+    `_ek_table`.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
-    if ideal.is_zero:
-        return TRIVIAL  # free quotient, trivial resolution
-    if not is_stable(ideal):
+    if not ideal.is_zero and not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
+    return _ek_table(ideal)
+
+
+def _ek_table(ideal: MonomialIdeal) -> BettiTable:
+    """The closed-form table of a proper ideal known to be stable; the zero
+    ideal gives the trivial table."""
+    if ideal.is_zero:
+        return TRIVIAL  # free quotient, trivial resolution
     shapes = Counter()  # (max index, degree) -> number of generators
     for u in ideal.exponent_rows:
         m = len(u)  # lowered to the largest index of a variable dividing u

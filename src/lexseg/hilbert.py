@@ -7,15 +7,22 @@ minimal generators straight from the split (`_with_power`, `_colon_power`).
 Subset inclusion-exclusion over all 2^g generator lcms (``engine="subsets"``)
 is kept only as the tests' independent cross-check.  The series is the
 K-polynomial with all (1-t) factors cancelled (`_reduced_series`); its
-denominator exponent is asserted to equal the Krull dimension on every call.
-The series is the one source of Hilbert function values.
+denominator exponent is asserted, on every call, to equal the Krull
+dimension the caller passes in.  The series is the one source of Hilbert
+function values.
 
 A stable ideal's K-polynomial also has a closed form: the alternating sum of
 its Eliahou-Kervaire Betti table (`BettiTable.euler_kpolynomial`).  Callers
 that build that table anyway (`construct`, `lexify`, `analyze` of a stable
-ideal) pass its K-polynomial to `_reduced_series` and skip the recursion.
+ideal) read the series through `_stable_series` and skip the recursion.
 `hilbert_series` keeps the recursion for arbitrary ideals, and the tests
 check that the two routes agree.
+
+The dimension comes from the radical, never from the series: the cover
+search `krull_dimension` for an arbitrary ideal (in `hilbert_series`), and
+the O(g) closed form `monomials._stable_dimension` for an ideal known to be
+stable, because it is a certified lexsegment ideal or has passed the
+stability gate of `ek_betti_table`.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from operator import le
 from . import _kernels
 from ._value import Value, _set
 from .errors import UnitIdealError
-from .monomials import MonomialIdeal, krull_dimension
+from .monomials import MonomialIdeal, _stable_dimension, krull_dimension
 
 # largest subset count the explicit "subsets" engine will visit (g <= 20)
 SUBSET_CAP = 1 << 20
@@ -256,13 +263,14 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _reduced_series(ideal: MonomialIdeal, kpoly) -> HilbertSeries:
+def _reduced_series(ideal: MonomialIdeal, kpoly, dim: int) -> HilbertSeries:
     """The series K(t)/(1-t)^n of S/I with every (1-t) factor cancelled.
 
     ``kpoly`` is the K-polynomial of S/I by either route: the pivot
     recursion, or the Euler characteristic of a stable ideal's closed-form
-    Betti table.  The reduced denominator exponent is asserted to equal the
-    Krull dimension.  Callers reject the unit ideal, whose K-polynomial is 0.
+    Betti table.  ``dim`` is the Krull dimension of S/I, found by the caller
+    without the series; the reduced denominator exponent is asserted to
+    equal it.  Callers reject the unit ideal, whose K-polynomial is 0.
     """
     coeffs = list(kpoly)
     d = ideal.n
@@ -275,18 +283,24 @@ def _reduced_series(ideal: MonomialIdeal, kpoly) -> HilbertSeries:
         coeffs = out
         d -= 1
     series = HilbertSeries(tuple(coeffs), d)
-    dim = krull_dimension(ideal)
     if d != dim:
         raise AssertionError(
             f"reduced denominator exponent {d} != Krull dimension {dim}")
     return series
 
 
+def _stable_series(ideal: MonomialIdeal, table) -> HilbertSeries:
+    """The reduced series of a stable ideal from its Eliahou-Kervaire
+    `BettiTable`: the table's Euler characteristic, checked against the
+    closed-form dimension.  Stability is not checked; callers vouch for it."""
+    return _reduced_series(ideal, table.euler_kpolynomial(), _stable_dimension(ideal))
+
+
 def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Reduced Hilbert series of S/I by the pivot recursion; rejects the unit ideal."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    return _reduced_series(ideal, kpolynomial(ideal))
+    return _reduced_series(ideal, kpolynomial(ideal), krull_dimension(ideal))
 
 
 def h_polynomial(ideal: MonomialIdeal) -> HPolynomial:

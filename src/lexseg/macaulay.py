@@ -17,10 +17,10 @@ from math import comb
 
 from ._value import Value, _set
 from .betti import BettiTable
-from .eliahou_kervaire import ek_betti_table
-from .errors import NotOSequenceError, StabilityRequiredError, TooManyGeneratorsError
-from .hilbert import HilbertSeries, _reduced_series
-from .monomials import MonomialIdeal, _lex_segment_rows
+from .eliahou_kervaire import _ek_table
+from .errors import NotOSequenceError, TooManyGeneratorsError
+from .hilbert import HilbertSeries, _stable_series
+from .monomials import MonomialIdeal, _certified_lexsegment, _lex_segment_rows
 
 MAX_GROWTH = "max-growth"
 
@@ -60,14 +60,17 @@ class MacaulayExpansion(Value):
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
-        return tuple((top, self.degree - p) for p, top in enumerate(self.tops))
+        return tuple([(top, self.degree - p) for p, top in enumerate(self.tops)])
 
+    # value and grow read the tops directly; terms builds a tuple (see _value)
     def value(self) -> int:
-        return sum(comb(top, low) for top, low in self.terms)
+        d = self.degree
+        return sum(comb(top, d - p) for p, top in enumerate(self.tops))
 
     def grow(self) -> int:
         """Replace each C(a_i, i) by C(a_i + 1, i + 1) and sum."""
-        return sum(comb(top + 1, low + 1) for top, low in self.terms)
+        d = self.degree + 1
+        return sum(comb(top + 1, d - p) for p, top in enumerate(self.tops))
 
     def __str__(self) -> str:
         return " + ".join(f"C({top},{low})" for top, low in self.terms)
@@ -264,9 +267,11 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     A spec whose ideal would have more than `GENERATOR_CAP` minimal
     generators raises `TooManyGeneratorsError` before any is listed.  The
     result's Hilbert function is re-verified against the spec up to three
-    degrees past the stopping point.  The series it is read from comes from
-    the ideal's Eliahou-Kervaire table: a lexsegment ideal is stable, and the
-    table's stability check is the one gate of that closed form.
+    degrees past the stopping point.  The listed rows are certified once, by
+    the `is_lexsegment` walk (`monomials._certified_lexsegment`), which also
+    proves them minimal.  A lexsegment ideal is stable, so the series is read
+    from the ideal's Eliahou-Kervaire table and its closed-form dimension,
+    with no separate stability check.
     """
     return _lex_ideal_and_series(spec, n)[0]
 
@@ -293,17 +298,12 @@ def _lex_ideal_and_series(
         raise TooManyGeneratorsError(
             f"the lexsegment ideal would have {sum(counts)} minimal generators, "
             f"cap is {GENERATOR_CAP}")
-    rows = _lex_segment_rows(n, counts)
     try:
-        ideal = MonomialIdeal(n, rows)  # checks minimality
-    except ValueError:
-        raise AssertionError(
-            "segment-minus-shadow generators were not minimal") from None
-    try:
-        table = ek_betti_table(ideal)
-    except StabilityRequiredError:
-        raise AssertionError("realized ideal is not stable") from None
-    series = _reduced_series(ideal, table.euler_kpolynomial())
+        ideal = _certified_lexsegment(n, _lex_segment_rows(n, counts))
+    except ValueError as exc:
+        raise AssertionError(f"realized ideal: {exc}") from None
+    table = _ek_table(ideal)
+    series = _stable_series(ideal, table)
     for k in range(stop + 4):
         got = series.coefficient(k)
         want = spec.value(k, n)

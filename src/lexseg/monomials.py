@@ -68,7 +68,7 @@ def _check_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
         raise ValueError("ambient ring needs at least one variable")
-    rows = tuple(map(tuple, rows))
+    rows = tuple([tuple(r) for r in rows])  # exact size, see _value
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         bad = next(r for r in rows if not set(map(type, r)) <= {int})
         raise TypeError(f"exponents must be ints, got {bad}")
@@ -146,7 +146,7 @@ class MonomialIdeal(Value):
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as `Monomial` objects, lex-descending."""
-        return tuple(map(Monomial, self.exponent_rows))
+        return tuple([Monomial(r) for r in self.exponent_rows])  # exact size
 
     @property
     def is_zero(self) -> bool:
@@ -304,7 +304,8 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
     """dim S/I = n minus the minimum number of variables meeting every generator.
 
     Exhaustive branch-and-bound over variable covers; fine at desk scale
-    (few generators, n <= 20).  The zero ideal has dimension n.
+    (few generators, n <= 20).  The zero ideal has dimension n.  A stable
+    ideal's dimension has the O(g) closed form `_stable_dimension`.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no dimension")
@@ -312,21 +313,35 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
         return ideal.n
     supports = [frozenset(j for j, e in enumerate(r) if e)
                 for r in ideal.exponent_rows]
-    best = [ideal.n]
-
-    def cover(remaining, used):
-        if used >= best[0]:
-            return
+    best = ideal.n
+    stack = [(supports, 0)]  # (supports still to meet, variables used)
+    while stack:
+        remaining, used = stack.pop()
+        if used >= best:
+            continue
         if not remaining:
-            best[0] = used
-            return
+            best = used
+            continue
         branch = min(remaining, key=len)
         rest = [s for s in remaining if s is not branch]
-        for v in sorted(branch):
-            cover([s for s in rest if v not in s], used + 1)
+        for v in sorted(branch, reverse=True):  # the smallest v is popped first
+            stack.append(([s for s in rest if v not in s], used + 1))
+    return ideal.n - best
 
-    cover(supports, 0)
-    return ideal.n - best[0]
+
+def _stable_dimension(ideal: MonomialIdeal) -> int:
+    """dim S/I of a stable ideal in O(g): n - i, where i is the largest index
+    of a variable that some minimal generator is a pure power of (i = 0 for
+    the zero ideal).
+
+    Every associated prime of a stable ideal is (x1, ..., xj) for some j
+    (Eliahou-Kervaire), so its one minimal prime is its radical,
+    (x1, ..., xi) for some i.  Then a power of x_i lies in the ideal, so a
+    minimal generator is a pure power of x_i, and no power of a later
+    variable does.  Callers reject the unit ideal.
+    """
+    return ideal.n - max((r.index(d) + 1 for r in ideal.exponent_rows
+                          if (d := sum(r)) in r), default=0)
 
 
 def _prefixes_cover(rows, strong: bool) -> bool:
@@ -444,3 +459,28 @@ def is_lexsegment(ideal: MonomialIdeal) -> bool:
             least = g
             nxt = _lex_next(g)
     return True
+
+
+def _certified_lexsegment(n: int, rows) -> MonomialIdeal:
+    """The lexsegment ideal whose minimal generators are ``rows``, listed
+    lex-descending; raises `ValueError` when the rows are not that.
+
+    One certificate stands in for the constructor's trie check and for any
+    later stability or lexsegment test: the rows are strictly lex-descending
+    and pass the `is_lexsegment` walk once.  The walk places each degree's
+    rows after the shadow of the ideal the lower-degree rows generate, so no
+    lower-degree row divides them (Macaulay), and rows of one degree never
+    divide each other, so the rows are minimal.  A lexsegment ideal is
+    strongly stable, so its callers read the stable closed forms
+    (`_stable_dimension` and the Eliahou-Kervaire table) with no further gate.
+    The rows are trusted to be exponent vectors in n variables.
+    """
+    rows = tuple(rows)
+    if any(a <= b for a, b in zip(rows, rows[1:])):
+        raise ValueError("rows are not strictly lex-descending")
+    ideal = object.__new__(MonomialIdeal)
+    _set(ideal, "n", n)
+    _set(ideal, "exponent_rows", rows)
+    if rows and not is_lexsegment(ideal):
+        raise ValueError("rows do not generate a lexsegment ideal")
+    return ideal

@@ -2,7 +2,8 @@
 seeded random ideals the property tests run them on.
 
 The oracles go through `contains` (one divisibility scan over the
-generators) or a plain pairwise scan, and plain Python arithmetic only, so
+generators) or a plain pairwise scan, pruned at most by degree and largest
+variable, and plain Python arithmetic only, so
 they share no code path with the divisor trie, the prefix lookups or the
 closed forms they validate.  `count_standard_monomials` is the enumeration
 the Hilbert series is compared against; it runs the standard-monomial
@@ -201,20 +202,30 @@ def brute_minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
 def brute_is_stable(ideal: MonomialIdeal, strong: bool) -> bool:
     """Definition check: every swap x_j -> x_i with i < j of a generator stays
     in the ideal; j runs over the support when ``strong``, else over the
-    largest dividing variable only.  Each distinct swap is tested once."""
+    largest dividing variable only.  Each distinct swap w is tested once, by a
+    plain divisibility scan over the generators that could divide it: those
+    of degree <= deg w whose largest variable divides w, so is at most max(w)."""
+    by_top = {}  # position of the largest variable -> (degree, generator)
+    for g in ideal.exponent_rows:
+        top = max((j for j, e in enumerate(g) if e), default=-1)
+        by_top.setdefault(top, []).append((sum(g), g))
     inside = set()
-    for u in ideal.gens:
-        support = u.support
+    for u in ideal.exponent_rows:
+        support = [j for j, e in enumerate(u) if e]
         for j in (support if strong else support[-1:]):
             for i in range(j):
-                e = list(u.exponents)
+                e = list(u)
                 e[j] -= 1
                 e[i] += 1
                 w = tuple(e)
-                if w not in inside:
-                    if not contains(ideal, Monomial(w)):
-                        return False
-                    inside.add(w)
+                if w in inside:
+                    continue
+                d = sum(w)
+                tops = [-1] + [k for k, e in enumerate(w) if e]
+                if not any(gd <= d and all(map(le, g, w))
+                           for k in tops for gd, g in by_top.get(k, ())):
+                    return False
+                inside.add(w)
     return True
 
 

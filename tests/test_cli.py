@@ -234,8 +234,8 @@ class TestLexify:
         assert out == "" and f"cannot write {target}" in err
 
     def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
-        # a realization bug that repeats a generator fails the constructor's
-        # minimality check, reported as a verification failure
+        # a realization bug that repeats a generator fails the certificate's
+        # strict lex order, reported as a verification failure
         real = macaulay._lex_segment_rows
         monkeypatch.setattr(macaulay, "_lex_segment_rows", lambda n, counts:
                             [row for row in real(n, counts) for _ in (0, 1)])
@@ -243,11 +243,12 @@ class TestLexify:
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
         code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 4
-        assert out == "" and "generators were not minimal" in err
+        assert out == "" and "rows are not strictly lex-descending" in err
 
     def test_non_stable_realization_exit_4(self, capsys, tmp_path, monkeypatch):
         # a realization bug that takes the lex-last monomials of a degree
-        # keeps the Hilbert function 1, 3, 2, 2, ... but not stability
+        # keeps the Hilbert function 1, 3, 2, 2, ... but not the lexsegment
+        # walk (nor stability)
         def last_slice(n, counts):
             return sorted((m.exponents for d, count in enumerate(counts, 1) if count
                            for m in all_monomials(n, d)[-count:]), reverse=True)
@@ -257,7 +258,7 @@ class TestLexify:
         spec.write_text(json.dumps({"initial": [1, 3], "tail": {"constant": 2}}))
         code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
         assert code == 4
-        assert out == "" and "realized ideal is not stable" in err
+        assert out == "" and "rows do not generate a lexsegment ideal" in err
 
     def test_over_generator_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         # H = dim S_k through degree 8, then 0: every one of the C(38, 9)
@@ -377,9 +378,15 @@ class TestGoldenOutput:
 
 class TestMeasuredOnce:
     PIVOT = {"kpolynomial": 1, "krull_dimension": 1, "is_stable": 1}
-    # a stable ideal's series comes from its one EK table
-    EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 1,
+    # a stable ideal's series comes from its one EK table, and its dimension
+    # from the stable closed form
+    EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 0,
           "is_stable": 1}
+    # a realized ideal is certified by one lexsegment walk instead of the
+    # constructor's trie check and the EK table's stability gate
+    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "is_lexsegment": 1,
+                 "ek_betti_table": 0, "krull_dimension": 0, "is_stable": 0,
+                 "_undivided": 0}
 
     @pytest.mark.parametrize("ideal, flags, expected", [
         ("example2", [], EK), ("non-stable", [], PIVOT),
@@ -397,18 +404,19 @@ class TestMeasuredOnce:
     def test_lexify_one_series(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
-        calls = count_calls(monkeypatch, *self.EK)
+        calls = count_calls(monkeypatch, *self.CERTIFIED)
         code, _, _ = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 0
-        assert {name: calls[name] for name in self.EK} == self.EK
+        assert {name: calls[name] for name in self.CERTIFIED} == self.CERTIFIED
 
     def test_verify_grid_oracle_one_table_per_cell(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, "ek_betti_table")
+        calls = count_calls(monkeypatch, *self.CERTIFIED)
         code, out, _ = run(capsys, "verify-grid", "--rmax", "2", "--smax", "2",
                            "--oracle")
         assert code == 0
         assert out.count("oracle=ok") == 4
-        assert calls == {"ek_betti_table": 4}
+        cells = {name: 4 * count for name, count in self.CERTIFIED.items()}
+        assert {name: calls[name] for name in cells} == cells
 
 
 class TestNoEnumeration:

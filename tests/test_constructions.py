@@ -115,9 +115,12 @@ class TestDispatch:
 class TestMeasuredOnce:
     @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
     def test_one_series_and_one_stability_check(self, monkeypatch, r, s):
-        # the series comes from the one EK table, not the pivot recursion
-        expected = {"kpolynomial": 0, "ek_betti_table": 1, "is_stable": 1,
-                    "krull_dimension": 1}
+        # one lexsegment walk certifies the rows minimal and the ideal
+        # stable; the series comes from the one EK table, not the pivot
+        # recursion, and its dimension from the stable closed form
+        expected = {"kpolynomial": 0, "_ek_table": 1, "is_lexsegment": 1,
+                    "ek_betti_table": 0, "is_stable": 0, "krull_dimension": 0,
+                    "_undivided": 0}
         calls = count_calls(monkeypatch, *expected)
         report = construct(r, s)
         assert {name: calls[name] for name in expected} == expected

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_hilbert_function,
     brute_is_lexsegment,
+    brute_is_stable,
     linear_expansion_tops,
     random_monomial_ideal,
     random_strongly_stable_ideal,
@@ -23,7 +24,13 @@ from lexseg.macaulay import (
     macaulay_expansion,
     macaulay_growth,
 )
-from lexseg.monomials import is_lexsegment, is_strongly_stable
+from lexseg.monomials import (
+    _stable_dimension,
+    is_lexsegment,
+    is_strongly_stable,
+    krull_dimension,
+    minimalize_rows,
+)
 
 
 class TestExpansion:
@@ -172,6 +179,31 @@ class TestSpecType:
             HilbertFunctionSpec((1,), "sideways")
 
 
+def _random_specs(seed: int, count: int):
+    """``count`` seeded O-sequences (spec, n), with constant and max-growth
+    tails in about equal shares."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        n = rng.randint(2, 5)
+        h1 = rng.randint(1, n)
+        length = rng.randint(1, 4)
+        vals = [1, h1]
+        for k in range(1, length):
+            cap = macaulay_growth(vals[k], k)
+            if cap == 0:
+                break
+            vals.append(rng.randint(0, cap))
+        if rng.random() < 0.5:
+            tail = MAX_GROWTH
+        else:
+            tail = min(rng.randint(0, max(1, vals[-1])), vals[-1])
+        spec = HilbertFunctionSpec(tuple(vals), tail)
+        if is_o_sequence(spec, n).ok:
+            specs.append((spec, n))
+    return specs
+
+
 class TestRealization:
     def test_fixture_generators(self, example2):
         ideal = lex_ideal_from_hf(HilbertFunctionSpec((1, 6, 5), 5), 6)
@@ -197,27 +229,8 @@ class TestRealization:
         assert ideal.max_gen_degree <= 2
 
     def test_outputs_are_lexsegment_and_hf_matches(self):
-        rng = random.Random(71)
         tails = set()
-        trials = 0
-        while trials < 40:
-            n = rng.randint(2, 5)
-            h1 = rng.randint(1, n)
-            length = rng.randint(1, 4)
-            vals = [1, h1]
-            for k in range(1, length):
-                cap = macaulay_growth(vals[k], k)
-                if cap == 0:
-                    break
-                vals.append(rng.randint(0, cap))
-            if rng.random() < 0.5:
-                tail = MAX_GROWTH
-            else:
-                tail = min(rng.randint(0, max(1, vals[-1])), vals[-1])
-            spec = HilbertFunctionSpec(tuple(vals), tail)
-            if not is_o_sequence(spec, n).ok:
-                continue
-            trials += 1
+        for spec, n in _random_specs(seed=71, count=40):
             tails.add(spec.is_max_growth)
             ideal = lex_ideal_from_hf(spec, n)
             if not ideal.is_zero:
@@ -228,6 +241,19 @@ class TestRealization:
             for k in range(min(horizon + 4, 9)):
                 assert brute_hilbert_function(ideal, k) == spec.value(k, n), (spec, n, k)
         assert tails == {True, False}
+
+    def test_certificate_claims_hold(self, grid_reports):
+        # one lexsegment walk stands in for the trie's minimality check, the
+        # stability gate and the cover search: check each claim by its oracle
+        ideals = [report.ideal for report in grid_reports]
+        ideals += [lex_ideal_from_hf(spec, n)
+                   for spec, n in _random_specs(seed=71, count=200)]
+        for ideal in ideals:
+            rows = ideal.exponent_rows
+            assert rows == minimalize_rows(rows), ideal
+            if not ideal.is_zero:
+                assert brute_is_stable(ideal, strong=True), ideal
+            assert _stable_dimension(ideal) == krull_dimension(ideal), ideal
 
     def test_round_trip_through_max_growth_spec(self, grid_reports):
         # a lexsegment ideal generated in degrees <= D is the realization of

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from collections import Counter
@@ -27,8 +28,10 @@ from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
+    _certified_lexsegment,
     _lex_next,
     _lex_segment_rows,
+    _stable_dimension,
     contains,
     divides,
     is_lexsegment,
@@ -175,6 +178,24 @@ class TestMinimalGenerators:
                 MonomialIdeal(ideal.n, tuple(bad))
         assert MonomialIdeal(ideal.n, tuple(gens)).gens == ideal.gens
 
+    def test_certificate_rejects_non_normalized_lex_generators(self, grid_ideals):
+        # the lexsegment walk alone must catch a multiple of a lower-degree
+        # generator; the strict lex order catches repeats and misordering
+        ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2)
+        gens = list(ideal.exponent_rows)
+        low = min(gens, key=sum)
+        multiple = low[:-1] + (low[-1] + 2,)
+        non_minimal = sorted(gens + [multiple], reverse=True)
+        with pytest.raises(ValueError, match="do not generate a lexsegment"):
+            _certified_lexsegment(ideal.n, non_minimal)
+        duplicated = sorted(gens + [gens[7]], reverse=True)
+        unsorted = gens[:5] + [gens[6], gens[5]] + gens[7:]
+        for bad in (duplicated, unsorted):
+            with pytest.raises(ValueError, match="not strictly lex-descending"):
+                _certified_lexsegment(ideal.n, bad)
+        assert _certified_lexsegment(ideal.n, gens) == ideal
+        assert _certified_lexsegment(ideal.n, []) == MonomialIdeal.zero(ideal.n)
+
     def test_unit_ideal_representable(self):
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
         assert unit.is_unit and not unit.is_proper
@@ -308,6 +329,34 @@ class TestKrullDimension:
             pure_power_vars = {g.support[0] for g in ideal.gens
                                if len(g.support) == 1}
             assert (d == 0) == (len(pure_power_vars) == n)
+
+    def test_cover_search_leaves_no_cyclic_garbage(self):
+        # (x1x2, x2x3, x3x4) is not stable, so only the cover search applies
+        ideal = minimal_generators(4, [M(1, 1, 0, 0), M(0, 1, 1, 0), M(0, 0, 1, 1)])
+        flags = gc.get_debug()
+        gc.collect()
+        saved = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert krull_dimension(ideal) == 2
+            gc.collect()
+            assert gc.garbage[saved:] == []
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[saved:]
+
+    def test_stable_closed_form_matches_cover_search(self, example2, remark3):
+        rng = random.Random(41)
+        ideals = [example2, remark3, MonomialIdeal.zero(3)]
+        ideals += [stable_closure(1, [M(3)]), stable_closure(3, [M(0, 0, 2)])]
+        ideals += [random_stable_ideal(rng, rng.randint(1, 6), 5)
+                   for _ in range(300)]
+        dims = Counter()
+        for ideal in ideals:
+            dim = krull_dimension(ideal)
+            assert _stable_dimension(ideal) == dim, ideal
+            dims[dim] += 1
+        assert len(dims) >= 5, dims
 
 
 class TestStabilityPredicates:
