@@ -12,14 +12,11 @@ Two branches cover all pairs (r, s) with r, s >= 1:
 
 Either way n <= max(r, s) + 2.  Every constructor measures the produced
 ideal and raises `ConstructionError` on any divergence from the predicted
-invariants: divergence is a hard failure, never a warning.  Both branches
-give lexsegment ideals, and each is certified once, as it is built, by the
-`is_lexsegment` walk over its rows, which also proves them minimal.  A
-lexsegment ideal is stable, so with no further check one Eliahou-Kervaire
-table per ideal yields its regularity, its depth and, through the table's
-Euler characteristic, its reduced Hilbert series, whose dimension is
-asserted against the stable closed form; the tests check that series
-against the pivot recursion on every grid cell.
+invariants.  One lexsegment walk over the rows certifies each ideal as it is
+built (`monomials._certified_lexsegment`): it proves them minimal and tallies
+them for the ideal's Eliahou-Kervaire table (the ideal is stable), which
+gives regularity, depth and, as its Euler characteristic, the reduced
+Hilbert series, whose dimension is asserted against the stable closed form.
 """
 
 from __future__ import annotations
@@ -97,7 +94,7 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     rows = [(r + 1,) + (0,) * (n - 1)]
     rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
     try:
-        ideal = _certified_lexsegment(n, rows)
+        ideal, tallies = _certified_lexsegment(n, rows)
     except ValueError as exc:
         raise ConstructionError(f"first-step (r={r}, s={s}): {exc}") from None
     # 1 + t + ... + t^(r-1) + t^r (1-t)^(s-r), coefficientwise
@@ -105,7 +102,7 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     for j in range(s - r + 1):
         hs[r + j] += (-1) ** j * comb(s - r, j)
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=s - r, depth=0)
-    table = _ek_table(ideal)
+    table = _ek_table(ideal, tallies)
     series = _stable_series(ideal, table)
     return _finish(ideal, series, table, "first-step", predicted, tuple(hs),
                    r, s)

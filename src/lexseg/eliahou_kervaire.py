@@ -1,19 +1,19 @@
 """Closed-form Betti numbers, regularity, and depth of stable monomial ideals.
 
-For a stable ideal the minimal resolution is known explicitly, and
+For a stable ideal the minimal resolution is known explicitly:
 beta_{i,i+j}(I) = sum over minimal generators u of degree j of
-C(max(u) - 1, i), where max(u) is the largest variable index dividing u.
-Shifting one step gives the quotient: beta_{p,q}(S/I) = beta_{p-1,q}(I) for
-p >= 1 together with beta_{0,0} = 1.  Regularity is then the maximal
-generator degree minus one and the projective dimension is max over
-generators of max(u); depth follows by Auslander-Buchsbaum.  All three are
-read off the one table.
+C(max(u) - 1, i), max(u) being the largest variable index dividing u.  That
+is the t^i coefficient of sum_m c_m (1+t)^(m-1), c_m counting the degree-j
+generators with max(u) = m, which Horner's rule builds with additions only;
+as beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, this polynomial, one column
+right, is row j - 1 of the quotient's table.  Regularity is the largest
+generator degree minus one, pd the largest max(u), depth n - pd.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from math import comb
+from collections import defaultdict
+from operator import add
 
 from .betti import TRIVIAL, BettiTable
 from .errors import StabilityRequiredError, UnitIdealError
@@ -23,37 +23,41 @@ from .monomials import MonomialIdeal, is_stable
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    Raises `StabilityRequiredError` for a non-stable ideal.  This stability
-    check is the gate of the closed form for every ideal whose stability is
-    not already known; a realized lexsegment ideal carries its own
-    certificate (`monomials._certified_lexsegment`) and goes straight to
-    `_ek_table`.
+    Raises `StabilityRequiredError` for a non-stable ideal: the gate for an
+    ideal not known to be stable.  A realized lexsegment ideal is known by its
+    certificate, whose walk also tallies it for `_ek_table`.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
     if not ideal.is_zero and not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
-    return _ek_table(ideal)
+    counts = defaultdict(lambda: [0] * (ideal.n + 1))
+    for u in ideal.exponent_rows:  # by degree, then by largest variable
+        counts[sum(u)][max(i for i, e in enumerate(u, 1) if e)] += 1
+    return _ek_table(ideal, counts)
 
 
-def _ek_table(ideal: MonomialIdeal) -> BettiTable:
-    """The closed-form table of a proper ideal known to be stable; the zero
-    ideal gives the trivial table."""
+def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
+    """The table of a proper stable ideal (trivial for the zero ideal) from
+    ``counts``, each degree d's tally of generators by largest variable x_m:
+    row d - 1 is 0, then sum_m c_m (1+t)^(m-1) by Horner's rule."""
     if ideal.is_zero:
         return TRIVIAL  # free quotient, trivial resolution
-    shapes = Counter()  # (max index, degree) -> number of generators
-    for u in ideal.exponent_rows:
-        m = len(u)  # lowered to the largest index of a variable dividing u
-        while not u[m - 1]:
+    rows = []
+    for d in range(1, max(counts) + 1):
+        tally = counts.get(d, (0, 0))  # (0, 0): no generator of degree d
+        m = len(tally) - 1
+        while m > 1 and not tally[m]:
             m -= 1
-        shapes[m, sum(u)] += 1
-    entries = {(0, 0): 1}
-    for (m, j), count in shapes.items():
-        for i in range(m):
-            key = (i + 1, i + j)
-            entries[key] = entries.get(key, 0) + count * comb(m - 1, i)
-    table = BettiTable.from_entries(entries)
+        poly = [tally[m]]
+        for c in tally[m - 1:0:-1]:  # (1+t) * poly + c
+            poly = [poly[0] + c, *map(add, poly[1:], poly), poly[-1]]
+        rows.append([0, *poly])
+    width = max(map(len, rows))
+    rows = [row + [0] * (width - len(row)) for row in rows]
+    rows[0][0] = 1
+    table = BettiTable(rows)
     want = ideal.max_gen_degree - 1
     if table.regularity != want:
         raise AssertionError(

@@ -3,10 +3,10 @@
 The growth operator a^<d> bounds how a Hilbert function may grow from degree
 d to d+1; numerical functions obeying it (O-sequences) are exactly the
 Hilbert functions of graded quotients, each realized by a unique lexsegment
-ideal.  `lex_ideal_from_hf` builds that ideal degree by degree without ever
-materializing a full degree block: the growth operator gives the number of
-new minimal generators in degree k, and they are the monomials right after
-the shadow of the previous degree, reached by walking lex successors.
+ideal.  `lex_ideal_from_hf` builds that ideal degree by degree: the room
+the growth bound leaves, found in the loop that checks it, is the number of
+new minimal generators in degree k, the monomials right after the previous
+degree's shadow.  The walk that certifies them tallies them for the EK table.
 
 All binomially-sized integers here are Python ints (arbitrary precision).
 """
@@ -209,33 +209,38 @@ class OSequenceCheck(Value):
 def is_o_sequence(spec: HilbertFunctionSpec, n: int) -> OSequenceCheck:
     """Macaulay's condition: H(0)=1, H(1) <= n, H(k+1) <= H(k)^<k> for k >= 1.
 
-    Constant tails only need checking through the junction with the initial
-    segment: once H(k) = c with k >= c the expansion of c in degree k is c
-    unit binomials, so growth returns c forever.  In fact a^<d> >= a always
-    (each C(a_i, i) with a_i >= i satisfies C(a_i + 1, i + 1) >= C(a_i, i)),
-    so a constant can never violate the bound against itself.
-
-    Raises `TypeError` when n is not an int (bools included).
+    Constant tails need checking only through the junction with the initial
+    segment: a^<d> >= a always (C(a_i + 1, i + 1) >= C(a_i, i) for a_i >= i),
+    so a constant never violates the bound against itself.  Raises
+    `TypeError` when n is not an int (bools included).
     """
+    t = spec.last_explicit_degree
+    return _o_sequence_counts(spec, n, t if spec.is_max_growth else t + 1)[0]
+
+
+def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
+                       stop: int) -> tuple[OSequenceCheck, list[int]]:
+    """Macaulay's condition through degree ``stop``, and the room each bound
+    leaves, H(k-1)^<k-1> - H(k) (n - H(1) for k = 1): the number of new
+    minimal generators of the realizing ideal in degree k = 1..stop."""
     if type(n) is not int:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
-        return OSequenceCheck(False, None, "ambient variable count must be >= 1")
-    if spec.value(0) != 1:
-        return OSequenceCheck(False, 0, f"H(0) = {spec.value(0)} != 1")
-    h1 = spec.value(1, n)
-    if h1 > n:
-        return OSequenceCheck(False, 0, f"H(1) = {h1} > {n} variables")
-    t = spec.last_explicit_degree
-    horizon = t if spec.is_max_growth else t + 1
-    for k in range(1, horizon):
+        return OSequenceCheck(False, None, "ambient variable count must be >= 1"), []
+    h = spec.value(0)
+    if h != 1:
+        return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), []
+    counts = []
+    for k in range(1, stop + 1):
+        bound = macaulay_growth(h, k - 1) if k > 1 else n  # largest H(k)
         hk = spec.value(k, n)
-        hk1 = spec.value(k + 1, n)
-        bound = macaulay_growth(hk, k) if hk > 0 else 0
-        if hk1 > bound:
-            return OSequenceCheck(
-                False, k, f"H({k + 1}) = {hk1} exceeds {hk}^<{k}> = {bound}")
-    return OSequenceCheck(True)
+        if hk > bound:
+            reason = (f"H(1) = {hk} > {n} variables" if k == 1 else
+                      f"H({k}) = {hk} exceeds {h}^<{k - 1}> = {bound}")
+            return OSequenceCheck(False, k - 1, reason), counts
+        counts.append(bound - hk)
+        h = hk
+    return OSequenceCheck(True), counts
 
 
 def generation_horizon(spec: HilbertFunctionSpec) -> int:
@@ -255,23 +260,15 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
 def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     """The unique lexsegment ideal whose quotient has the given Hilbert function.
 
-    Degree by degree, the ideal's piece is a lex-descending initial segment,
-    and the shadow of the previous piece fills dim S_k - H(k-1)^<k-1> of it
-    (shadows of lex segments are lex segments, Macaulay).  So the new minimal
-    generators in degree k number H(k-1)^<k-1> - H(k) (n - H(1) in degree 1),
-    and they are the monomials right after that shadow, one lex successor
-    after another.  Generation stops at max(t+1, c) for a constant-c tail
-    (growth stabilizes) and at t for a max-growth tail (no generators can
-    appear after it).
-
-    A spec whose ideal would have more than `GENERATOR_CAP` minimal
-    generators raises `TooManyGeneratorsError` before any is listed.  The
-    result's Hilbert function is re-verified against the spec up to three
-    degrees past the stopping point.  The listed rows are certified once, by
-    the `is_lexsegment` walk (`monomials._certified_lexsegment`), which also
-    proves them minimal.  A lexsegment ideal is stable, so the series is read
-    from the ideal's Eliahou-Kervaire table and its closed-form dimension,
-    with no separate stability check.
+    Each degree's piece is a lex segment, and the shadow of the previous
+    piece fills dim S_k - H(k-1)^<k-1> of it (Macaulay).  So degree k has
+    H(k-1)^<k-1> - H(k) new minimal generators (n - H(1) in degree 1), the
+    monomials right after that shadow.  Generation stops at max(t+1, c) for
+    a constant-c tail and at t for a max-growth tail.  Over `GENERATOR_CAP`
+    generators raises `TooManyGeneratorsError` before any is listed.  One
+    lexsegment walk (`monomials._certified_lexsegment`) proves the rows
+    minimal and tallies them for the Eliahou-Kervaire table, whose series is
+    re-verified against the spec up to three degrees past the stopping point.
     """
     return _lex_ideal_and_series(spec, n)[0]
 
@@ -281,28 +278,21 @@ def _lex_ideal_and_series(
         n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     """`lex_ideal_from_hf` with the Hilbert series it verified against and
     the Eliahou-Kervaire table that series was read from."""
-    check = is_o_sequence(spec, n)
+    stop = generation_horizon(spec)
+    # past is_o_sequence's horizon a constant tail never breaks the bound
+    check, counts = _o_sequence_counts(spec, n, stop)
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
-    stop = generation_horizon(spec)
-    counts = []  # new minimal generators per degree 1..stop
-    for k in range(1, stop + 1):
-        bound = macaulay_growth(hk, k - 1) if k > 1 else n  # largest H(k)
-        hk = spec.value(k, n)
-        count = bound - hk
-        if count < 0:
-            raise AssertionError(f"degree {k}: {count} new generators")
-        counts.append(count)
     if sum(counts) > GENERATOR_CAP:
         raise TooManyGeneratorsError(
             f"the lexsegment ideal would have {sum(counts)} minimal generators, "
             f"cap is {GENERATOR_CAP}")
     try:
-        ideal = _certified_lexsegment(n, _lex_segment_rows(n, counts))
+        ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
     except ValueError as exc:
         raise AssertionError(f"realized ideal: {exc}") from None
-    table = _ek_table(ideal)
+    table = _ek_table(ideal, tallies)
     series = _stable_series(ideal, table)
     for k in range(stop + 4):
         got = series.coefficient(k)

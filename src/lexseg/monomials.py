@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from operator import gt
 
 from . import _kernels
 from ._value import Value, _set
@@ -119,8 +120,7 @@ class MonomialIdeal(Value):
 
     def __init__(self, n: int, exponent_rows):
         rows = _check_rows(exponent_rows, n)
-        if (any(a <= b for a, b in zip(rows, rows[1:]))
-                or len(_undivided(rows)) < len(rows)):
+        if not _strictly_descending(rows) or len(_undivided(rows)) < len(rows):
             raise ValueError("generating set not minimal and sorted lex-descending")
         _set(self, "n", n)
         _set(self, "exponent_rows", rows)
@@ -195,6 +195,11 @@ def minimal_generators(n: int, raw) -> MonomialIdeal:
     return MonomialIdeal.from_exponent_rows(n, [m.exponents for m in raw])
 
 
+def _strictly_descending(rows) -> bool:
+    """Whether the rows of a tuple are strictly lex-descending."""
+    return all(map(gt, rows, rows[1:]))
+
+
 def minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     """The minimal exponent tuples under divisibility, sorted lex-descending.
 
@@ -254,14 +259,9 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 
 def _lex_segment_rows(n: int, counts) -> list[tuple[int, ...]]:
-    """The minimal generators of the lexsegment ideal with ``counts[d - 1]``
-    of them in degree d, as exponent rows sorted lex-descending.
-
-    Each degree's generators are the monomials right after the shadow of the
-    previous degree, as in `is_lexsegment`: x1^d while the ideal is still
-    zero, else the successors of least * xn, where least is the lex-least
-    monomial of the previous degree's piece.
-    """
+    """The lex-descending minimal generators of the lexsegment ideal with
+    ``counts[d - 1]`` of them in degree d: as in `_lexsegment_counts`, from
+    x1^d while the ideal is zero, else from the successor of least * xn."""
     rows = []
     least = None
     for d, count in enumerate(counts, 1):
@@ -278,19 +278,19 @@ def _lex_segment_rows(n: int, counts) -> list[tuple[int, ...]]:
     return rows
 
 
-def _lex_next(row) -> tuple[int, ...] | None:
+def _lex_next(row, with_max: bool = False):
     """The row after ``row`` in the lex-descending order of its degree, or
-    None after the last one, xn^d.
-
-    The last exponent before xn drops by one, and everything after it (all
-    of which sits on xn) plus that one moves to the next variable.
-    """
+    None after xn^d; ``with_max`` pairs it with its largest variable's index.
+    The last exponent before xn, at position p, drops by one, and all after
+    it (which sits on xn) plus that one moves to p + 1: x_(p+2) is then the
+    largest variable."""
     p = len(row) - 2
     while p >= 0 and not row[p]:
         p -= 1
     if p < 0:
         return None
-    return row[:p] + (row[p] - 1, row[-1] + 1) + (0,) * (len(row) - p - 2)
+    nxt = row[:p] + (row[p] - 1, row[-1] + 1) + (0,) * (len(row) - p - 2)
+    return (nxt, p + 2) if with_max else nxt
 
 
 def _require_quotient_invariants(ideal: MonomialIdeal) -> None:
@@ -430,57 +430,65 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
 
 
 def is_lexsegment(ideal: MonomialIdeal) -> bool:
-    """True iff every graded piece of the ideal is a lex-descending initial segment.
+    """True iff every graded piece is a lex segment (`_lexsegment_counts`)."""
+    return _lexsegment_counts(ideal) is not None
 
-    A walk over the generators, degree by degree up to the largest generator
-    degree; beyond it every graded piece is the shadow of the previous one,
-    and shadows of lex segments are lex segments.  The piece I_d is the
-    shadow of I_(d-1) plus the degree-d generators, and when I_(d-1) is a
-    segment with lex-least element u, its shadow is the segment ending at
-    u * xn (Macaulay).  So I_d is a segment iff its generators, in
-    lex-descending order, are the monomials right after that shadow: the
-    first is x1^d when I_(d-1) = 0, else the successor of u * xn, and each
-    later one the successor of the one before it.
+
+def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:
+    """None unless the ideal is lexsegment; else a map from each degree d
+    from the least to the largest generator degree to a tally whose entry m
+    counts the degree-d generators with largest variable x_m.
+
+    The walk stops at the largest generator degree: past it each piece is
+    the shadow of the one before, and shadows of lex segments are lex
+    segments.  I_d is the shadow of I_(d-1) plus the degree-d generators, and
+    if I_(d-1) is a segment with lex-least element u, its shadow is the
+    segment ending at u * xn (Macaulay).  So I_d is a segment iff its
+    generators, lex-descending, are the monomials right after that shadow:
+    x1^d when I_(d-1) = 0, else the successor of u * xn, then each the
+    successor of the one before.  `_lex_next` also gives each successor's
+    largest variable, so the tallies take no other pass.
     """
     _require_quotient_invariants(ideal)
-    by_degree = {}
+    n, by_degree = ideal.n, {}
     for g in ideal.exponent_rows:  # lex-descending within each degree
         by_degree.setdefault(sum(g), []).append(g)
+    counts = {}
     least = None  # the lex-least monomial of I_(d-1)
-    for d in range(ideal.min_gen_degree, ideal.max_gen_degree + 1):
+    for d in range(min(by_degree), max(by_degree) + 1):
         if least is None:
-            nxt = (d,) + (0,) * (ideal.n - 1)
+            step = ((d,) + (0,) * (n - 1), 1)  # x1^d and its largest variable
         else:
             least = least[:-1] + (least[-1] + 1,)
-            nxt = _lex_next(least)
+            step = _lex_next(least, with_max=True)
+        tally = counts[d] = [0] * (n + 1)
         for g in by_degree.get(d, ()):
-            if g != nxt:
-                return False
+            if step is None or g != step[0]:
+                return None
+            tally[step[1]] += 1
             least = g
-            nxt = _lex_next(g)
-    return True
+            step = _lex_next(g, with_max=True)
+    return counts
 
 
-def _certified_lexsegment(n: int, rows) -> MonomialIdeal:
+def _certified_lexsegment(n: int, rows) -> tuple[MonomialIdeal, dict]:
     """The lexsegment ideal whose minimal generators are ``rows``, listed
-    lex-descending; raises `ValueError` when the rows are not that.
+    lex-descending, and the walk's tallies for its Eliahou-Kervaire table;
+    raises `ValueError` when the rows are not that.
 
-    One certificate stands in for the constructor's trie check and for any
-    later stability or lexsegment test: the rows are strictly lex-descending
-    and pass the `is_lexsegment` walk once.  The walk places each degree's
-    rows after the shadow of the ideal the lower-degree rows generate, so no
-    lower-degree row divides them (Macaulay), and rows of one degree never
-    divide each other, so the rows are minimal.  A lexsegment ideal is
-    strongly stable, so its callers read the stable closed forms
-    (`_stable_dimension` and the Eliahou-Kervaire table) with no further gate.
-    The rows are trusted to be exponent vectors in n variables.
+    Strict lex order plus one `_lexsegment_counts` walk stand in for the
+    constructor's trie check and any stability test (a lexsegment ideal is
+    strongly stable): the walk puts each degree's rows after the shadow of
+    the lower-degree rows, so the rows are minimal (Macaulay).  The rows are
+    trusted to be exponent vectors in n variables.
     """
     rows = tuple(rows)
-    if any(a <= b for a, b in zip(rows, rows[1:])):
+    if not _strictly_descending(rows):
         raise ValueError("rows are not strictly lex-descending")
     ideal = object.__new__(MonomialIdeal)
     _set(ideal, "n", n)
     _set(ideal, "exponent_rows", rows)
-    if rows and not is_lexsegment(ideal):
+    counts = _lexsegment_counts(ideal) if rows else {}
+    if counts is None:
         raise ValueError("rows do not generate a lexsegment ideal")
-    return ideal
+    return ideal, counts

@@ -7,7 +7,9 @@ variable, and plain Python arithmetic only, so
 they share no code path with the divisor trie, the prefix lookups or the
 closed forms they validate.  `count_standard_monomials` is the enumeration
 the Hilbert series is compared against; it runs the standard-monomial
-counting kernel, which no runtime path uses.  `count_calls` counts calls to
+counting kernel, which no runtime path uses.  `ek_closed_form` is the
+Eliahou-Kervaire table summed binomial by binomial, against which the
+library's Horner construction is checked.  `count_calls` counts calls to
 library functions.
 """
 
@@ -22,6 +24,7 @@ from itertools import combinations, combinations_with_replacement
 
 import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
 from lexseg import _kernels
+from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.monomials import Monomial, MonomialIdeal, contains, minimal_generators
 
 
@@ -187,6 +190,27 @@ def brute_is_lexsegment(ideal: MonomialIdeal) -> bool:
             if nxt is not None and nxt not in standard:
                 return False
     return True
+
+
+def generator_shapes(ideal: MonomialIdeal) -> Counter:
+    """How many minimal generators have each (degree, largest variable index),
+    counted row by row."""
+    return Counter((sum(u), max(j for j, e in enumerate(u) if e) + 1)
+                   for u in ideal.exponent_rows)
+
+
+def ek_closed_form(ideal: MonomialIdeal) -> BettiTable:
+    """The Eliahou-Kervaire table of a stable ideal entry by entry:
+    beta_{i+1,i+j}(S/I) = sum over generators u of degree j of
+    C(max(u) - 1, i), one binomial per generator shape and i."""
+    if ideal.is_zero:
+        return TRIVIAL
+    entries = {(0, 0): 1}
+    for (j, m), count in generator_shapes(ideal).items():
+        for i in range(m):
+            entries[i + 1, i + j] = (entries.get((i + 1, i + j), 0)
+                                     + count * math.comb(m - 1, i))
+    return BettiTable.from_entries(entries)
 
 
 def brute_minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from helpers import count_calls, random_strongly_stable_ideal
+from helpers import count_calls, ek_closed_form, random_strongly_stable_ideal
+from lexseg import construct
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
+    _ek_table,
     depth,
     ek_betti_table,
     projective_dimension,
@@ -13,7 +15,13 @@ from lexseg.eliahou_kervaire import (
 )
 from lexseg.errors import StabilityRequiredError, UnitIdealError
 from lexseg.hilbert import kpolynomial
-from lexseg.monomials import Monomial, MonomialIdeal, minimal_generators
+from lexseg.monomials import (
+    Monomial,
+    MonomialIdeal,
+    _certified_lexsegment,
+    is_lexsegment,
+    minimal_generators,
+)
 
 EXPECTED_FIXTURE_ROWS = (
     (1, 0, 0, 0, 0, 0, 0),
@@ -87,6 +95,29 @@ class TestEkTable:
         with pytest.raises(StabilityRequiredError) as err:
             ek_betti_table(ideal)
         assert "oracle" in str(err.value)
+
+
+class TestClosedFormOracle:
+    def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
+        # both tally routes, the certificate walk's and ek_betti_table's row
+        # scan, against the closed form summed one binomial at a time
+        rng = random.Random(58)
+        corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
+                  for _ in range(200)]
+        large = [construct(1, 300), construct(100, 3)]
+        ideals = [report.ideal for report in grid_reports + large]
+        ideals += [example2, remark3] + corpus
+        walked = 0
+        for ideal in ideals:
+            want = ek_closed_form(ideal)
+            assert ek_betti_table(ideal) == want, ideal
+            if not ideal.is_zero and is_lexsegment(ideal):
+                certified, tallies = _certified_lexsegment(ideal.n, ideal.exponent_rows)
+                assert _ek_table(certified, tallies) == want, ideal
+                walked += 1
+        assert walked >= 144 + 2 + 1 + 20
+        for report in grid_reports + large:
+            assert report.betti == ek_closed_form(report.ideal)
 
 
 class TestDerivedInvariants:

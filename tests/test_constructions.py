@@ -118,7 +118,8 @@ class TestMeasuredOnce:
         # one lexsegment walk certifies the rows minimal and the ideal
         # stable; the series comes from the one EK table, not the pivot
         # recursion, and its dimension from the stable closed form
-        expected = {"kpolynomial": 0, "_ek_table": 1, "is_lexsegment": 1,
+        expected = {"kpolynomial": 0, "_ek_table": 1,
+                    "_lexsegment_counts": 1, "is_lexsegment": 0,
                     "ek_betti_table": 0, "is_stable": 0, "krull_dimension": 0,
                     "_undivided": 0}
         calls = count_calls(monkeypatch, *expected)

@@ -9,6 +9,7 @@ from helpers import (
     brute_hilbert_function,
     brute_is_lexsegment,
     brute_is_stable,
+    generator_shapes,
     linear_expansion_tops,
     random_monomial_ideal,
     random_strongly_stable_ideal,
@@ -25,6 +26,7 @@ from lexseg.macaulay import (
     macaulay_growth,
 )
 from lexseg.monomials import (
+    _lexsegment_counts,
     _stable_dimension,
     is_lexsegment,
     is_strongly_stable,
@@ -254,6 +256,21 @@ class TestRealization:
             if not ideal.is_zero:
                 assert brute_is_stable(ideal, strong=True), ideal
             assert _stable_dimension(ideal) == krull_dimension(ideal), ideal
+
+    def test_walk_tallies_match_row_counts(self, grid_reports):
+        # the certificate walk's tallies, read off the successors it builds,
+        # against each row's degree and largest variable
+        ideals = [report.ideal for report in grid_reports]
+        ideals += [lex_ideal_from_hf(spec, n)
+                   for spec, n in _random_specs(seed=73, count=200)]
+        ideals = [ideal for ideal in ideals if not ideal.is_zero]
+        assert len(ideals) >= 300
+        for ideal in ideals:
+            counts = _lexsegment_counts(ideal)
+            assert {len(tally) for tally in counts.values()} == {ideal.n + 1}
+            got = {(d, m): c for d, tally in counts.items()
+                   for m, c in enumerate(tally) if c}
+            assert got == generator_shapes(ideal), ideal
 
     def test_round_trip_through_max_growth_spec(self, grid_reports):
         # a lexsegment ideal generated in degrees <= D is the realization of

@@ -193,8 +193,8 @@ class TestMinimalGenerators:
         for bad in (duplicated, unsorted):
             with pytest.raises(ValueError, match="not strictly lex-descending"):
                 _certified_lexsegment(ideal.n, bad)
-        assert _certified_lexsegment(ideal.n, gens) == ideal
-        assert _certified_lexsegment(ideal.n, []) == MonomialIdeal.zero(ideal.n)
+        assert _certified_lexsegment(ideal.n, gens)[0] == ideal
+        assert _certified_lexsegment(ideal.n, []) == (MonomialIdeal.zero(ideal.n), {})
 
     def test_unit_ideal_representable(self):
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
@@ -284,6 +284,17 @@ class TestLexWalk:
                     walked.append(row)
                     row = _lex_next(row)
                 assert walked == block, (n, d)
+
+    def test_successor_reports_its_largest_variable(self):
+        for n in range(1, 7):
+            for d in range(7):
+                for m in all_monomials(n, d):
+                    want = lex_successor(m.exponents)
+                    step = _lex_next(m.exponents, with_max=True)
+                    if want is None:
+                        assert step is None, m
+                    else:
+                        assert step == (want, Monomial(want).max_index), m
 
     def test_segment_rows_match_brute_force(self):
         # the brute-force lexsegment ideal takes, in each degree, the first
