@@ -30,7 +30,7 @@ from .macaulay import (
     macaulay_expansion,
     macaulay_growth,
 )
-from .monomials import MonomialIdeal, is_lexsegment, is_stable, is_strongly_stable
+from .monomials import MonomialIdeal, _row_str, is_lexsegment, is_stable, is_strongly_stable
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,7 +131,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
     inv = _measure(ideal, series, table)
     return {
         "ideal": ideal,
-        "generators": [str(m) for m in ideal.gens],
+        "generators": list(map(_row_str, ideal.exponent_rows)),
         "dim": inv.dim,
         "depth": inv.depth,
         "regularity": inv.regularity,
@@ -152,6 +152,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
 def cmd_construct(args) -> int:
     report: ConstructionReport = construct(args.r, args.s)
     ideal, series, table = report.ideal, report.series, report.betti
+    gens = list(map(_row_str, ideal.exponent_rows))
     if args.out:
         _write_json(args.out, ideal.to_json_dict())
     if args.format == "json":
@@ -162,7 +163,7 @@ def cmd_construct(args) -> int:
             "predicted": report.predicted._asdict(),
             "measured": report.measured._asdict(),
             "ideal": ideal,
-            "generators": [str(m) for m in ideal.gens],
+            "generators": gens,
             "hilbert_series": str(series),
             "h_polynomial": list(series.numerator),
             "betti": table,
@@ -174,8 +175,7 @@ def cmd_construct(args) -> int:
           f"dim={p.dim} depth={p.depth}")
     print(f"measured:  n={m.n} reg={m.regularity} h-degree={m.h_degree} "
           f"dim={m.dim} depth={m.depth}")
-    print(f"minimal generators ({len(ideal.gens)}): "
-          f"{', '.join(str(g) for g in ideal.gens)}")
+    print(f"minimal generators ({len(gens)}): {', '.join(gens)}")
     print(f"hilbert series: {series}")
     print(f"h-polynomial: {list(series.numerator)}")
     print("betti table:")
@@ -217,6 +217,7 @@ def cmd_lexify(args) -> int:
     spec = _load_hf_spec(args.spec)
     ideal, series, _ = _lex_ideal_and_series(spec, args.n)
     horizon = generation_horizon(spec)
+    gens = list(map(_row_str, ideal.exponent_rows))
     values = [series.coefficient(k) for k in range(horizon + 4)]
     if args.out:
         _write_json(args.out, ideal.to_json_dict())
@@ -225,14 +226,14 @@ def cmd_lexify(args) -> int:
             "n": args.n,
             "spec": spec,
             "ideal": ideal,
-            "generators": [str(m) for m in ideal.gens],
+            "generators": gens,
             "verified_hilbert_function": values,
         })
         return EXIT_OK
     print(f"lexsegment ideal in {args.n} variables with "
-          f"{len(ideal.gens)} minimal generators")
-    if ideal.gens:
-        print(f"generators: {', '.join(str(m) for m in ideal.gens)}")
+          f"{len(gens)} minimal generators")
+    if gens:
+        print(f"generators: {', '.join(gens)}")
     print(f"verified hilbert function (degrees 0..{horizon + 3}): "
           f"{', '.join(str(v) for v in values)}")
     if args.out:

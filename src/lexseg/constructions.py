@@ -57,8 +57,8 @@ def _measure(ideal: MonomialIdeal, series: HilbertSeries,
              table: BettiTable) -> Invariants:
     """The invariants read off the reduced series and the Betti table of S/I.
 
-    `_reduced_series` asserts that the reduced denominator exponent is the
-    Krull dimension; depth is n - pd (Auslander-Buchsbaum).
+    dim is the reduced series' denominator exponent (Hilbert-Serre); depth
+    is n - pd (Auslander-Buchsbaum).
     """
     return Invariants(
         n=ideal.n,

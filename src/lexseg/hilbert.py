@@ -6,10 +6,8 @@ one base case, pure powers in distinct variables, and builds each child's
 minimal generators straight from the split (`_with_power`, `_colon_power`).
 Subset inclusion-exclusion over all 2^g generator lcms (``engine="subsets"``)
 is kept only as the tests' independent cross-check.  The series is the
-K-polynomial with all (1-t) factors cancelled (`_reduced_series`); its
-denominator exponent is asserted, on every call, to equal the Krull
-dimension the caller passes in.  The series is the one source of Hilbert
-function values.
+K-polynomial with all (1-t) factors cancelled (`_reduced_series`).  The
+series is the one source of Hilbert function values.
 
 A stable ideal's K-polynomial also has a closed form: the alternating sum of
 its Eliahou-Kervaire Betti table (`BettiTable.euler_kpolynomial`).  Callers
@@ -18,22 +16,24 @@ ideal) read the series through `_stable_series` and skip the recursion.
 `hilbert_series` keeps the recursion for arbitrary ideals, and the tests
 check that the two routes agree.
 
-The dimension comes from the radical, never from the series: the cover
-search `krull_dimension` for an arbitrary ideal (in `hilbert_series`), and
-the O(g) closed form `monomials._stable_dimension` for an ideal known to be
-stable, because it is a certified lexsegment ideal or has passed the
-stability gate of `ek_betti_table`.
+The dimension is read off the series: dim S/I is the order of its pole at
+t = 1, the denominator exponent d of h(t)/(1-t)^d (Hilbert-Serre).  Only a
+stable ideal's series, which comes from its closed-form table, is checked at
+run time, against the O(g) closed form `monomials._stable_dimension`.  The
+cover search `krull_dimension` is no runtime path; the tests compare it with
+the denominator exponent.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, zip_longest
 from operator import le
 
 from . import _kernels
 from ._value import Value, _set
 from .errors import UnitIdealError
-from .monomials import MonomialIdeal, _stable_dimension, krull_dimension
+from .monomials import MonomialIdeal, _stable_dimension
 
 # largest subset count the explicit "subsets" engine will visit (g <= 20)
 SUBSET_CAP = 1 << 20
@@ -136,18 +136,11 @@ def _trim(coeffs) -> tuple[int, ...]:
 
 
 def _padd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _pshift(p, k):
-    if p == (0,):
-        return p
-    return _trim([0] * k + list(p))
+    return p if p == (0,) else (0,) * k + p
 
 
 def _pmul_one_minus(p, a):
@@ -263,44 +256,39 @@ def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _reduced_series(ideal: MonomialIdeal, kpoly, dim: int) -> HilbertSeries:
-    """The series K(t)/(1-t)^n of S/I with every (1-t) factor cancelled.
+def _reduced_series(kpoly, n: int) -> HilbertSeries:
+    """The series K(t)/(1-t)^n of S/I in n variables with every (1-t) factor
+    cancelled; its denominator exponent is dim S/I.
 
     ``kpoly`` is the K-polynomial of S/I by either route: the pivot
     recursion, or the Euler characteristic of a stable ideal's closed-form
-    Betti table.  ``dim`` is the Krull dimension of S/I, found by the caller
-    without the series; the reduced denominator exponent is asserted to
-    equal it.  Callers reject the unit ideal, whose K-polynomial is 0.
+    Betti table.  Callers reject the unit ideal, whose K-polynomial is 0.
     """
     coeffs = list(kpoly)
-    d = ideal.n
-    while sum(coeffs) == 0:
-        acc = 0
-        out = []
-        for c in coeffs[:-1]:
-            acc += c
-            out.append(acc)
-        coeffs = out
-        d -= 1
-    series = HilbertSeries(tuple(coeffs), d)
+    while sum(coeffs) == 0:  # the quotient by (1-t) has the partial sums
+        coeffs = list(accumulate(coeffs[:-1]))
+        n -= 1
+    return HilbertSeries(tuple(coeffs), n)
+
+
+def _stable_series(ideal: MonomialIdeal, table) -> HilbertSeries:
+    """The reduced series of a stable ideal from its Eliahou-Kervaire
+    `BettiTable`: the table's Euler characteristic, whose denominator
+    exponent is checked against the closed-form dimension, the one runtime
+    check of dim S/I.  Stability is not checked; callers vouch for it."""
+    series = _reduced_series(table.euler_kpolynomial(), ideal.n)
+    d, dim = series.denominator_exponent, _stable_dimension(ideal)
     if d != dim:
         raise AssertionError(
             f"reduced denominator exponent {d} != Krull dimension {dim}")
     return series
 
 
-def _stable_series(ideal: MonomialIdeal, table) -> HilbertSeries:
-    """The reduced series of a stable ideal from its Eliahou-Kervaire
-    `BettiTable`: the table's Euler characteristic, checked against the
-    closed-form dimension.  Stability is not checked; callers vouch for it."""
-    return _reduced_series(ideal, table.euler_kpolynomial(), _stable_dimension(ideal))
-
-
 def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
     """Reduced Hilbert series of S/I by the pivot recursion; rejects the unit ideal."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    return _reduced_series(ideal, kpolynomial(ideal), krull_dimension(ideal))
+    return _reduced_series(kpolynomial(ideal), ideal.n)
 
 
 def h_polynomial(ideal: MonomialIdeal) -> HPolynomial:

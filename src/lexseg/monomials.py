@@ -9,6 +9,7 @@ the mathematical variable index (as in "largest variable dividing u") is
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import chain
 from operator import gt
@@ -53,18 +54,20 @@ class Monomial(Value):
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _row_str(self.exponents)
+
+
+def _row_str(row) -> str:
+    """The monomial with exponent vector ``row`` as text, e.g. "x1^2*x3"."""
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}"
+             for i, e in enumerate(row, 1) if e]
+    return "*".join(parts) if parts else "1"
 
 
 def _check_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
     """``rows`` as tuples, each checked as an exponent vector in n variables:
-    ints (bools rejected), none negative, n of them; errors name a bad row."""
+    ints (bools rejected), none negative or above ``sys.maxsize``, n of
+    them; errors name a bad row."""
     if type(n) is not int:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
@@ -76,6 +79,9 @@ def _check_rows(rows, n: int) -> tuple[tuple[int, ...], ...]:
     if min(chain.from_iterable(rows), default=0) < 0:
         bad = next(r for r in rows if min(r, default=0) < 0)
         raise ValueError(f"negative exponent in {bad}")
+    if max(chain.from_iterable(rows), default=0) > sys.maxsize:
+        bad = next(r for r in rows if max(r, default=0) > sys.maxsize)
+        raise ValueError(f"exponent above {sys.maxsize} in {bad}")
     if not set(map(len, rows)) <= {n}:
         bad = next(r for r in rows if len(r) != n)
         raise AmbientMismatchError(
@@ -183,7 +189,7 @@ class MonomialIdeal(Value):
     def __str__(self) -> str:
         if self.is_zero:
             return "(0)"
-        return "(" + ", ".join(str(m) for m in self.gens) + ")"
+        return "(" + ", ".join(map(_row_str, self.exponent_rows)) + ")"
 
 
 def minimal_generators(n: int, raw) -> MonomialIdeal:
@@ -304,8 +310,9 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
     """dim S/I = n minus the minimum number of variables meeting every generator.
 
     Exhaustive branch-and-bound over variable covers; fine at desk scale
-    (few generators, n <= 20).  The zero ideal has dimension n.  A stable
-    ideal's dimension has the O(g) closed form `_stable_dimension`.
+    (few generators, n <= 20).  The zero ideal has dimension n.  No runtime
+    path calls it: dim S/I is the series' denominator exponent, checked by
+    the tests against this independent route.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no dimension")
@@ -332,7 +339,7 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
 def _stable_dimension(ideal: MonomialIdeal) -> int:
     """dim S/I of a stable ideal in O(g): n - i, where i is the largest index
     of a variable that some minimal generator is a pure power of (i = 0 for
-    the zero ideal).
+    the zero ideal); a pure power is a row with n - 1 zeros.
 
     Every associated prime of a stable ideal is (x1, ..., xj) for some j
     (Eliahou-Kervaire), so its one minimal prime is its radical,
@@ -340,8 +347,9 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
     minimal generator is a pure power of x_i, and no power of a later
     variable does.  Callers reject the unit ideal.
     """
-    return ideal.n - max((r.index(d) + 1 for r in ideal.exponent_rows
-                          if (d := sum(r)) in r), default=0)
+    n = ideal.n
+    return n - max((r.index(max(r)) + 1 for r in ideal.exponent_rows
+                    if r.count(0) == n - 1), default=0)
 
 
 def _prefixes_cover(rows, strong: bool) -> bool:

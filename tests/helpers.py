@@ -91,6 +91,15 @@ def random_monomial_ideal(rng: random.Random, n: int, max_degree: int,
     return minimal_generators(n, chosen)
 
 
+def random_edge_ideal(rng: random.Random, n: int) -> MonomialIdeal:
+    """Edge ideal of a seeded random graph on n vertices: the squarefree
+    quadrics x_i * x_j, each edge kept with probability 0.2.  Not stable
+    once it has an edge, and its cover search grows exponentially in n."""
+    edges = [(0,) * i + (1,) + (0,) * (j - i - 1) + (1,) + (0,) * (n - j - 1)
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+    return MonomialIdeal.from_exponent_rows(n, edges)
+
+
 def borel_closure(n: int, seeds) -> MonomialIdeal:
     """Smallest strongly stable ideal containing the seed monomials."""
     return _swap_closure(n, seeds, strong=True)

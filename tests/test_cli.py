@@ -11,6 +11,7 @@ import pytest
 from helpers import all_monomials, count_calls
 from lexseg import cli, macaulay
 from lexseg.cli import main
+from lexseg.monomials import Monomial
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -140,6 +141,21 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", path)
         assert code == 2
         assert "not a valid ideal file" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--oracle"], ["betti"], ["betti", "--oracle"]],
+        ids=["analyze", "analyze-oracle", "betti", "betti-oracle"])
+    def test_exponent_above_maxsize_exit_2(self, tmp_path, argv):
+        # a fresh process, so that an escaping exception would show as a traceback
+        path = write_ideal(tmp_path, "huge.json", 2, [[sys.maxsize + 1, 0], [1, 1]])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "lexseg.cli", argv[0], path,
+                               *argv[1:]], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert f"exponent above {sys.maxsize} in ({sys.maxsize + 1}, 0)" in done.stderr
 
     def test_printed_slack_matches_json(self, capsys, tmp_path, remark3):
         path = write_ideal(tmp_path, "r3.json", 5,
@@ -377,7 +393,9 @@ class TestGoldenOutput:
 
 
 class TestMeasuredOnce:
-    PIVOT = {"kpolynomial": 1, "krull_dimension": 1, "is_stable": 1}
+    # the dimension of a pivot series is its denominator exponent; the cover
+    # search is a test oracle only
+    PIVOT = {"kpolynomial": 1, "krull_dimension": 0, "is_stable": 1}
     # a stable ideal's series comes from its one EK table, and its dimension
     # from the stable closed form
     EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 0,
@@ -418,6 +436,31 @@ class TestMeasuredOnce:
         assert out.count("oracle=ok") == 4
         cells = {name: 4 * count for name, count in self.CERTIFIED.items()}
         assert {name: calls[name] for name in cells} == cells
+
+
+class TestRowsOnly:
+    @pytest.mark.parametrize("argv, input_name", [
+        (["construct", "--r", "4", "--s", "2"], None),
+        (["lexify", "{input}", "--n", "6"], "hf-example2"),
+        (["analyze", "{input}"], "example2"),
+        (["analyze", "{input}"], "non-stable"),
+        (["analyze", "{input}", "--oracle"], "example2")],
+        ids=["construct", "lexify", "analyze", "analyze-non-stable", "analyze-oracle"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cli_wraps_no_monomial(self, capsys, tmp_path, monkeypatch, argv,
+                                   input_name, fmt):
+        # generator text comes from the exponent rows, not from `ideal.gens`
+        path = tmp_path / "input.json"
+        if input_name:
+            path.write_text(json.dumps(GOLDEN["inputs"][input_name]))
+        wrapped = []
+        real = Monomial.__init__
+        monkeypatch.setattr(Monomial, "__init__",
+                            lambda self, expo: wrapped.append(real(self, expo)))
+        code, out, _ = run(capsys, *(str(path) if a == "{input}" else a for a in argv),
+                           "--format", fmt)
+        assert code == 0 and "x1" in out
+        assert wrapped == []
 
 
 class TestNoEnumeration:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from helpers import (
     borel_closure,
     brute_hilbert_function,
+    count_calls,
     count_standard_monomials,
+    random_edge_ideal,
     random_monomial_ideal,
     random_strongly_stable_ideal,
 )
@@ -257,9 +259,19 @@ class TestHilbertSeries:
             hilbert_series(MonomialIdeal.unit(2))
 
     def test_denominator_equals_dimension_on_corpus(self):
-        for ideal in _corpus(seed=202, count=40):
+        # the cover search is the independent route to dim S/I
+        rng = random.Random(505)
+        ideals = _corpus(seed=202, count=40) + _stable_corpus(seed=404, count=40)
+        ideals += [random_edge_ideal(rng, n) for n in range(4, 21, 2)]
+        for ideal in ideals:
             series = hilbert_series(ideal)
-            assert series.denominator_exponent == krull_dimension(ideal)
+            assert series.denominator_exponent == krull_dimension(ideal), ideal
+
+    def test_series_runs_no_cover_search(self, monkeypatch):
+        ideal = random_edge_ideal(random.Random(2), 30)
+        calls = count_calls(monkeypatch, "krull_dimension", "kpolynomial")
+        assert hilbert_series(ideal).denominator_exponent == 12
+        assert calls == {"kpolynomial": 1}
 
     def test_h0_is_one_on_corpus(self):
         for ideal in _corpus(seed=303, count=40):

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     lex_predecessor,
     lex_successor,
     monomial_count,
+    random_edge_ideal,
     random_monomial_ideal,
     random_stable_ideal,
     random_strongly_stable_ideal,
@@ -56,6 +58,12 @@ class TestMonomial:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             M(1, -1)
+
+    def test_rejects_exponent_above_maxsize(self):
+        # sys.maxsize itself is accepted; one more names the row
+        assert M(sys.maxsize, 0).exponents == (sys.maxsize, 0)
+        with pytest.raises(ValueError, match=rf"above {sys.maxsize} in \({sys.maxsize + 1}, 0\)"):
+            MonomialIdeal.from_exponent_rows(2, [(1, 1), (sys.maxsize + 1, 0)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -455,11 +463,7 @@ class TestStabilityPredicates:
         assert outcomes == {True, False}
 
     def test_lexsegment_reads_no_series(self, monkeypatch, example2, wide_ideal):
-        rng = random.Random(2)
-        n = 40  # squarefree quadrics, edge probability 0.2
-        edges = [(0,) * i + (1,) + (0,) * (j - i - 1) + (1,) + (0,) * (n - j - 1)
-                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
-        edge_ideal = MonomialIdeal.from_exponent_rows(n, edges)
+        edge_ideal = random_edge_ideal(random.Random(2), 40)
         names = ("hilbert_series", "kpolynomial", "krull_dimension",
                  "ek_betti_table")
         calls = count_calls(monkeypatch, *names)
