@@ -392,6 +392,41 @@ class TestGoldenOutput:
             assert out == "\n".join(case["stdout"]) + "\n"
 
 
+class TestOut:
+    """`--out` writes the ideal file; text output says so, JSON output is
+    only the report."""
+
+    ARGV = {"construct": (["construct", "--r", "4", "--s", "2"], None),
+            "lexify": (["lexify", "{input}", "--n", "6"], "hf-example2")}
+
+    def _run(self, capsys, tmp_path, command, *extra):
+        argv, input_name = self.ARGV[command]
+        spec = tmp_path / "input.json"
+        if input_name:
+            spec.write_text(json.dumps(GOLDEN["inputs"][input_name]))
+        target = tmp_path / "ideal.json"
+        code, out, err = run(capsys, *(str(spec) if a == "{input}" else a for a in argv),
+                             "--out", str(target), *extra)
+        assert code == 0, err
+        return out, target
+
+    @pytest.mark.parametrize("command", ["construct", "lexify"])
+    def test_text_ends_with_written_line(self, capsys, tmp_path, command):
+        out, target = self._run(capsys, tmp_path, command)
+        assert out.splitlines()[-1] == f"ideal written to {target}"
+        argv, _ = self.ARGV[command]
+        _, golden_out, _ = run(capsys, *(str(tmp_path / "input.json") if a == "{input}"
+                                         else a for a in argv))
+        assert out == golden_out + f"ideal written to {target}\n"
+
+    @pytest.mark.parametrize("command", ["construct", "lexify"])
+    def test_json_is_only_the_report(self, capsys, tmp_path, command):
+        out, target = self._run(capsys, tmp_path, command, "--format", "json")
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2) + "\n"
+        assert target.read_text() == json.dumps(data["ideal"], indent=2) + "\n"
+
+
 class TestMeasuredOnce:
     # the dimension of a pivot series is its denominator exponent; the cover
     # search is a test oracle only
