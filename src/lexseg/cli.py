@@ -1,8 +1,16 @@
 """Command-line surface: construct, analyze, lexify, expansion, betti, verify-grid.
 
+Each command but verify-grid computes its report and returns it as
+``(data, lines)``: the dict that ``--format json`` prints (for betti, the
+Betti table) and the text lines.  `main` renders it: it writes ``--out``
+before anything reaches stdout, prints the JSON or the text, and maps errors
+to exit codes.  verify-grid prints one line per cell as it goes and returns
+its own exit code.
+
 Exit codes: 0 success, 2 usage (bad arguments, unreadable or malformed input
-files), 3 mathematical domain error (unit ideal, non-O-sequence, stability
-required, box cap), 4 verification failure.
+files, an unwritable ``--out``), 3 mathematical domain error (unit ideal,
+non-O-sequence, stability required, box, generator or entry cap), 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -60,44 +68,25 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, cls, what: str):
+    """``cls.from_json_dict`` of the JSON file at ``path``; ``what`` names the
+    file kind in the usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}")
-
-
-def _load_ideal(path: str) -> MonomialIdeal:
-    data = _load_json(path)
     try:
-        return MonomialIdeal.from_json_dict(data)
+        return cls.from_json_dict(data)
     except (KeyError, TypeError, ValueError, AmbientMismatchError) as exc:
-        raise _UsageError(f"{path} is not a valid ideal file: {exc}")
+        raise _UsageError(f"{path} is not a valid {what}: {exc}")
 
 
-def _load_hf_spec(path: str) -> HilbertFunctionSpec:
-    data = _load_json(path)
-    try:
-        return HilbertFunctionSpec.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"{path} is not a valid Hilbert function spec: {exc}")
-
-
-def _write_json(path: str, data: dict) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
-
-
-def _print_json(data) -> None:
+def _json(data) -> str:
     """Indented JSON; ideals, specs and Betti tables go as their `to_json_dict`."""
-    print(json.dumps(data, indent=2, default=lambda obj: obj.to_json_dict()))
+    return json.dumps(data, indent=2, default=lambda obj: obj.to_json_dict())
 
 
 def _flag(value) -> str:
@@ -149,99 +138,86 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
     }
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     report: ConstructionReport = construct(args.r, args.s)
     ideal, series, table = report.ideal, report.series, report.betti
     gens = list(map(_row_str, ideal.exponent_rows))
-    if args.out:
-        _write_json(args.out, ideal.to_json_dict())
-    if args.format == "json":
-        _print_json({
-            "r": args.r,
-            "s": args.s,
-            "branch": report.branch,
-            "predicted": report.predicted._asdict(),
-            "measured": report.measured._asdict(),
-            "ideal": ideal,
-            "generators": gens,
-            "hilbert_series": str(series),
-            "h_polynomial": list(series.numerator),
-            "betti": table,
-        })
-        return EXIT_OK
     p, m = report.predicted, report.measured
-    print(f"branch: {report.branch}")
-    print(f"predicted: n={p.n} reg={p.regularity} h-degree={p.h_degree} "
-          f"dim={p.dim} depth={p.depth}")
-    print(f"measured:  n={m.n} reg={m.regularity} h-degree={m.h_degree} "
-          f"dim={m.dim} depth={m.depth}")
-    print(f"minimal generators ({len(gens)}): {', '.join(gens)}")
-    print(f"hilbert series: {series}")
-    print(f"h-polynomial: {list(series.numerator)}")
-    print("betti table:")
-    print(table.to_text())
-    if args.out:
-        print(f"ideal written to {args.out}")
-    return EXIT_OK
+    data = {
+        "r": args.r,
+        "s": args.s,
+        "branch": report.branch,
+        "predicted": p._asdict(),
+        "measured": m._asdict(),
+        "ideal": ideal,
+        "generators": gens,
+        "hilbert_series": str(series),
+        "h_polynomial": list(series.numerator),
+        "betti": table,
+    }
+    return data, [
+        f"branch: {report.branch}",
+        f"predicted: n={p.n} reg={p.regularity} h-degree={p.h_degree} "
+        f"dim={p.dim} depth={p.depth}",
+        f"measured:  n={m.n} reg={m.regularity} h-degree={m.h_degree} "
+        f"dim={m.dim} depth={m.depth}",
+        f"minimal generators ({len(gens)}): {', '.join(gens)}",
+        f"hilbert series: {series}",
+        f"h-polynomial: {data['h_polynomial']}",
+        "betti table:",
+        table.to_text(),
+    ]
 
 
-def cmd_analyze(args) -> int:
-    ideal = _load_ideal(args.ideal)
+def cmd_analyze(args):
+    ideal = _load(args.ideal, MonomialIdeal, "ideal file")
     data = _analyze_data(ideal, args.oracle, args.max_degree)
-    if args.format == "json":
-        _print_json(data)
-        return EXIT_OK
-    print(f"ambient variables: {ideal.n}")
     gens = data["generators"]
-    print(f"minimal generators ({len(gens)}): "
-          f"{', '.join(gens) if gens else '(zero ideal)'}")
-    print(f"dim S/I: {data['dim']}")
-    print(f"depth S/I: {data['depth']}")
-    print(f"regularity: {data['regularity']}")
-    print(f"projective dimension: {data['projective_dimension']}")
-    print(f"hilbert series: {data['hilbert_series']}")
-    print(f"hilbert function: {', '.join(str(v) for v in data['hilbert_function'])}, ...")
-    print(f"h-polynomial: {data['h_polynomial']}")
-    print(f"h-degree: {data['h_degree']}")
-    print(f"stable: {_flag(data['stable'])}   strongly stable: "
-          f"{_flag(data['strongly_stable'])}   lexsegment: {_flag(data['lexsegment'])}")
     slack = data["inequality_slack"]
-    print(f"(dim - depth) - (h-degree - regularity) = {slack} "
-          f"{'>=' if slack >= 0 else '<'} 0")
-    print(f"betti table (engine: {data['betti_engine']}):")
-    print(data["betti"].to_text())
-    return EXIT_OK
+    return data, [
+        f"ambient variables: {ideal.n}",
+        f"minimal generators ({len(gens)}): "
+        f"{', '.join(gens) if gens else '(zero ideal)'}",
+        f"dim S/I: {data['dim']}",
+        f"depth S/I: {data['depth']}",
+        f"regularity: {data['regularity']}",
+        f"projective dimension: {data['projective_dimension']}",
+        f"hilbert series: {data['hilbert_series']}",
+        f"hilbert function: {', '.join(map(str, data['hilbert_function']))}, ...",
+        f"h-polynomial: {data['h_polynomial']}",
+        f"h-degree: {data['h_degree']}",
+        f"stable: {_flag(data['stable'])}   strongly stable: "
+        f"{_flag(data['strongly_stable'])}   lexsegment: {_flag(data['lexsegment'])}",
+        f"(dim - depth) - (h-degree - regularity) = {slack} "
+        f"{'>=' if slack >= 0 else '<'} 0",
+        f"betti table (engine: {data['betti_engine']}):",
+        data["betti"].to_text(),
+    ]
 
 
-def cmd_lexify(args) -> int:
-    spec = _load_hf_spec(args.spec)
+def cmd_lexify(args):
+    spec = _load(args.spec, HilbertFunctionSpec, "Hilbert function spec")
     ideal, series, _ = _lex_ideal_and_series(spec, args.n)
     horizon = generation_horizon(spec)
     gens = list(map(_row_str, ideal.exponent_rows))
     values = [series.coefficient(k) for k in range(horizon + 4)]
-    if args.out:
-        _write_json(args.out, ideal.to_json_dict())
-    if args.format == "json":
-        _print_json({
-            "n": args.n,
-            "spec": spec,
-            "ideal": ideal,
-            "generators": gens,
-            "verified_hilbert_function": values,
-        })
-        return EXIT_OK
-    print(f"lexsegment ideal in {args.n} variables with "
-          f"{len(gens)} minimal generators")
+    data = {
+        "n": args.n,
+        "spec": spec,
+        "ideal": ideal,
+        "generators": gens,
+        "verified_hilbert_function": values,
+    }
+    lines = [f"lexsegment ideal in {args.n} variables with "
+             f"{len(gens)} minimal generators"]
     if gens:
-        print(f"generators: {', '.join(gens)}")
-    print(f"verified hilbert function (degrees 0..{horizon + 3}): "
-          f"{', '.join(str(v) for v in values)}")
-    if args.out:
-        print(f"ideal written to {args.out}")
-    return EXIT_OK
+        lines.append(f"generators: {', '.join(gens)}")
+    lines.append(f"verified hilbert function (degrees 0..{horizon + 3}): "
+                 f"{', '.join(map(str, values))}")
+    return data, lines
 
 
-def cmd_expansion(args) -> int:
+def cmd_expansion(args):
     exp = macaulay_expansion(args.a, args.d)
     data = {
         "a": args.a,
@@ -249,25 +225,17 @@ def cmd_expansion(args) -> int:
         "terms": [list(t) for t in exp.terms],
         "text": f"{args.a} = {exp}",
     }
+    lines = [data["text"]]
     if args.growth:
         data["growth"] = macaulay_growth(args.a, args.d)
-    if args.format == "json":
-        _print_json(data)
-        return EXIT_OK
-    print(data["text"])
-    if args.growth:
-        print(f"{args.a}^<{args.d}> = {data['growth']}")
-    return EXIT_OK
+        lines.append(f"{args.a}^<{args.d}> = {data['growth']}")
+    return data, lines
 
 
-def cmd_betti(args) -> int:
-    ideal = _load_ideal(args.ideal)
+def cmd_betti(args):
+    ideal = _load(args.ideal, MonomialIdeal, "ideal file")
     table = bruteforce_betti_table(ideal) if args.oracle else ek_betti_table(ideal)
-    if args.format == "json":
-        _print_json(table)
-    else:
-        print(table.to_text())
-    return EXIT_OK
+    return table, [table.to_text()]
 
 
 def cmd_verify_grid(args) -> int:
@@ -322,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--s", type=_positive_int, required=True)
     p.add_argument("--out", help="write the ideal as JSON to this path")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="full invariant report for an ideal file")
@@ -331,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the brute-force Betti engine")
     p.add_argument("--max-degree", type=_non_negative_int, default=8,
                    help="how far to print the Hilbert function (default 8)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lexify",
@@ -340,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True,
                    help="ambient variable count")
     p.add_argument("--out", help="write the ideal as JSON to this path")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_lexify)
 
     p = sub.add_parser("expansion", help="Macaulay binomial expansion of a in degree d")
@@ -348,15 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--growth", action="store_true",
                    help="also print the growth bound a^<d>")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_expansion)
 
     p = sub.add_parser("betti", help="Betti table of an ideal file")
     p.add_argument("ideal", help="ideal JSON file")
     p.add_argument("--oracle", action="store_true",
                    help="use the brute-force engine (works for non-stable ideals)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_betti)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-grid",
                        help="construct and verify every (r, s) in a grid")
@@ -370,10 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        if args.command == "verify-grid":
+            return report
+        data, lines = report
+        out = getattr(args, "out", None)
+        if out:
+            try:
+                with open(out, "w") as fh:
+                    fh.write(_json(data["ideal"]) + "\n")
+            except OSError as exc:
+                raise _UsageError(f"cannot write {out}: {exc}")
+            lines.append(f"ideal written to {out}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -381,15 +357,14 @@ def main(argv=None) -> int:
         where = "" if exc.degree is None else f" (first violation at degree {exc.degree})"
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConstructionError as exc:
+    except (ConstructionError, AssertionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except LexsegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except AssertionError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    print(_json(data) if args.format == "json" else "\n".join(lines))
+    return EXIT_OK
 
 
 if __name__ == "__main__":
