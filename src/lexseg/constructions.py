@@ -22,14 +22,13 @@ Hilbert series, whose dimension is asserted against the stable closed form.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
 
 from ._value import Value, _set
 from .betti import BettiTable
 from .eliahou_kervaire import _ek_table
 from .errors import ConstructionError
 from .hilbert import HilbertSeries, _stable_series
-from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series
+from .macaulay import HilbertFunctionSpec, _check_entries, _lex_ideal_and_series
 from .monomials import MonomialIdeal, _certified_lexsegment
 
 
@@ -85,22 +84,30 @@ def _finish(ideal, series, table, branch, predicted, expected_h, r,
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
+def _first_step_rows(r: int, n: int) -> list[tuple[int, ...]]:
+    """x1^(r+1) > x1^r x2 > ... > x1^r xn: one degree, lex-descending."""
+    rows = [(r + 1,) + (0,) * (n - 1)]
+    rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
+    return rows
+
+
 def construct_first_step(r: int, s: int) -> ConstructionReport:
     """The branch for 1 <= r <= s, generated in degree r+1."""
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
-    # x1^(r+1) > x1^r x2 > ... > x1^r xn: one degree, lex-descending
-    rows = [(r + 1,) + (0,) * (n - 1)]
-    rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
+    _check_entries(n, n)
     try:
-        ideal, tallies = _certified_lexsegment(n, rows)
+        ideal, tallies = _certified_lexsegment(n, _first_step_rows(r, n))
     except ValueError as exc:
         raise ConstructionError(f"first-step (r={r}, s={s}): {exc}") from None
-    # 1 + t + ... + t^(r-1) + t^r (1-t)^(s-r), coefficientwise
-    hs = [1 if i < r else 0 for i in range(s + 1)]
-    for j in range(s - r + 1):
-        hs[r + j] += (-1) ** j * comb(s - r, j)
+    # 1 + t + ... + t^(r-1) + t^r (1-t)^m with m = s-r, coefficientwise; the
+    # binomials by C(m, j+1) = C(m, j) (m-j) / (j+1), an exact division
+    hs = [1] * r
+    c, m = 1, s - r
+    for j in range(m + 1):
+        hs.append(c)
+        c = -c * (m - j) // (j + 1)
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=s - r, depth=0)
     table = _ek_table(ideal, tallies)
     series = _stable_series(ideal, table)

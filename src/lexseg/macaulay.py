@@ -25,6 +25,9 @@ from .monomials import MonomialIdeal, _certified_lexsegment, _lex_segment_rows
 MAX_GROWTH = "max-growth"
 
 GENERATOR_CAP = 10**6  # minimal generators a realization may list
+# exponent entries (generators x variables) a realization may store: the
+# generator cap bounds the walk's time, this its memory (about 10 bytes each)
+ENTRY_CAP = 5 * 10**7
 
 
 class MacaulayExpansion(Value):
@@ -257,6 +260,15 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
     return max(t + 1, spec.tail)
 
 
+def _check_entries(rows: int, n: int) -> None:
+    """Refuse an ideal of ``rows`` generators in ``n`` variables whose
+    exponent rows would hold more than `ENTRY_CAP` entries."""
+    if rows * n > ENTRY_CAP:
+        raise TooManyGeneratorsError(
+            f"the ideal would store {rows} generators of {n} exponents "
+            f"({rows * n} entries), cap is {ENTRY_CAP}")
+
+
 def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     """The unique lexsegment ideal whose quotient has the given Hilbert function.
 
@@ -265,7 +277,8 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     H(k-1)^<k-1> - H(k) new minimal generators (n - H(1) in degree 1), the
     monomials right after that shadow.  Generation stops at max(t+1, c) for
     a constant-c tail and at t for a max-growth tail.  Over `GENERATOR_CAP`
-    generators raises `TooManyGeneratorsError` before any is listed.  One
+    generators, or over `ENTRY_CAP` exponent entries, raises
+    `TooManyGeneratorsError` before any is listed.  One
     lexsegment walk (`monomials._certified_lexsegment`) proves the rows
     minimal and tallies them for the Eliahou-Kervaire table, whose series is
     re-verified against the spec up to three degrees past the stopping point.
@@ -288,6 +301,7 @@ def _lex_ideal_and_series(
         raise TooManyGeneratorsError(
             f"the lexsegment ideal would have {sum(counts)} minimal generators, "
             f"cap is {GENERATOR_CAP}")
+    _check_entries(sum(counts), n)
     try:
         ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
     except ValueError as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import all_monomials, count_calls
-from lexseg import cli, macaulay
+from lexseg import cli, constructions, macaulay
 from lexseg.cli import main
 from lexseg.monomials import Monomial
 
@@ -302,6 +302,31 @@ class TestLexify:
         code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 3 and out == ""
         assert "20 minimal generators, cap is 19" in err
+
+    @pytest.mark.parametrize("argv, lister, entries", [
+        (["construct", "--r", "2", "--s", "4"], (constructions, "_first_step_rows"), 9),
+        (["construct", "--r", "4", "--s", "2"], (macaulay, "_lex_segment_rows"), 120),
+        (["lexify", "{input}", "--n", "6"], (macaulay, "_lex_segment_rows"), 120)],
+        ids=["construct-first-step", "construct-second-step", "lexify"])
+    def test_over_entry_cap_exit_3(self, capsys, tmp_path, monkeypatch, argv, lister,
+                                   entries):
+        # entries = generators x variables; the cap is inclusive and arithmetic,
+        # so listing a row over it would be the bug (it exits 4, not 3)
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
+        argv = [str(spec) if a == "{input}" else a for a in argv]
+        monkeypatch.setattr(macaulay, "ENTRY_CAP", entries)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+        def no_rows(*args):
+            raise AssertionError("listed rows over the entry cap")
+
+        monkeypatch.setattr(macaulay, "ENTRY_CAP", entries - 1)
+        monkeypatch.setattr(*lister, no_rows)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert f"({entries} entries), cap is {entries - 1}" in err
 
     def test_whole_ring(self, capsys, tmp_path):
         spec = tmp_path / "one.json"

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from helpers import count_calls
@@ -37,6 +39,14 @@ class TestFirstStep:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             construct_first_step(3, 2)
+
+    def test_predicted_h_polynomial_is_the_binomial_form(self):
+        # the prediction is built by a recurrence; construct_first_step raises
+        # unless the measured numerator equals it, so the numerator is it
+        cells = [(r, s) for r in range(1, 13) for s in range(r, 13)] + [(1, 300), (1, 2000)]
+        for r, s in cells:
+            expected = [1] * r + [(-1) ** j * comb(s - r, j) for j in range(s - r + 1)]
+            assert list(construct_first_step(r, s).series.numerator) == expected, (r, s)
 
 
 class TestSecondStep:
