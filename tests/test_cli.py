@@ -303,6 +303,15 @@ class TestLexify:
         assert code == 3 and out == ""
         assert "20 minimal generators, cap is 19" in err
 
+    def test_whole_ring(self, capsys, tmp_path):
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps({"initial": [1], "tail": {"constant": 1}}))
+        code, out, _ = run(capsys, "lexify", str(spec), "--n", "1")
+        assert code == 0
+        assert "0 minimal generators" in out
+
+
+class TestEntryCap:
     @pytest.mark.parametrize("argv, lister, entries", [
         (["construct", "--r", "2", "--s", "4"], (constructions, "_first_step_rows"), 9),
         (["construct", "--r", "4", "--s", "2"], (macaulay, "_lex_segment_rows"), 120),
@@ -327,13 +336,6 @@ class TestLexify:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert f"({entries} entries), cap is {entries - 1}" in err
-
-    def test_whole_ring(self, capsys, tmp_path):
-        spec = tmp_path / "one.json"
-        spec.write_text(json.dumps({"initial": [1], "tail": {"constant": 1}}))
-        code, out, _ = run(capsys, "lexify", str(spec), "--n", "1")
-        assert code == 0
-        assert "0 minimal generators" in out
 
 
 class TestExpansion:
