@@ -150,11 +150,11 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv, cap", [
-    (["construct", "--r", "1", "--s", "100000"], "entries"),
-    (["construct", "--r", "1000", "--s", "2"], "entries"),
-    (["construct", "--r", "2000", "--s", "2"], "minimal generators"),
-    (["lexify", "{input}", "--n", "100000"], "entries"),
-    (["lexify", "{input}", "--n", "10000000"], "minimal generators")],
+    (["construct", "--r", "1", "--s", "100000"], "entries), cap is"),
+    (["construct", "--r", "1000", "--s", "2"], "entries), cap is"),
+    (["construct", "--r", "2000", "--s", "2"], "minimal generators, cap is"),
+    (["lexify", "{input}", "--n", "100000"], "entries), cap is"),
+    (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
          "lexify-h1-zero", "lexify-h1-zero-generators"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
@@ -169,4 +169,4 @@ def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
         timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr
     assert done.stdout == "" and "Traceback" not in done.stderr
-    assert f"{cap}, cap is " in done.stderr or f"{cap}), cap is " in done.stderr
+    assert cap in done.stderr
