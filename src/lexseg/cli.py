@@ -29,8 +29,9 @@ from .errors import (
     LexsegError,
     NotOSequenceError,
     StabilityRequiredError,
+    UnitIdealError,
 )
-from .hilbert import _stable_series, hilbert_series
+from .hilbert import _reduced_series, _stable_series
 from .macaulay import (
     HilbertFunctionSpec,
     _lex_ideal_and_series,
@@ -94,29 +95,27 @@ def _flag(value) -> str:
 
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
-    """The `analyze` report; "ideal" and "betti" hold the ideal and its table."""
+    """The `analyze` report; "ideal" and "betti" hold the ideal and its table,
+    whose alternating sum, the K-polynomial, gives the series."""
+    if ideal.is_unit:
+        raise UnitIdealError("the zero ring has no Hilbert series")
     table = None
-    if not force_oracle and not ideal.is_unit:
-        try:
-            # its stability check picks the Betti engine, the series route
-            # and the dimension's closed form
+    if not force_oracle:
+        try:  # its stability check picks the engine and the dimension's closed form
             table = ek_betti_table(ideal)
         except StabilityRequiredError:
             pass
-    if table is None:  # hilbert_series also rejects the unit ideal
-        series = hilbert_series(ideal)
+    if table is None:
+        engine, table = "oracle", bruteforce_betti_table(ideal)
+        series = _reduced_series(table.euler_kpolynomial(), ideal.n)
     else:
-        series = _stable_series(ideal, table)
+        engine, series = "eliahou-kervaire", _stable_series(ideal, table)
     if ideal.is_zero:
         stable = strongly = lexseg = None
     else:
-        stable = is_stable(ideal) if force_oracle else table is not None
+        stable = is_stable(ideal) if force_oracle else engine != "oracle"
         strongly = is_strongly_stable(ideal)
         lexseg = is_lexsegment(ideal)
-    if table is None:
-        engine, table = "oracle", bruteforce_betti_table(ideal)
-    else:
-        engine = "eliahou-kervaire"
     inv = _measure(ideal, series, table)
     return {
         "ideal": ideal,
@@ -128,7 +127,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
         "hilbert_series": str(series),
         "h_polynomial": list(series.numerator),
         "h_degree": inv.h_degree,
-        "hilbert_function": [series.coefficient(k) for k in range(max_degree + 1)],
+        "hilbert_function": series.values(max_degree + 1),
         "stable": stable,
         "strongly_stable": strongly,
         "lexsegment": lexseg,
@@ -200,7 +199,7 @@ def cmd_lexify(args):
     ideal, series, _ = _lex_ideal_and_series(spec, args.n)
     horizon = generation_horizon(spec)
     gens = list(map(_row_str, ideal.exponent_rows))
-    values = [series.coefficient(k) for k in range(horizon + 4)]
+    values = series.values(horizon + 4)
     data = {
         "n": args.n,
         "spec": spec,

@@ -9,12 +9,13 @@ is kept only as the tests' independent cross-check.  The series is the
 K-polynomial with all (1-t) factors cancelled (`_reduced_series`).  The
 series is the one source of Hilbert function values.
 
-A stable ideal's K-polynomial also has a closed form: the alternating sum of
-its Eliahou-Kervaire Betti table (`BettiTable.euler_kpolynomial`).  Callers
-that build that table anyway (`construct`, `lexify`, `analyze` of a stable
-ideal) read the series through `_stable_series` and skip the recursion.
-`hilbert_series` keeps the recursion for arbitrary ideals, and the tests
-check that the two routes agree.
+Any ideal's K-polynomial is also the alternating sum of its Betti table
+(`BettiTable.euler_kpolynomial`).  Every series the CLI prints is read off
+the table it prints: a stable ideal's Eliahou-Kervaire table through
+`_stable_series` (`construct`, `lexify`, `analyze`), any other ideal's
+brute-force oracle table through `_reduced_series` (`analyze`).  The
+recursion serves `hilbert_series`, for library callers, and the tests check
+that the routes agree.
 
 The dimension is read off the series: dim S/I is the order of its pole at
 t = 1, the denominator exponent d of h(t)/(1-t)^d (Hilbert-Serre).  Only a
@@ -120,6 +121,19 @@ class HilbertSeries(Value):
                 break
             total += c * math.comb(d - 1 + k - i, k - i)
         return total
+
+    def values(self, m: int) -> list[int]:
+        """H(0), ..., H(m-1) in one pass: the numerator cut or padded to m
+        terms, then one running sum per factor 1/(1-t).  With more factors
+        than values, each value's closed form is the cheaper route."""
+        if m < 0:
+            raise ValueError("value count must be non-negative")
+        if self.denominator_exponent > m:
+            return [self.coefficient(k) for k in range(m)]
+        out = list(self.numerator[:m]) + [0] * (m - len(self.numerator))
+        for _ in range(self.denominator_exponent):
+            out = list(accumulate(out))
+        return out
 
     def __str__(self) -> str:
         poly = _poly_str(self.numerator)
@@ -261,8 +275,8 @@ def _reduced_series(kpoly, n: int) -> HilbertSeries:
     cancelled; its denominator exponent is dim S/I.
 
     ``kpoly`` is the K-polynomial of S/I by either route: the pivot
-    recursion, or the Euler characteristic of a stable ideal's closed-form
-    Betti table.  Callers reject the unit ideal, whose K-polynomial is 0.
+    recursion, or the Euler characteristic of a Betti table.  Callers reject
+    the unit ideal, whose K-polynomial is 0.
     """
     coeffs = list(kpoly)
     while sum(coeffs) == 0:  # the quotient by (1-t) has the partial sums
@@ -303,7 +317,7 @@ def hilbert_function(ideal: MonomialIdeal, k: int) -> int:
     """H(S/I, k): number of degree-k monomials outside the ideal.
 
     Each call computes the whole series; a caller that needs several degrees
-    should read ``hilbert_series(ideal).coefficient(k)`` for each instead.
+    should read them all at once with ``hilbert_series(ideal).values(m)``.
     The tests check it against direct enumeration of the standard monomials.
     """
     if ideal.is_unit:

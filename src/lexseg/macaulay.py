@@ -79,27 +79,20 @@ class MacaulayExpansion(Value):
         return " + ".join(f"C({top},{low})" for top, low in self.terms)
 
 
-def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
-    """Unique greedy binomial expansion of a >= 1 in degree d >= 1.
+def _greedy_tops(a: int, d: int) -> tuple[list[int], int]:
+    """The greedy expansion of a >= 1 in degree d >= 1: the tops a_i > i of
+    its leading terms, and the length of its trailing run of unit terms
+    C(j, j), which is what remains once the remainder is at most the degree.
 
     Each top, the largest t with C(t, deg) <= rem, is found by doubling and
     then bisection: O(log a) binomials, not a walk of O(a^(1/deg)) steps.
     """
-    if a < 1:
-        raise ValueError("expansion defined for positive integers only")
-    if d < 1:
-        raise ValueError("expansion degree must be >= 1")
     tops = []
     rem = a
     deg = d
-    while rem > 0:
+    while rem > deg:
         if deg == 1:
-            tops.append(rem)
-            break
-        if rem <= deg:
-            # remainder of unit binomials: C(deg, deg) + ... + C(deg-rem+1, deg-rem+1)
-            tops.extend(deg - i for i in range(rem))
-            break
+            return tops + [rem], 0
         lo, hi = deg, deg + 1  # C(lo, deg) <= rem; C(hi, deg) untested
         while comb(hi, deg) <= rem:
             lo, hi = hi, deg + 2 * (hi - deg)
@@ -112,18 +105,35 @@ def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
         tops.append(lo)
         rem -= comb(lo, deg)
         deg -= 1
-    return MacaulayExpansion(d, tuple(tops))
+    return tops, rem
+
+
+def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
+    """Unique greedy binomial expansion of a >= 1 in degree d >= 1, every
+    term listed: the unit tail is C(deg, deg) + ... + C(deg-u+1, deg-u+1)."""
+    if a < 1:
+        raise ValueError("expansion defined for positive integers only")
+    if d < 1:
+        raise ValueError("expansion degree must be >= 1")
+    tops, units = _greedy_tops(a, d)
+    deg = d - len(tops)
+    return MacaulayExpansion(d, tops + [deg - i for i in range(units)])
 
 
 def macaulay_growth(a: int, d: int) -> int:
-    """The Macaulay bound a^<d> on the next value of a Hilbert function."""
+    """The Macaulay bound a^<d> on the next value of a Hilbert function.
+
+    Each unit term C(j, j) grows to C(j + 1, j + 1) = 1, so the unit tail
+    adds its length and no expansion is built.
+    """
     if d < 1:
         raise ValueError("growth degree must be >= 1")
     if a < 0:
         raise ValueError("growth defined for non-negative integers")
     if a == 0:
         return 0
-    return macaulay_expansion(a, d).grow()
+    tops, units = _greedy_tops(a, d)
+    return sum(comb(top + 1, d + 1 - p) for p, top in enumerate(tops)) + units
 
 
 class HilbertFunctionSpec(Value):
@@ -308,8 +318,7 @@ def _lex_ideal_and_series(
         raise AssertionError(f"realized ideal: {exc}") from None
     table = _ek_table(ideal, tallies)
     series = _stable_series(ideal, table)
-    for k in range(stop + 4):
-        got = series.coefficient(k)
+    for k, got in enumerate(series.values(stop + 4)):
         want = spec.value(k, n)
         if got != want:
             raise AssertionError(

@@ -1,9 +1,12 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    random_edge_ideal,
     random_monomial_ideal,
     random_strongly_stable_ideal,
     reduced_homology_ranks,
@@ -19,6 +22,9 @@ from lexseg.eliahou_kervaire import ek_betti_table
 from lexseg.errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
 from lexseg.hilbert import kpolynomial
 from lexseg.monomials import Monomial, MonomialIdeal, is_stable, minimal_generators
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 def M(*expo):
@@ -142,6 +148,16 @@ class TestBruteForceTable:
             ideal = random_monomial_ideal(rng, rng.randint(1, 4), 5, 6)
             table = bruteforce_betti_table(ideal)
             assert table.euler_kpolynomial() == kpolynomial(ideal)
+
+    def test_euler_characteristic_non_stable_inputs(self, example2, remark3):
+        # the oracle table is non-stable `analyze`'s one route to the series
+        golden = json.loads(GOLDEN.read_text())["inputs"]["non-stable"]
+        ideals = [MonomialIdeal.from_json_dict(golden), example2, remark3]
+        rng = random.Random(81)
+        ideals += [random_edge_ideal(rng, n) for n in range(2, 9) for _ in range(4)]
+        assert any(not ideal.is_zero and not is_stable(ideal) for ideal in ideals[3:])
+        for ideal in ideals:
+            assert bruteforce_betti_table(ideal).euler_kpolynomial() == kpolynomial(ideal)
 
     def test_invariant_under_variable_permutation(self):
         rng = random.Random(79)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import all_monomials, count_calls
-from lexseg import cli, constructions, macaulay
+from helpers import all_monomials, count_calls, random_edge_ideal
+from lexseg import cli, constructions, hilbert, macaulay
 from lexseg.cli import main
 from lexseg.monomials import Monomial
 
@@ -406,6 +407,19 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
     def test_stdout_unchanged(self, capsys, tmp_path, case):
+        self._check(capsys, tmp_path, case)
+
+    @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["name"])
+    def test_no_request_runs_the_pivot(self, capsys, tmp_path, monkeypatch, case):
+        # every series the CLI prints is read off a Betti table
+        def forbidden(gens):
+            raise AssertionError("a CLI request ran the pivot recursion")
+
+        monkeypatch.setattr(hilbert, "_kpoly_pivot", forbidden)
+        self._check(capsys, tmp_path, case)
+
+    @staticmethod
+    def _check(capsys, tmp_path, case):
         path = tmp_path / "input.json"
         if case["input"]:
             path.write_text(json.dumps(GOLDEN["inputs"][case["input"]]))
@@ -455,9 +469,11 @@ class TestOut:
 
 
 class TestMeasuredOnce:
-    # the dimension of a pivot series is its denominator exponent; the cover
-    # search is a test oracle only
-    PIVOT = {"kpolynomial": 1, "krull_dimension": 0, "is_stable": 1}
+    # without a closed-form table the series is read off the oracle's table,
+    # and its dimension is the denominator exponent; no pivot recursion and
+    # no cover search
+    ORACLE = {"kpolynomial": 0, "bruteforce_betti_table": 1, "krull_dimension": 0,
+              "is_stable": 1}
     # a stable ideal's series comes from its one EK table, and its dimension
     # from the stable closed form
     EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 0,
@@ -470,8 +486,8 @@ class TestMeasuredOnce:
                  "is_stable": 0, "_undivided": 0}
 
     @pytest.mark.parametrize("ideal, flags, expected", [
-        ("example2", [], EK), ("non-stable", [], PIVOT),
-        ("example2", ["--oracle"], PIVOT)],
+        ("example2", [], EK), ("non-stable", [], ORACLE),
+        ("example2", ["--oracle"], ORACLE)],
         ids=["stable", "non-stable", "oracle"])
     def test_analyze_one_series_dimension_and_stability_check(
             self, capsys, tmp_path, monkeypatch, ideal, flags, expected):
@@ -481,6 +497,18 @@ class TestMeasuredOnce:
         code, _, _ = run(capsys, "analyze", str(path), *flags)
         assert code == 0
         assert {name: calls[name] for name in expected} == expected
+
+    def test_analyze_box_cap_before_any_series(self, capsys, tmp_path, monkeypatch):
+        # 45 edges on 21 vertices: not stable, and the oracle's box of 2^21
+        # cells is over the cap, so the request stops before any series
+        ideal = random_edge_ideal(random.Random(2), 21)
+        assert len(ideal.exponent_rows) == 45
+        path = write_ideal(tmp_path, "edges.json", 21, ideal.to_json_dict()["generators"])
+        calls = count_calls(monkeypatch, "kpolynomial")
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out) == (3, "")
+        assert err == "error: multidegree box has 2097152 cells, cap is 1000000\n"
+        assert calls["kpolynomial"] == 0
 
     def test_lexify_one_series(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "hf.json"

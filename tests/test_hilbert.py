@@ -342,6 +342,22 @@ class TestHilbertFunction:
             hilbert_function(MonomialIdeal.unit(2), 0)
 
 
+class TestSeriesValues:
+    def test_values_match_coefficients(self, grid_reports, example2, remark3):
+        zero = hilbert_series(MonomialIdeal.zero(4))
+        flat = HilbertSeries((1, 3, 2), 0)
+        assert zero.denominator_exponent == 4 and flat.denominator_exponent == 0
+        series = [report.series for report in grid_reports]
+        series += [hilbert_series(example2), hilbert_series(remark3), zero, flat]
+        for s in series:
+            for m in range(41):
+                assert s.values(m) == [s.coefficient(k) for k in range(m)], (s, m)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            HilbertSeries((1,), 2).values(-1)
+
+
 class TestSeriesType:
     def test_reduced_invariant_enforced(self):
         with pytest.raises(ValueError):

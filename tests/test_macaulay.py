@@ -119,6 +119,27 @@ class TestGrowth:
     def test_growth_at_least_identity(self, a, d):
         assert macaulay_growth(a, d) >= a
 
+    def test_growth_equals_grown_expansion(self):
+        # a <= d is all unit terms; d + 1 + u with u < d is one term, then u
+        rng = random.Random(19)
+        pairs = [(rng.randint(1, 10**8), rng.randint(1, 60)) for _ in range(2000)]
+        pairs += [(a, d) for a in range(1, 300) for d in range(1, 40)]
+        pairs += [(a, d) for d in (100, 1000) for a in (1, d // 2, d, d + 1, 2 * d)]
+        for a, d in pairs:
+            assert macaulay_growth(a, d) == macaulay_expansion(a, d).grow(), (a, d)
+
+    def test_long_constant_tail_builds_no_expansion(self, monkeypatch):
+        # H(k) = C(k+2, 2) through degree 140, then 10^4: growth at each
+        # degree past 10^4 reads a unit tail of 10^4 terms, never listed
+        built = []
+        real = MacaulayExpansion.__init__
+        monkeypatch.setattr(MacaulayExpansion, "__init__",
+                            lambda self, d, tops: built.append(real(self, d, tops)))
+        spec = HilbertFunctionSpec(tuple(comb(k + 2, 2) for k in range(141)), 10**4)
+        ideal = lex_ideal_from_hf(spec, 3)
+        assert built == []
+        assert ideal.exponent_rows[0] == (141, 0, 0)  # S is full through 140
+
 
 class TestOSequence:
     def test_fixture_sequence(self):
