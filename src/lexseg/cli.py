@@ -35,7 +35,6 @@ from .hilbert import _reduced_series, _stable_series
 from .macaulay import (
     HilbertFunctionSpec,
     _lex_ideal_and_series,
-    generation_horizon,
     macaulay_expansion,
     macaulay_growth,
 )
@@ -196,10 +195,8 @@ def cmd_analyze(args):
 
 def cmd_lexify(args):
     spec = _load(args.spec, HilbertFunctionSpec, "Hilbert function spec")
-    ideal, series, _ = _lex_ideal_and_series(spec, args.n)
-    horizon = generation_horizon(spec)
+    ideal, _, _, values = _lex_ideal_and_series(spec, args.n)
     gens = list(map(_row_str, ideal.exponent_rows))
-    values = series.values(horizon + 4)
     data = {
         "n": args.n,
         "spec": spec,
@@ -211,7 +208,7 @@ def cmd_lexify(args):
              f"{len(gens)} minimal generators"]
     if gens:
         lines.append(f"generators: {', '.join(gens)}")
-    lines.append(f"verified hilbert function (degrees 0..{horizon + 3}): "
+    lines.append(f"verified hilbert function (degrees 0..{len(values) - 1}): "
                  f"{', '.join(map(str, values))}")
     return data, lines
 

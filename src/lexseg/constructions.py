@@ -125,7 +125,7 @@ def construct_second_step(r: int, s: int) -> ConstructionReport:
     if not 1 <= s < r:
         raise ValueError(f"second step needs 1 <= s < r, got r={r}, s={s}")
     n = r + 2
-    ideal, series, table = _lex_ideal_and_series(second_step_hf(r, s), n)
+    ideal, series, table, _ = _lex_ideal_and_series(second_step_hf(r, s), n)
     # 1 + (r+1)t - t^s; for s = 1 the two linear terms merge into r*t
     hs = [1] + [0] * s
     hs[1] += r + 1

@@ -124,12 +124,9 @@ class HilbertSeries(Value):
 
     def values(self, m: int) -> list[int]:
         """H(0), ..., H(m-1) in one pass: the numerator cut or padded to m
-        terms, then one running sum per factor 1/(1-t).  With more factors
-        than values, each value's closed form is the cheaper route."""
+        terms, then one running sum per factor 1/(1-t)."""
         if m < 0:
             raise ValueError("value count must be non-negative")
-        if self.denominator_exponent > m:
-            return [self.coefficient(k) for k in range(m)]
         out = list(self.numerator[:m]) + [0] * (m - len(self.numerator))
         for _ in range(self.denominator_exponent):
             out = list(accumulate(out))

@@ -30,6 +30,12 @@ GENERATOR_CAP = 10**6  # minimal generators a realization may list
 ENTRY_CAP = 5 * 10**7
 
 
+def _grow(d: int, tops) -> int:
+    """Sum of C(a_i + 1, i + 1) over the terms C(a_i, i) of a degree-d
+    expansion with the given tops: each term grown by one degree."""
+    return sum(comb(top + 1, d + 1 - p) for p, top in enumerate(tops))
+
+
 class MacaulayExpansion(Value):
     """Greedy expansion a = C(a_d, d) + C(a_{d-1}, d-1) + ... + C(a_j, j).
 
@@ -72,8 +78,7 @@ class MacaulayExpansion(Value):
 
     def grow(self) -> int:
         """Replace each C(a_i, i) by C(a_i + 1, i + 1) and sum."""
-        d = self.degree + 1
-        return sum(comb(top + 1, d - p) for p, top in enumerate(self.tops))
+        return _grow(self.degree, self.tops)
 
     def __str__(self) -> str:
         return " + ".join(f"C({top},{low})" for top, low in self.terms)
@@ -133,7 +138,7 @@ def macaulay_growth(a: int, d: int) -> int:
     if a == 0:
         return 0
     tops, units = _greedy_tops(a, d)
-    return sum(comb(top + 1, d + 1 - p) for p, top in enumerate(tops)) + units
+    return _grow(d, tops) + units
 
 
 class HilbertFunctionSpec(Value):
@@ -298,9 +303,10 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
 
 def _lex_ideal_and_series(
         spec: HilbertFunctionSpec,
-        n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
-    """`lex_ideal_from_hf` with the Hilbert series it verified against and
-    the Eliahou-Kervaire table that series was read from."""
+        n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable, list[int]]:
+    """`lex_ideal_from_hf` with the Hilbert series it verified against, the
+    Eliahou-Kervaire table that series was read from, and the values H(0),
+    ..., H(t+3) it checked, t the generation horizon."""
     stop = generation_horizon(spec)
     # past is_o_sequence's horizon a constant tail never breaks the bound
     check, counts = _o_sequence_counts(spec, n, stop)
@@ -318,9 +324,10 @@ def _lex_ideal_and_series(
         raise AssertionError(f"realized ideal: {exc}") from None
     table = _ek_table(ideal, tallies)
     series = _stable_series(ideal, table)
-    for k, got in enumerate(series.values(stop + 4)):
+    values = series.values(stop + 4)
+    for k, got in enumerate(values):
         want = spec.value(k, n)
         if got != want:
             raise AssertionError(
                 f"realized Hilbert function differs at degree {k}: {got} != {want}")
-    return ideal, series, table
+    return ideal, series, table, values
