@@ -26,6 +26,7 @@ from .errors import (
     AmbientMismatchError,
     BoxTooLargeError,
     ConstructionError,
+    DegreeTooLargeError,
     LexsegError,
     NotOSequenceError,
     StabilityRequiredError,
@@ -69,6 +70,7 @@ __all__ = [
     "BoxTooLargeError",
     "ConstructionError",
     "ConstructionReport",
+    "DegreeTooLargeError",
     "HPolynomial",
     "HilbertFunctionSpec",
     "HilbertSeries",

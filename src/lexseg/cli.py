@@ -9,7 +9,7 @@ its own exit code.
 
 Exit codes: 0 success, 2 usage (bad arguments, unreadable or malformed input
 files, an unwritable ``--out``), 3 mathematical domain error (unit ideal,
-non-O-sequence, stability required, box, generator or entry cap), 4
+non-O-sequence, stability required, box, generator, entry or degree cap), 4
 verification failure.
 """
 

@@ -2,21 +2,21 @@
 
 Two branches cover all pairs (r, s) with r, s >= 1:
 
-* r <= s: the ideal x1^r * (x1, ..., xn) in n = s - r + 1 variables, whose
-  resolution is linear and whose reduced series numerator is
+* r <= s: the ideal x1^r * (x1, ..., xn) in n = s - r + 1 variables, the
+  lexsegment ideal generated by the first n monomials of degree r+1; its
+  resolution is linear and its reduced series numerator is
   1 + t + ... + t^(r-1) + t^r (1-t)^(s-r).
 * s < r: the lexsegment ideal in n = r + 2 variables realizing the Hilbert
   function 1, r+2, ..., r+2, r+1, r+1, ... (value r+2 through degree s-1),
-  built through the generic Macaulay realization engine so the whole
-  machinery is exercised end to end; its h-polynomial is 1 + (r+1)t - t^s.
+  whose generator counts come from the Macaulay growth bound
+  (`lex_ideal_from_hf`); its h-polynomial is 1 + (r+1)t - t^s.
 
-Either way n <= max(r, s) + 2.  Every constructor measures the produced
-ideal and raises `ConstructionError` on any divergence from the predicted
-invariants.  One lexsegment walk over the rows certifies each ideal as it is
-built (`monomials._certified_lexsegment`): it proves them minimal and tallies
-them for the ideal's Eliahou-Kervaire table (the ideal is stable), which
-gives regularity, depth and, as its Euler characteristic, the reduced
-Hilbert series, whose dimension is asserted against the stable closed form.
+Either way n <= max(r, s) + 2.  Both branches realize their ideal from its
+generator counts per degree through `macaulay._realize`, which caps, lists
+and certifies the rows by one lexsegment walk and reads the reduced Hilbert
+series off the walk's Eliahou-Kervaire table.  Every constructor measures
+the produced ideal and raises `ConstructionError` on any divergence from the
+predicted invariants.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from collections import namedtuple
 
 from ._value import Value, _set
 from .betti import BettiTable
-from .eliahou_kervaire import _ek_table
 from .errors import ConstructionError
-from .hilbert import HilbertSeries, _stable_series
-from .macaulay import HilbertFunctionSpec, _check_entries, _lex_ideal_and_series
-from .monomials import MonomialIdeal, _certified_lexsegment
+from .hilbert import HilbertSeries
+from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series, _realize
+from .monomials import MonomialIdeal
 
 
 Invariants = namedtuple("Invariants", "n regularity h_degree dim depth")
@@ -84,23 +83,12 @@ def _finish(ideal, series, table, branch, predicted, expected_h, r,
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
-def _first_step_rows(r: int, n: int) -> list[tuple[int, ...]]:
-    """x1^(r+1) > x1^r x2 > ... > x1^r xn: one degree, lex-descending."""
-    rows = [(r + 1,) + (0,) * (n - 1)]
-    rows += [(r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
-    return rows
-
-
 def construct_first_step(r: int, s: int) -> ConstructionReport:
-    """The branch for 1 <= r <= s, generated in degree r+1."""
+    """The branch for 1 <= r <= s: the first n monomials of degree r+1."""
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
-    _check_entries(n, n)
-    try:
-        ideal, tallies = _certified_lexsegment(n, _first_step_rows(r, n))
-    except ValueError as exc:
-        raise ConstructionError(f"first-step (r={r}, s={s}): {exc}") from None
+    ideal, series, table = _realize(n, [0] * r + [n])
     # 1 + t + ... + t^(r-1) + t^r (1-t)^m with m = s-r, coefficientwise; the
     # binomials by C(m, j+1) = C(m, j) (m-j) / (j+1), an exact division
     hs = [1] * r
@@ -109,8 +97,6 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
         hs.append(c)
         c = -c * (m - j) // (j + 1)
     predicted = Invariants(n=n, regularity=r, h_degree=s, dim=s - r, depth=0)
-    table = _ek_table(ideal, tallies)
-    series = _stable_series(ideal, table)
     return _finish(ideal, series, table, "first-step", predicted, tuple(hs),
                    r, s)
 

@@ -16,8 +16,12 @@ from collections import defaultdict
 from operator import add
 
 from .betti import TRIVIAL, BettiTable
-from .errors import StabilityRequiredError, UnitIdealError
+from .errors import DegreeTooLargeError, StabilityRequiredError, UnitIdealError
 from .monomials import MonomialIdeal, is_stable
+
+# generator degree `ek_betti_table` accepts: the stability check spells each
+# generator as a word of its degree, and the table of S/(x1^d) has d rows
+DEGREE_CAP = 10**6
 
 
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
@@ -25,10 +29,14 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
 
     Raises `StabilityRequiredError` for a non-stable ideal: the gate for an
     ideal not known to be stable.  A realized lexsegment ideal is known by its
-    certificate, whose walk also tallies it for `_ek_table`.
+    certificate, whose walk also tallies it for `_ek_table`.  A generator
+    degree over `DEGREE_CAP` raises `DegreeTooLargeError` before that gate.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
+    if ideal.max_gen_degree > DEGREE_CAP:
+        raise DegreeTooLargeError(
+            f"a generator has degree {ideal.max_gen_degree}, cap is {DEGREE_CAP}")
     if not ideal.is_zero and not is_stable(ideal):
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")

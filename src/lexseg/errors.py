@@ -37,6 +37,10 @@ class BoxTooLargeError(LexsegError):
         self.box_size = box_size
 
 
+class DegreeTooLargeError(LexsegError):
+    """A generator's degree exceeds the enforced cap of the closed-form Betti table."""
+
+
 class TooManyGeneratorsError(LexsegError):
     """A lexsegment realization would list more minimal generators than the enforced cap."""
 

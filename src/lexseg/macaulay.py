@@ -275,13 +275,28 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
     return max(t + 1, spec.tail)
 
 
-def _check_entries(rows: int, n: int) -> None:
-    """Refuse an ideal of ``rows`` generators in ``n`` variables whose
-    exponent rows would hold more than `ENTRY_CAP` entries."""
+def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
+    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
+    generators in degree d, its reduced series and the Eliahou-Kervaire table
+    the series is read from.  Over `GENERATOR_CAP` generators, or over
+    `ENTRY_CAP` exponent entries, raises `TooManyGeneratorsError` before any
+    is listed.  One lexsegment walk (`monomials._certified_lexsegment`) proves
+    the rows minimal and tallies them for the table."""
+    rows = sum(counts)
+    if rows > GENERATOR_CAP:
+        raise TooManyGeneratorsError(
+            f"the lexsegment ideal would have {rows} minimal generators, "
+            f"cap is {GENERATOR_CAP}")
     if rows * n > ENTRY_CAP:
         raise TooManyGeneratorsError(
             f"the ideal would store {rows} generators of {n} exponents "
             f"({rows * n} entries), cap is {ENTRY_CAP}")
+    try:
+        ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
+    except ValueError as exc:
+        raise AssertionError(f"realized ideal: {exc}") from None
+    table = _ek_table(ideal, tallies)
+    return ideal, _stable_series(ideal, table), table
 
 
 def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
@@ -291,12 +306,10 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     piece fills dim S_k - H(k-1)^<k-1> of it (Macaulay).  So degree k has
     H(k-1)^<k-1> - H(k) new minimal generators (n - H(1) in degree 1), the
     monomials right after that shadow.  Generation stops at max(t+1, c) for
-    a constant-c tail and at t for a max-growth tail.  Over `GENERATOR_CAP`
-    generators, or over `ENTRY_CAP` exponent entries, raises
-    `TooManyGeneratorsError` before any is listed.  One
-    lexsegment walk (`monomials._certified_lexsegment`) proves the rows
-    minimal and tallies them for the Eliahou-Kervaire table, whose series is
-    re-verified against the spec up to three degrees past the stopping point.
+    a constant-c tail and at t for a max-growth tail.  `_realize` caps,
+    lists and certifies the generators; the series of its Eliahou-Kervaire
+    table is re-verified against the spec up to three degrees past the
+    stopping point.
     """
     return _lex_ideal_and_series(spec, n)[0]
 
@@ -313,17 +326,7 @@ def _lex_ideal_and_series(
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
-    if sum(counts) > GENERATOR_CAP:
-        raise TooManyGeneratorsError(
-            f"the lexsegment ideal would have {sum(counts)} minimal generators, "
-            f"cap is {GENERATOR_CAP}")
-    _check_entries(sum(counts), n)
-    try:
-        ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
-    except ValueError as exc:
-        raise AssertionError(f"realized ideal: {exc}") from None
-    table = _ek_table(ideal, tallies)
-    series = _stable_series(ideal, table)
+    ideal, series, table = _realize(n, counts)
     values = series.values(stop + 4)
     for k, got in enumerate(values):
         want = spec.value(k, n)

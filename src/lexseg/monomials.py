@@ -271,15 +271,16 @@ def _lex_segment_rows(n: int, counts) -> list[tuple[int, ...]]:
     rows = []
     least = None
     for d, count in enumerate(counts, 1):
-        if least is None:
-            row = (d,) + (0,) * (n - 1)
-        else:
+        if least is not None:
             least = least[:-1] + (least[-1] + 1,)
-            row = _lex_next(least)
-        for _ in range(count):
-            rows.append(row)
-            least = row
+        if not count:
+            continue
+        row = (d,) + (0,) * (n - 1) if least is None else _lex_next(least)
+        rows.append(row)
+        for _ in range(count - 1):
             row = _lex_next(row)
+            rows.append(row)
+        least = row
     rows.sort(reverse=True)
     return rows
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import count_calls, ek_closed_form, random_strongly_stable_ideal
-from lexseg import construct
+from lexseg import construct, eliahou_kervaire
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
@@ -13,7 +13,7 @@ from lexseg.eliahou_kervaire import (
     projective_dimension,
     regularity,
 )
-from lexseg.errors import StabilityRequiredError, UnitIdealError
+from lexseg.errors import DegreeTooLargeError, StabilityRequiredError, UnitIdealError
 from lexseg.hilbert import kpolynomial
 from lexseg.monomials import (
     Monomial,
@@ -95,6 +95,17 @@ class TestEkTable:
         with pytest.raises(StabilityRequiredError) as err:
             ek_betti_table(ideal)
         assert "oracle" in str(err.value)
+
+    def test_degree_cap_before_stability_check(self, monkeypatch):
+        # the cap is inclusive and read before is_stable spells any word
+        monkeypatch.setattr(eliahou_kervaire, "DEGREE_CAP", 4)
+        calls = count_calls(monkeypatch, "is_stable")
+        assert ek_betti_table(minimal_generators(2, [M(4, 0)])).regularity == 3
+        assert calls["is_stable"] == 1
+        with pytest.raises(DegreeTooLargeError) as err:
+            ek_betti_table(minimal_generators(2, [M(2, 0), M(0, 5)]))
+        assert str(err.value) == "a generator has degree 5, cap is 4"
+        assert calls["is_stable"] == 1
 
 
 class TestClosedFormOracle:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import all_monomials, count_calls, random_edge_ideal
-from lexseg import cli, constructions, hilbert, macaulay
+from lexseg import cli, hilbert, macaulay
 from lexseg.cli import main
 from lexseg.monomials import Monomial
 
@@ -252,15 +252,18 @@ class TestLexify:
 
     def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
         # a realization bug that repeats a generator fails the certificate's
-        # strict lex order, reported as a verification failure
+        # strict lex order, reported as a verification failure, on lexify and
+        # on construct's first step, which lists its rows by the same walk
         real = macaulay._lex_segment_rows
         monkeypatch.setattr(macaulay, "_lex_segment_rows", lambda n, counts:
                             [row for row in real(n, counts) for _ in (0, 1)])
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
-        code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
-        assert code == 4
-        assert out == "" and "rows are not strictly lex-descending" in err
+        for argv in (["lexify", str(spec), "--n", "6"],
+                     ["construct", "--r", "2", "--s", "4"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 4, argv
+            assert out == "" and "rows are not strictly lex-descending" in err
 
     def test_non_stable_realization_exit_4(self, capsys, tmp_path, monkeypatch):
         # a realization bug that takes the lex-last monomials of a degree
@@ -314,7 +317,7 @@ class TestLexify:
 
 class TestEntryCap:
     @pytest.mark.parametrize("argv, lister, entries", [
-        (["construct", "--r", "2", "--s", "4"], (constructions, "_first_step_rows"), 9),
+        (["construct", "--r", "2", "--s", "4"], (macaulay, "_lex_segment_rows"), 9),
         (["construct", "--r", "4", "--s", "2"], (macaulay, "_lex_segment_rows"), 120),
         (["lexify", "{input}", "--n", "6"], (macaulay, "_lex_segment_rows"), 120)],
         ids=["construct-first-step", "construct-second-step", "lexify"])

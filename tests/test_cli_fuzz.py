@@ -6,8 +6,9 @@ as 2), no other exception escapes, and a nonzero exit prints nothing to
 stdout.  The in-process inputs stay small or are answered before any real
 work: exponents are at most 10^3 (the stability walk costs O(degree)), oracle
 boxes are either small or over `BOX_CAP`, and r, s and grids are at most 12.
-Requests that only a generator or entry cap stops, and that would allocate
-gigabytes without it, run in a child process under an address-space limit.
+Requests that only a generator, entry or degree cap stops, and that would
+allocate gigabytes without it, run in a child process under an address-space
+limit.
 """
 
 import json
@@ -154,17 +155,24 @@ def _limit_address_space():
     (["construct", "--r", "1000", "--s", "2"], "entries), cap is"),
     (["construct", "--r", "2000", "--s", "2"], "minimal generators, cap is"),
     (["lexify", "{input}", "--n", "100000"], "entries), cap is"),
-    (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is")],
+    (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is"),
+    (["analyze", "{ideal}"], "degree 100000000, cap is"),
+    (["betti", "{ideal}"], "degree 100000000, cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
-         "lexify-h1-zero", "lexify-h1-zero-generators"])
+         "lexify-h1-zero", "lexify-h1-zero-generators", "analyze-degree",
+         "betti-degree"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
     spec = tmp_path / "h1-zero.json"
     spec.write_text('{"initial": [1, 0], "tail": {"constant": 0}}')
+    # (x1^(10^8)): a stable ideal whose stability words and table grow with
+    # the degree
+    ideal = tmp_path / "huge-degree.json"
+    ideal.write_text('{"n": 2, "generators": [[100000000, 0]]}')
+    files = {"{input}": str(spec), "{ideal}": str(ideal)}
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-m", "lexseg.cli",
-         *(str(spec) if a == "{input}" else a for a in argv)],
+        [sys.executable, "-m", "lexseg.cli", *(files.get(a, a) for a in argv)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 3, done.stderr

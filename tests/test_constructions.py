@@ -48,6 +48,16 @@ class TestFirstStep:
             expected = [1] * r + [(-1) ** j * comb(s - r, j) for j in range(s - r + 1)]
             assert list(construct_first_step(r, s).series.numerator) == expected, (r, s)
 
+    def test_rows_are_the_closed_form(self):
+        # the walk lists x1^(r+1), x1^r x2, ..., x1^r xn, the first n
+        # monomials of degree r+1
+        cells = [(r, s) for r in range(1, 13) for s in range(r, 13)] + [(1, 300)]
+        for r, s in cells:
+            n = s - r + 1
+            expected = [(r + 1,) + (0,) * (n - 1)] + [
+                (r,) + (0,) * (j - 1) + (1,) + (0,) * (n - 1 - j) for j in range(1, n)]
+            assert list(construct(r, s).ideal.exponent_rows) == expected, (r, s)
+
 
 class TestSecondStep:
     def test_fixture_case(self, example2):
@@ -128,7 +138,7 @@ class TestMeasuredOnce:
         # one lexsegment walk certifies the rows minimal and the ideal
         # stable; the series comes from the one EK table, not the pivot
         # recursion, and its dimension from the stable closed form
-        expected = {"kpolynomial": 0, "_ek_table": 1,
+        expected = {"kpolynomial": 0, "_ek_table": 1, "_lex_segment_rows": 1,
                     "_lexsegment_counts": 1, "is_lexsegment": 0,
                     "ek_betti_table": 0, "is_stable": 0, "krull_dimension": 0,
                     "_undivided": 0}
