@@ -1,25 +1,21 @@
 """Inner loops of the Betti oracle, plus the test references beside them.
 
-At runtime only the Betti oracle runs these loops, apart from `_in_ideal`
-behind the public `contains`; the Hilbert series uses none of them.
-`count_standard`, `kpoly_counts` and `kernel_mode` are test references that
-`perfbench/` still names.  Plain Python over tuple rows of one common length
-n; all arithmetic is on Python ints, so ranks and counts are exact.
+At runtime only the Betti oracle runs these loops, and it reads each complex
+off the generators dividing m, with no membership query; the Hilbert series
+uses none of them.  `count_standard`, `kpoly_counts` and `kernel_mode` are
+test references that `perfbench/` still names.  Plain Python over tuple rows
+of one common length n; all arithmetic is on Python ints, so ranks are exact.
 """
 
 from collections import Counter
+from functools import reduce
 from itertools import product
-from operator import le
+from operator import and_, le
 
 
 def kernel_mode():
     """Always 'python': every kernel is plain Python."""
     return "python"
-
-
-def _in_ideal(gens, e) -> bool:
-    """True iff some generator row divides the exponent vector ``e``."""
-    return any(all(map(le, g, e)) for g in gens)
 
 
 def count_standard(gens, degree):
@@ -113,42 +109,41 @@ def betti_at_multidegree(gens, m):
     """beta_{i,m}(I) for i = 0..|supp(m)|, the ideal given by generator rows.
 
     beta_{i,m} is the rank of the reduced homology H~_{i-1} of the complex
-    {S subset of supp(m) : m / x_S in I}.  Returns [0] when m is outside I.
+    {S subset of supp(m) : m / x_S in I}.  Its faces are the subsets of the
+    generating faces, one per generator g dividing m: the positions where
+    g_j < m_j, as a bitmask over supp(m).  A position in every generating
+    face makes the complex a cone, which happens exactly when m is not the
+    lcm of its divisors (Gasharov-Peeva-Welker); with no divisor m is outside
+    I.  Either way every beta is 0 and [0] is returned.
     """
-    if not _in_ideal(gens, m):
-        return [0]
     supp = [j for j, v in enumerate(m) if v > 0]
+    tops = {sum(1 << idx for idx, j in enumerate(supp) if g[j] < m[j])
+            for g in gens if all(map(le, g, m))}
+    if reduce(and_, tops, -1):
+        return [0]
     k = len(supp)
     # faces[d]: bitmask over supp -> row index, for each face with d vertices
     faces = [{} for _ in range(k + 1)]
-    faces[0][0] = 0
-    for b in range(1, 1 << k):
-        mm = list(m)
-        for idx in range(k):
-            if b >> idx & 1:
-                mm[supp[idx]] -= 1
-        if _in_ideal(gens, mm):
+    for b in range(1 << k):
+        if any(not b & ~f for f in tops):
             layer = faces[b.bit_count()]
             layer[b] = len(layer)
-    # ranks[d] = rank of the boundary map from d+1-vertex to d-vertex faces
+    # ranks[d] = rank of the boundary map from d+1-vertex to d-vertex faces,
+    # d = 0 being the augmentation; ranks[k + 1] = 0 serves as ranks[-1]
     ranks = [0] * (k + 2)
-    if faces[1]:
-        ranks[0] = 1  # augmentation onto the empty face
-    for d in range(1, k):
+    for d in range(k):
         rows, cols = faces[d], faces[d + 1]
-        if not rows or not cols:
-            continue
+        if not cols:
+            break
         M = [[0] * len(cols) for _ in range(len(rows))]
         for b, col in cols.items():
             sign = 1
             for idx in range(k):
                 if b >> idx & 1:
-                    # subsets of faces are faces (I is an ideal)
                     M[rows[b & ~(1 << idx)]][col] = sign
                     sign = -sign
         ranks[d] = bareiss_rank(M)
-    return [1 - ranks[0]] + [len(faces[i]) - ranks[i - 1] - ranks[i]
-                             for i in range(1, k + 1)]
+    return [len(faces[i]) - ranks[i - 1] - ranks[i] for i in range(k + 1)]
 
 
 def koszul_scan(gens, lcm):

@@ -6,8 +6,11 @@ H~_{i-1} of the simplicial complex {s subset of supp(m) : m / x_s in I}
 (multidegrees outside that box contribute nothing, by the usual support
 argument).  Homology is taken over the rationals via fraction-free integer
 elimination; the declared reference field is Q, so no modular-arithmetic
-false negatives can occur.  The per-multidegree ranks and the box scan live
-in `_kernels`.
+false negatives can occur.  Each complex is read off the generators dividing
+m, one generating face each; where the complex is a cone, exactly when m is
+not the lcm of those generators, every beta vanishes and the cell costs no
+rank.  The scan still visits every cell of the box, which `BOX_CAP` bounds.
+The per-multidegree ranks and the box scan live in `_kernels`.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ to exit codes.  verify-grid prints one line per cell as it goes and returns
 its own exit code.
 
 Exit codes: 0 success, 2 usage (bad arguments, unreadable or malformed input
-files, an unwritable ``--out``), 3 mathematical domain error (unit ideal,
-non-O-sequence, stability required, box, generator, entry or degree cap), 4
-verification failure.
+files, an unwritable ``--out``, ``analyze --max-degree`` over 10^4), 3
+mathematical domain error (unit ideal, non-O-sequence, stability required,
+box, generator, entry or degree cap), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
+MAX_DEGREE = 10**4  # largest `analyze --max-degree`: it bounds the values printed
+
 
 class _UsageError(Exception):
     pass
@@ -64,8 +66,11 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+def _max_degree(text: str) -> int:
+    value = _int_at_least(text, 0)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"{text!r} must be <= {MAX_DEGREE}")
+    return value
 
 
 def _load(path: str, cls, what: str):
@@ -292,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal", help="ideal JSON file")
     p.add_argument("--oracle", action="store_true",
                    help="force the brute-force Betti engine")
-    p.add_argument("--max-degree", type=_non_negative_int, default=8,
-                   help="how far to print the Hilbert function (default 8)")
+    p.add_argument("--max-degree", type=_max_degree, default=8,
+                   help="how far to print the Hilbert function (default 8, "
+                        f"at most {MAX_DEGREE})")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lexify",

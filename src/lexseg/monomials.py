@@ -12,9 +12,8 @@ from __future__ import annotations
 import sys
 from functools import cached_property
 from itertools import chain
-from operator import gt
+from operator import gt, le
 
-from . import _kernels
 from ._value import Value, _set
 from .errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 
@@ -256,12 +255,17 @@ def _trie_divides(trie, w) -> bool:
     return False
 
 
+def _in_ideal(rows, e) -> bool:
+    """True iff some generator row divides the exponent vector ``e``."""
+    return any(all(map(le, g, e)) for g in rows)
+
+
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """True iff m lies in the ideal, i.e. some generator divides it."""
     if m.n != ideal.n:
         raise AmbientMismatchError(
             f"monomial in {m.n} variables, ideal in {ideal.n}")
-    return _kernels._in_ideal(ideal.exponent_rows, m.exponents)
+    return _in_ideal(ideal.exponent_rows, m.exponents)
 
 
 def _lex_segment_rows(n: int, counts) -> list[tuple[int, ...]]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    count_calls,
     random_edge_ideal,
     random_monomial_ideal,
     random_strongly_stable_ideal,
@@ -93,6 +94,21 @@ class TestKoszulBetti:
                                               ideal.n + 1)
                 assert koszul_betti(ideal, m) == want, (ideal, m)
 
+    def test_grown_box_matches_complex_homology(self):
+        # one past the lcm in each coordinate: those cells are cones, which
+        # the scan of the lcm box never reaches; the seed keeps the reference
+        # homology, most of the cost, near 2 s
+        rng = random.Random(93)
+        ideals = [random_edge_ideal(rng, n) for n in range(4, 8)]
+        ideals += [random_monomial_ideal(rng, rng.randint(2, 4), 3, 4)
+                   for _ in range(6)]
+        for ideal in ideals:
+            for m in product(*(range(e + 2) for e in ideal.lcm_exponents)):
+                m = Monomial(m)
+                want = reduced_homology_ranks(upper_koszul_complex(ideal, m),
+                                              ideal.n + 1)
+                assert koszul_betti(ideal, m) == want, (ideal, m)
+
 
 class TestUpperKoszulComplex:
     def test_koszul_pair(self):
@@ -135,6 +151,12 @@ class TestBruteForceTable:
         assert table.regularity == 6
         assert bruteforce_regularity(remark3) == 6
         assert bruteforce_depth(remark3) == 0
+
+    def test_makes_no_membership_query(self, monkeypatch, example2, remark3):
+        calls = count_calls(monkeypatch, "_in_ideal", "contains")
+        for ideal in (example2, remark3):
+            bruteforce_betti_table(ideal)
+        assert sum(calls.values()) == 0, calls
 
     def test_matches_ek_on_stable_corpus(self):
         rng = random.Random(77)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -188,6 +189,18 @@ class TestAnalyze:
         assert code == 0
         assert "hilbert function: 1, ..." in out
 
+    def test_max_degree_bound_exit_2(self, capsys, tmp_path):
+        # the bound holds at parse time, before any value is listed
+        path = write_ideal(tmp_path, "x1.json", 2, [[1, 0]])
+        for value in ("10001", "1000000000"):
+            with pytest.raises(SystemExit) as err:
+                main(["analyze", path, "--max-degree", value])
+            assert err.value.code == 2
+            assert capsys.readouterr().out == ""
+        code, out, _ = run(capsys, "analyze", path, "--max-degree", "10000")
+        assert code == 0
+        assert "hilbert function: " + "1, " * 10001 + "..." in out
+
     def test_json_round_trips(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,
                            [list(g.exponents) for g in example2.gens])
@@ -220,6 +233,21 @@ class TestLexify:
         assert "1, 6, 5, 5, 5" in out
         data = json.loads(out_path.read_text())
         assert len(data["generators"]) == 20
+
+    @pytest.mark.parametrize("c, top, digest", [
+        (10**4, 140,
+         "8e4a54c036d68805392f8610d347ff4bc7fbb237d120f87a7f7ddc9a8fb8ee45"),
+        (10**5, 446,
+         "ec0a3e0be9fe021f8d326acf230731f0dcb0448fad09f6acd683b08eb9ebc316")])
+    def test_long_constant_tails_byte_stable(self, capsys, tmp_path, c, top, digest):
+        # H(k) = C(k+2, 2) through degree top, then c: the capped horizon walk
+        # still realizes both, stdout pinned by its SHA-256
+        initial = [math.comb(k + 2, 2) for k in range(top + 1)]
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": initial, "tail": {"constant": c}}))
+        code, out, _ = run(capsys, "lexify", str(spec), "--n", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_non_o_sequence_exit_3(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"

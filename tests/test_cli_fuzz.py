@@ -7,8 +7,8 @@ stdout.  The in-process inputs stay small or are answered before any real
 work: exponents are at most 10^3 (the stability walk costs O(degree)), oracle
 boxes are either small or over `BOX_CAP`, and r, s and grids are at most 12.
 Requests that only a generator, entry or degree cap stops, and that would
-allocate gigabytes without it, run in a child process under an address-space
-limit.
+allocate gigabytes or run for hours without it, run in a child process under
+an address-space limit.
 """
 
 import json
@@ -104,7 +104,7 @@ def _random_argv(rng, tmp_path, index):
         argv = ["--r", _number(rng, SMALL), "--s", _number(rng, SMALL)]
     elif command == "analyze":
         argv = [input_file(IDEALS, _random_ideal),
-                "--max-degree", _number(rng, ["0", "8", "1000"])]
+                "--max-degree", _number(rng, ["0", "8", "1000", "1000000000"])]
     elif command == "lexify":
         argv = [input_file(SPECS, _random_spec),
                 "--n", _number(rng, ["1", "2", "3", "6", "200"])]
@@ -156,10 +156,12 @@ def _limit_address_space():
     (["construct", "--r", "2000", "--s", "2"], "minimal generators, cap is"),
     (["lexify", "{input}", "--n", "100000"], "entries), cap is"),
     (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is"),
+    (["lexify", "{horizon}", "--n", "100"], "minimal generators, cap is"),
     (["analyze", "{ideal}"], "degree 100000000, cap is"),
     (["betti", "{ideal}"], "degree 100000000, cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
-         "lexify-h1-zero", "lexify-h1-zero-generators", "analyze-degree",
+         "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
+         "analyze-degree",
          "betti-degree"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
@@ -169,7 +171,12 @@ def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # the degree
     ideal = tmp_path / "huge-degree.json"
     ideal.write_text('{"n": 2, "generators": [[100000000, 0]]}')
-    files = {"{input}": str(spec), "{ideal}": str(ideal)}
+    # H(k) = C(99 + k, k) through degree 4, then constant: more than 4*10^6
+    # degrees of the horizon walk would each gain a generator
+    horizon = tmp_path / "horizon.json"
+    horizon.write_text('{"initial": [1, 100, 5050, 171700, 4421275], '
+                       '"tail": {"constant": 4421275}}')
+    files = {"{input}": str(spec), "{ideal}": str(ideal), "{horizon}": str(horizon)}
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-m", "lexseg.cli", *(files.get(a, a) for a in argv)],

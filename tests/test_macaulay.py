@@ -9,12 +9,14 @@ from helpers import (
     brute_hilbert_function,
     brute_is_lexsegment,
     brute_is_stable,
+    count_calls,
     generator_shapes,
     linear_expansion_tops,
     random_monomial_ideal,
     random_strongly_stable_ideal,
 )
-from lexseg.errors import NotOSequenceError
+from lexseg import macaulay
+from lexseg.errors import NotOSequenceError, TooManyGeneratorsError
 from lexseg.macaulay import (
     MAX_GROWTH,
     HilbertFunctionSpec,
@@ -139,6 +141,35 @@ class TestGrowth:
         ideal = lex_ideal_from_hf(spec, 3)
         assert built == []
         assert ideal.exponent_rows[0] == (141, 0, 0)  # S is full through 140
+
+
+class TestHorizonCap:
+    # H = 1, 3, 6, 10 in three variables, then 10: degrees 4, 5, 6 gain 5, 2
+    # and 1 generators, and each degree 5..10 at least one
+    SPEC = HilbertFunctionSpec((1, 3, 6, 10), 10)
+
+    def test_spec_realizes_under_the_real_caps(self):
+        assert len(lex_ideal_from_hf(self.SPEC, 3).exponent_rows) > 8
+
+    def test_tail_length_refused_before_the_walk(self, monkeypatch):
+        # c - t - 1 = 6 degrees each gain a generator, over a cap of 5
+        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 5)
+        calls = count_calls(monkeypatch, "macaulay_growth")
+        with pytest.raises(TooManyGeneratorsError, match="at least 6 minimal"):
+            lex_ideal_from_hf(self.SPEC, 3)
+        assert calls["macaulay_growth"] == 0
+
+    @pytest.mark.parametrize("name, cap, message", [
+        ("GENERATOR_CAP", 7, "at least 8 minimal generators, cap is 7"),
+        ("ENTRY_CAP", 21, "at least 8 generators of 3 exponents \\(24 entries\\)")])
+    def test_running_total_ends_the_walk(self, monkeypatch, name, cap, message):
+        # the counts pass 7 at degree 6, four degrees before the horizon
+        monkeypatch.setattr(macaulay, name, cap)
+        calls = count_calls(monkeypatch, "macaulay_growth")
+        with pytest.raises(TooManyGeneratorsError, match=message):
+            lex_ideal_from_hf(self.SPEC, 3)
+        assert calls["macaulay_growth"] == 5  # degrees 2..6 of the 10
+        assert generation_horizon(self.SPEC) == 10
 
 
 class TestOSequence:
