@@ -45,7 +45,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-MAX_DEGREE = 10**4  # largest `analyze --max-degree`: it bounds the values printed
+MAX_DEGREE = 10**4  # largest `analyze --max-degree`: it bounds how many values are listed
 
 
 class _UsageError(Exception):
@@ -339,6 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Every integer read or printed is exact.  CPython 3.10.7 and later cap
+    # decimal conversion at 4300 digits by default, which would end a long
+    # Hilbert-function value or exponent in a traceback; lift it for the run.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     try:
         report = args.func(args)
         if args.command == "verify-grid":

@@ -236,15 +236,19 @@ def is_o_sequence(spec: HilbertFunctionSpec, n: int) -> OSequenceCheck:
     return _o_sequence_counts(spec, n, t if spec.is_max_growth else t + 1)[0]
 
 
-def _o_sequence_counts(spec: HilbertFunctionSpec, n: int, stop: int,
-                       capped: bool = False) -> tuple[OSequenceCheck, list[int]]:
+def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
+                       stop: int) -> tuple[OSequenceCheck, list[int]]:
     """Macaulay's condition through degree ``stop``, and the room each bound
     leaves, H(k-1)^<k-1> - H(k) (n - H(1) for k = 1): the number of new
     minimal generators of the realizing ideal in degree k = 1..stop.
 
-    When ``capped``, the walk ends early, reporting no violation past that
-    degree, once the counts sum past `GENERATOR_CAP` or `ENTRY_CAP` / n: more
-    generators than `_realize` will list."""
+    Once degree t+1 is checked (t the last explicit degree; past it a
+    constant tail cannot break the bound), the walk may end early, leaving
+    fewer than ``stop`` counts: when the counts so far, plus one for each
+    degree left, pass `GENERATOR_CAP` or `ENTRY_CAP` / n, so that
+    `_refuse_over_caps` refuses them.  Each degree
+    k = t+2..c of a constant-c tail gains a generator, since there
+    H(k-1) = c > k-1 and so c^<k-1> > c."""
     if type(n) is not int:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
@@ -252,7 +256,8 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int, stop: int,
     h = spec.value(0)
     if h != 1:
         return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), []
-    room = min(GENERATOR_CAP, ENTRY_CAP // n) if capped else None
+    t = spec.last_explicit_degree
+    room = min(GENERATOR_CAP, ENTRY_CAP // n)
     counts = []
     for k in range(1, stop + 1):
         bound = macaulay_growth(h, k - 1) if k > 1 else n  # largest H(k)
@@ -262,10 +267,9 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int, stop: int,
                       f"H({k}) = {hk} exceeds {h}^<{k - 1}> = {bound}")
             return OSequenceCheck(False, k - 1, reason), counts
         counts.append(bound - hk)
-        if room is not None:
-            room -= bound - hk
-            if room < 0:
-                break
+        room -= bound - hk
+        if k > t and room < stop - k:
+            break
         h = hk
     return OSequenceCheck(True), counts
 
@@ -284,15 +288,10 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
     return max(t + 1, spec.tail)
 
 
-def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
-    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
-    generators in degree d, its reduced series and the Eliahou-Kervaire table
-    the series is read from.  Over `GENERATOR_CAP` generators, or over
-    `ENTRY_CAP` exponent entries, raises `TooManyGeneratorsError` before any
-    is listed; the counts may be a capped walk's prefix, so the message says
-    "at least".  One lexsegment walk (`monomials._certified_lexsegment`) proves
-    the rows minimal and tallies them for the table."""
-    rows = sum(counts)
+def _refuse_over_caps(rows: int, n: int) -> None:
+    """Raise `TooManyGeneratorsError` when an ideal with ``rows`` or more
+    minimal generators in n variables would pass `GENERATOR_CAP` or
+    `ENTRY_CAP`."""
     if rows > GENERATOR_CAP:
         raise TooManyGeneratorsError(
             f"the lexsegment ideal would have at least {rows} minimal "
@@ -301,6 +300,16 @@ def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
         raise TooManyGeneratorsError(
             f"the ideal would store at least {rows} generators of {n} "
             f"exponents ({rows * n} entries), cap is {ENTRY_CAP}")
+
+
+def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
+    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
+    generators in degree d, its reduced series and the Eliahou-Kervaire table
+    the series is read from.  Over `GENERATOR_CAP` generators, or over
+    `ENTRY_CAP` exponent entries, raises `TooManyGeneratorsError` before any
+    is listed.  One lexsegment walk (`monomials._certified_lexsegment`) proves
+    the rows minimal and tallies them for the table."""
+    _refuse_over_caps(sum(counts), n)
     try:
         ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
     except ValueError as exc:
@@ -329,25 +338,15 @@ def _lex_ideal_and_series(
         n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable, list[int]]:
     """`lex_ideal_from_hf` with the Hilbert series it verified against, the
     Eliahou-Kervaire table that series was read from, and the values H(0),
-    ..., H(t+3) it checked, t the generation horizon.
-
-    Two refusals keep a constant-c tail from walking far past `GENERATOR_CAP`
-    generators.  Each degree k = t+2..c gains at least one, since there
-    H(k-1) = c > k-1 and so c^<k-1> > c; so c - t - 1 over the cap is refused
-    before the walk, and before Macaulay's condition is checked.  The walk
-    itself stops once its counts pass a cap of `_realize`, which refuses them.
-    """
-    t = spec.last_explicit_degree
-    if not spec.is_max_growth and spec.tail - t - 1 > GENERATOR_CAP:
-        raise TooManyGeneratorsError(
-            f"the lexsegment ideal would have at least {spec.tail - t - 1} "
-            f"minimal generators, cap is {GENERATOR_CAP}")
+    ..., H(t+3) it checked, t the generation horizon."""
     stop = generation_horizon(spec)
     # past is_o_sequence's horizon a constant tail never breaks the bound
-    check, counts = _o_sequence_counts(spec, n, stop, capped=True)
+    check, counts = _o_sequence_counts(spec, n, stop)
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
+    if len(counts) < stop:  # each degree it skipped gains a generator
+        _refuse_over_caps(sum(counts) + stop - len(counts), n)
     ideal, series, table = _realize(n, counts)
     values = series.values(stop + 4)
     for k, got in enumerate(values):

@@ -181,25 +181,36 @@ class TestAnalyze:
         assert "(dim - depth) - (h-degree - regularity) = -1 < 0" in out
 
     def test_negative_max_degree_exit_2(self, capsys, tmp_path):
+        # the bound 10^4 holds at parse time too, before any value is listed
         path = write_ideal(tmp_path, "x1.json", 2, [[1, 0]])
-        with pytest.raises(SystemExit) as err:
-            main(["analyze", path, "--max-degree", "-1"])
-        assert err.value.code == 2
-        code, out, _ = run(capsys, "analyze", path, "--max-degree", "0")
-        assert code == 0
-        assert "hilbert function: 1, ..." in out
-
-    def test_max_degree_bound_exit_2(self, capsys, tmp_path):
-        # the bound holds at parse time, before any value is listed
-        path = write_ideal(tmp_path, "x1.json", 2, [[1, 0]])
-        for value in ("10001", "1000000000"):
+        for value in ("-1", "10001", "1000000000"):
             with pytest.raises(SystemExit) as err:
                 main(["analyze", path, "--max-degree", value])
             assert err.value.code == 2
             assert capsys.readouterr().out == ""
+        code, out, _ = run(capsys, "analyze", path, "--max-degree", "0")
+        assert code == 0
+        assert "hilbert function: 1, ..." in out
         code, out, _ = run(capsys, "analyze", path, "--max-degree", "10000")
         assert code == 0
         assert "hilbert function: " + "1, " * 10001 + "..." in out
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no decimal conversion cap before CPython 3.10.7")
+    def test_values_past_the_decimal_digit_cap(self, capsys, tmp_path):
+        # (x1) in 1100 variables: H(1100) = C(2198, 1100) has 660 digits, over
+        # a conversion cap of 640, the least CPython takes; main lifts the
+        # cap for its run and puts it back
+        path = write_ideal(tmp_path, "x1.json", 1100, [[1] + [0] * 1099])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "analyze", path, "--max-degree", "1100")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert f", {math.comb(2198, 1100)}, ..." in out
 
     def test_json_round_trips(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,

@@ -144,32 +144,41 @@ class TestGrowth:
 
 
 class TestHorizonCap:
-    # H = 1, 3, 6, 10 in three variables, then 10: degrees 4, 5, 6 gain 5, 2
-    # and 1 generators, and each degree 5..10 at least one
+    # H = 1, 3, 6, 10 in three variables, then 10: degrees 4..10 gain 5, 2,
+    # 1, 1, 1, 1, 1 generators, 12 in all
     SPEC = HilbertFunctionSpec((1, 3, 6, 10), 10)
 
-    def test_spec_realizes_under_the_real_caps(self):
-        assert len(lex_ideal_from_hf(self.SPEC, 3).exponent_rows) > 8
+    def test_spec_realizes_at_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 12)
+        assert len(lex_ideal_from_hf(self.SPEC, 3).exponent_rows) == 12
 
-    def test_tail_length_refused_before_the_walk(self, monkeypatch):
-        # c - t - 1 = 6 degrees each gain a generator, over a cap of 5
-        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 5)
-        calls = count_calls(monkeypatch, "macaulay_growth")
-        with pytest.raises(TooManyGeneratorsError, match="at least 6 minimal"):
-            lex_ideal_from_hf(self.SPEC, 3)
-        assert calls["macaulay_growth"] == 0
-
-    @pytest.mark.parametrize("name, cap, message", [
-        ("GENERATOR_CAP", 7, "at least 8 minimal generators, cap is 7"),
-        ("ENTRY_CAP", 21, "at least 8 generators of 3 exponents \\(24 entries\\)")])
-    def test_running_total_ends_the_walk(self, monkeypatch, name, cap, message):
-        # the counts pass 7 at degree 6, four degrees before the horizon
+    @pytest.mark.parametrize("name, cap, growths, message", [
+        # 5 by degree 4 and one for each of degrees 5..10: refused at t+1
+        ("GENERATOR_CAP", 5, 3, "at least 11 minimal generators, cap is 5"),
+        # 7 by degree 5 and one for each of degrees 6..10
+        ("GENERATOR_CAP", 11, 4, "at least 12 minimal generators, cap is 11"),
+        ("ENTRY_CAP", 33, 4,
+         "at least 12 generators of 3 exponents \\(36 entries\\), cap is 33")],
+        ids=["at-t-plus-1", "past-t-plus-1", "entries"])
+    def test_walk_ends_once_the_cap_is_sure_to_pass(self, monkeypatch, name,
+                                                    cap, growths, message):
         monkeypatch.setattr(macaulay, name, cap)
         calls = count_calls(monkeypatch, "macaulay_growth")
         with pytest.raises(TooManyGeneratorsError, match=message):
             lex_ideal_from_hf(self.SPEC, 3)
-        assert calls["macaulay_growth"] == 5  # degrees 2..6 of the 10
+        assert calls["macaulay_growth"] == growths  # of the 9 to degree 10
         assert generation_horizon(self.SPEC) == 10
+
+    @pytest.mark.parametrize("initial, c, n, degree", [
+        # c - t - 1 is over the cap, but H(2) > 2^<1> = 3
+        ((1, 2), 2 * 10**6, 2, 1),
+        # H(1) = 0 puts n > ENTRY_CAP / n generators in degree 1, but H(2) > 0
+        ((1, 0, 1), 1, 2 * 10**6, 1)],
+        ids=["tail-length", "running-total"])
+    def test_violation_through_t_plus_1_wins(self, initial, c, n, degree):
+        with pytest.raises(NotOSequenceError) as err:
+            lex_ideal_from_hf(HilbertFunctionSpec(initial, c), n)
+        assert err.value.degree == degree
 
 
 class TestOSequence:
