@@ -49,7 +49,8 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     """The table of a proper stable ideal (trivial for the zero ideal) from
     ``counts``, each degree d's tally of generators by largest variable x_m:
-    row d - 1 is 0, then sum_m c_m (1+t)^(m-1) by Horner's rule."""
+    row d - 1 is 0, then sum_m c_m (1+t)^(m-1) by Horner's rule, for each d
+    up to the largest generator degree (so reg = that degree - 1)."""
     if ideal.is_zero:
         return TRIVIAL  # free quotient, trivial resolution
     rows = []
@@ -65,12 +66,7 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     width = max(map(len, rows))
     rows = [row + [0] * (width - len(row)) for row in rows]
     rows[0][0] = 1
-    table = BettiTable(rows)
-    want = ideal.max_gen_degree - 1
-    if table.regularity != want:
-        raise AssertionError(
-            f"table regularity {table.regularity} != max generator degree - 1 = {want}")
-    return table
+    return BettiTable(rows)
 
 
 def projective_dimension(ideal: MonomialIdeal) -> int:

@@ -4,10 +4,10 @@ The K-polynomial comes from the pivot recursion
 N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti).  It has
 one base case, pure powers in distinct variables, and builds each child's
 minimal generators straight from the split (`_with_power`, `_colon_power`).
-Subset inclusion-exclusion over all 2^g generator lcms (``engine="subsets"``)
-is kept only as the tests' independent cross-check.  The series is the
-K-polynomial with all (1-t) factors cancelled (`_reduced_series`).  The
-series is the one source of Hilbert function values.
+Subset inclusion-exclusion over all 2^g generator lcms is a test oracle
+(`kpoly_subsets` in the tests' helpers), not a runtime engine.  The series
+is the K-polynomial with all (1-t) factors cancelled (`_reduced_series`).
+The series is the one source of Hilbert function values.
 
 Any ideal's K-polynomial is also the alternating sum of its Betti table
 (`BettiTable.euler_kpolynomial`).  Every series the CLI prints is read off
@@ -31,13 +31,9 @@ import math
 from itertools import accumulate, zip_longest
 from operator import le
 
-from . import _kernels
 from ._value import Value, _set
 from .errors import UnitIdealError
 from .monomials import MonomialIdeal, _stable_dimension
-
-# largest subset count the explicit "subsets" engine will visit (g <= 20)
-SUBSET_CAP = 1 << 20
 
 
 def _poly_str(coeffs, var: str = "t") -> str:
@@ -249,22 +245,12 @@ def _kpoly_pivot(gens0):
 
 
 def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
-    """Numerator N(t) with F(S/I, t) = N(t)/(1-t)^n exactly (unreduced).
-
-    engine: "pivot" (recursive splitting, the default and the only engine
-    any runtime path uses) or "subsets" (inclusion-exclusion over all 2^g
-    generator subsets, capped at SUBSET_CAP; an independent cross-check).
-    """
-    if engine == "pivot":
-        return _kpoly_pivot(ideal.exponent_rows)
-    if engine == "subsets":
-        g = len(ideal.exponent_rows)
-        if (1 << g) > SUBSET_CAP:
-            raise ValueError(f"{g} generators exceed the 2^20 subset cap; use pivot")
-        if g == 0:
-            return (1,)
-        return _trim(_kernels.kpoly_counts(ideal.exponent_rows))
-    raise ValueError(f"unknown engine {engine!r}")
+    """Numerator N(t) with F(S/I, t) = N(t)/(1-t)^n exactly (unreduced), by
+    the pivot recursion.  ``engine`` must be "pivot" (else `ValueError`); it
+    stays while ``perfbench/`` passes it, until ROADMAP item 1."""
+    if engine != "pivot":
+        raise ValueError(f"unknown engine {engine!r}")
+    return _kpoly_pivot(ideal.exponent_rows)
 
 
 def _reduced_series(kpoly, n: int) -> HilbertSeries:

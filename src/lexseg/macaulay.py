@@ -242,13 +242,11 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
     leaves, H(k-1)^<k-1> - H(k) (n - H(1) for k = 1): the number of new
     minimal generators of the realizing ideal in degree k = 1..stop.
 
-    Once degree t+1 is checked (t the last explicit degree; past it a
-    constant tail cannot break the bound), the walk may end early, leaving
-    fewer than ``stop`` counts: when the counts so far, plus one for each
-    degree left, pass `GENERATOR_CAP` or `ENTRY_CAP` / n, so that
-    `_refuse_over_caps` refuses them.  Each degree
-    k = t+2..c of a constant-c tail gains a generator, since there
-    H(k-1) = c > k-1 and so c^<k-1> > c."""
+    Past degree t+1 (t the last explicit degree) a constant-c tail cannot
+    break the bound, and each degree t+2..c gains a generator (there
+    H(k-1) = c > k-1, so c^<k-1> > c).  So at each degree t < k < stop the
+    walk passes its running total plus one per degree left to
+    `_refuse_over_caps`.  `is_o_sequence` stops at t or t+1, before that."""
     if type(n) is not int:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
@@ -257,8 +255,8 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
     if h != 1:
         return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), []
     t = spec.last_explicit_degree
-    room = min(GENERATOR_CAP, ENTRY_CAP // n)
     counts = []
+    total = 0
     for k in range(1, stop + 1):
         bound = macaulay_growth(h, k - 1) if k > 1 else n  # largest H(k)
         hk = spec.value(k, n)
@@ -267,9 +265,9 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
                       f"H({k}) = {hk} exceeds {h}^<{k - 1}> = {bound}")
             return OSequenceCheck(False, k - 1, reason), counts
         counts.append(bound - hk)
-        room -= bound - hk
-        if k > t and room < stop - k:
-            break
+        total += bound - hk
+        if t < k < stop:
+            _refuse_over_caps(total + stop - k, n)
         h = hk
     return OSequenceCheck(True), counts
 
@@ -345,8 +343,6 @@ def _lex_ideal_and_series(
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
-    if len(counts) < stop:  # each degree it skipped gains a generator
-        _refuse_over_caps(sum(counts) + stop - len(counts), n)
     ideal, series, table = _realize(n, counts)
     values = series.values(stop + 4)
     for k, got in enumerate(values):

@@ -7,10 +7,11 @@ variable, and plain Python arithmetic only, so
 they share no code path with the divisor trie, the prefix lookups or the
 closed forms they validate.  `count_standard_monomials` is the enumeration
 the Hilbert series is compared against; it runs the standard-monomial
-counting kernel, which no runtime path uses.  `ek_closed_form` is the
-Eliahou-Kervaire table summed binomial by binomial, against which the
-library's Horner construction is checked.  `count_calls` counts calls to
-library functions.
+counting kernel, which no runtime path uses, and `kpoly_subsets` the
+inclusion-exclusion K-polynomial the pivot recursion is compared against.
+`ek_closed_form` is the Eliahou-Kervaire table summed binomial by binomial,
+against which the library's Horner construction is checked.  `count_calls`
+counts calls to library functions.
 """
 
 import math
@@ -19,7 +20,6 @@ import sys
 from collections import Counter
 from operator import le
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
@@ -60,6 +60,21 @@ def count_standard_monomials(ideal: MonomialIdeal, d: int) -> int:
     if ideal.is_zero or d < ideal.min_gen_degree:
         return monomial_count(ideal.n, d)
     return _kernels.count_standard(ideal.exponent_rows, d)
+
+
+def kpoly_subsets(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """K-polynomial of S/I by inclusion-exclusion over all 2^g generator
+    subsets (`_kernels.kpoly_counts`), trailing zeros trimmed: the pivot
+    recursion's independent cross-check.  Refuses more than 20 generators."""
+    rows = ideal.exponent_rows
+    if len(rows) > 20:
+        raise ValueError(f"{len(rows)} generators exceed the 2^20 subset cap")
+    if not rows:
+        return (1,)
+    coeffs = _kernels.kpoly_counts(rows)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
@@ -327,22 +342,27 @@ def reduced_homology_ranks(K: SimplicialComplexRecord, length: int) -> tuple[int
 
 
 def rank_oracle(rows) -> int:
-    """Rank over Q via plain fraction Gaussian elimination."""
-    M = [[Fraction(v) for v in row] for row in rows]
+    """Rank over Q by plain integer Gaussian elimination: each row below the
+    pivot row becomes piv * row - entry * pivot_row, divided by the gcd of
+    its entries, so no fraction is ever formed."""
+    M = [list(row) for row in rows]
     if not M or not M[0]:
         return 0
     nr, nc = len(M), len(M[0])
     rank = 0
     for c in range(nc):
-        p = next((i for i in range(rank, nr) if M[i][c] != 0), None)
+        p = next((i for i in range(rank, nr) if M[i][c]), None)
         if p is None:
             continue
         M[rank], M[p] = M[p], M[rank]
-        piv = M[rank][c]
+        top = M[rank]
+        piv = top[c]
         for i in range(rank + 1, nr):
-            f = M[i][c] / piv
+            f = M[i][c]
             if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+                row = [piv * a - f * b for a, b in zip(M[i], top)]
+                g = math.gcd(*row) or 1  # 0 for a zero row
+                M[i] = [a // g for a in row]
         rank += 1
         if rank == nr:
             break

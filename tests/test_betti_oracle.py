@@ -97,7 +97,7 @@ class TestKoszulBetti:
     def test_grown_box_matches_complex_homology(self):
         # one past the lcm in each coordinate: those cells are cones, which
         # the scan of the lcm box never reaches; the seed keeps the reference
-        # homology, most of the cost, near 2 s
+        # homology, most of the cost, under a second
         rng = random.Random(93)
         ideals = [random_edge_ideal(rng, n) for n in range(4, 8)]
         ideals += [random_monomial_ideal(rng, rng.randint(2, 4), 3, 4)

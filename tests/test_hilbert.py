@@ -10,6 +10,7 @@ from helpers import (
     brute_hilbert_function,
     count_calls,
     count_standard_monomials,
+    kpoly_subsets,
     random_edge_ideal,
     random_monomial_ideal,
     random_strongly_stable_ideal,
@@ -78,28 +79,25 @@ class TestKPolynomial:
             assert series.numerator == expected
             assert series.denominator_exponent == s - r
 
-    def test_only_pivot_and_subsets_engines(self):
+    def test_only_the_pivot_engine(self):
+        # inclusion-exclusion is the tests' oracle, not a library engine
         ideal = minimal_generators(2, [M(1, 1)])
-        assert kpolynomial(ideal, "pivot") == kpolynomial(ideal, "subsets")
-        for engine in ("auto", "enumeration"):
+        assert kpolynomial(ideal, "pivot") == kpoly_subsets(ideal)
+        for engine in ("auto", "enumeration", "subsets"):
             with pytest.raises(ValueError):
                 kpolynomial(ideal, engine)
 
     def test_engines_agree_on_corpus(self):
         for ideal in _corpus(seed=101, count=60):
-            assert kpolynomial(ideal, "subsets") == kpolynomial(ideal, "pivot")
+            assert kpoly_subsets(ideal) == kpolynomial(ideal, "pivot")
 
     def test_subset_cap_enforced(self):
-        rng = random.Random(0)
-        ideal = random_monomial_ideal(rng, 3, 3, 4)
-        with pytest.raises(ValueError):
-            # fake a cap violation by calling subsets on a >20-generator ideal
-            big = minimal_generators(22, [
-                M(*(2 if i == j else 0 for i in range(22))) for j in range(22)])
-            kpolynomial(big, "subsets")
-        # the default pivot engine has no subset cap
         big = minimal_generators(22, [
             M(*(2 if i == j else 0 for i in range(22))) for j in range(22)])
+        # the oracle refuses a 2^22-subset scan
+        with pytest.raises(ValueError):
+            kpoly_subsets(big)
+        # the default pivot engine has no subset cap
         assert kpolynomial(big)[0] == 1
 
     def test_default_path_never_scans_subsets(self, monkeypatch):
@@ -165,12 +163,12 @@ class TestSplitOracle:
 
 
 class TestEngineAgreement:
-    """The pivot recursion against the subsets engine on the families its
-    one base case and its splits have to get right."""
+    """The pivot recursion against the inclusion-exclusion oracle on the
+    families its one base case and its splits have to get right."""
 
     @staticmethod
     def _agree(ideal):
-        assert kpolynomial(ideal) == kpolynomial(ideal, "subsets"), ideal
+        assert kpolynomial(ideal) == kpoly_subsets(ideal), ideal
         return kpolynomial(ideal)
 
     def test_pure_powers_only(self):
@@ -228,7 +226,7 @@ class TestEngineAgreement:
         assume(rows)
         ideal = borel_closure(n, [M(*r) for r in rows])
         assume(len(ideal.gens) <= 20)
-        assert (kpolynomial(ideal) == kpolynomial(ideal, "subsets")
+        assert (kpolynomial(ideal) == kpoly_subsets(ideal)
                 == ek_betti_table(ideal).euler_kpolynomial())
 
 

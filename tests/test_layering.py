@@ -74,3 +74,8 @@ def test_import_graph_has_no_cycle():
 
 def test_monomials_does_not_import_hilbert():
     assert "hilbert" not in _imports(MODULES["monomials"])[0]
+
+
+def test_hilbert_does_not_import_kernels():
+    # inclusion-exclusion is a test oracle; the series has one engine
+    assert "_kernels" not in _imports(MODULES["hilbert"])[0]
