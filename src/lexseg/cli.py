@@ -7,28 +7,29 @@ before anything reaches stdout, prints the JSON or the text, and maps errors
 to exit codes.  verify-grid prints one line per cell as it goes and returns
 its own exit code.
 
-Exit codes: 0 success, 2 usage (bad arguments, unreadable or malformed input
-files, an unwritable ``--out``, ``analyze --max-degree`` over 10^4), 3
-mathematical domain error (unit ideal, non-O-sequence, stability required,
-box, generator, entry or degree cap), 4 verification failure.
+Exit codes: 0 success, 1 stdout closed early (quietly), 2 usage (bad
+arguments, unreadable or malformed input files, an unwritable ``--out``,
+``analyze --max-degree`` over 10^4), 3 mathematical domain error (unit ideal,
+non-O-sequence, stability required, box, generator, entry or degree cap), 4
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .betti_oracle import bruteforce_betti_table
 from .constructions import ConstructionReport, _measure, construct
-from .eliahou_kervaire import ek_betti_table
+from .eliahou_kervaire import _check_degree, _ek_table, ek_betti_table
 from .errors import (
     AmbientMismatchError,
     ConstructionError,
     LexsegError,
     NotOSequenceError,
-    StabilityRequiredError,
     UnitIdealError,
 )
 from .hilbert import _reduced_series, _stable_series
@@ -38,7 +39,7 @@ from .macaulay import (
     macaulay_expansion,
     macaulay_growth,
 )
-from .monomials import MonomialIdeal, _row_str, is_lexsegment, is_stable, is_strongly_stable
+from .monomials import MonomialIdeal, _lexsegment_counts, _prefixes_cover, _row_str
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,26 +101,25 @@ def _flag(value) -> str:
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
     """The `analyze` report; "ideal" and "betti" hold the ideal and its table,
-    whose alternating sum, the K-polynomial, gives the series."""
+    whose alternating sum, the K-polynomial, gives the series.  Past the
+    degree cap, the first of the lexsegment, strong and stable walks to pass
+    tallies the EK table; the oracle's serves when none does, or on demand."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    table = None
-    if not force_oracle:
-        try:  # its stability check picks the engine and the dimension's closed form
-            table = ek_betti_table(ideal)
-        except StabilityRequiredError:
-            pass
-    if table is None:
+    _check_degree(ideal)
+    stable = strongly = lexseg = None
+    counts = {}  # the zero ideal's: its table is trivial
+    if not ideal.is_zero:  # strongest first: each fact implies the next
+        rows = ideal.exponent_rows
+        lexseg = (counts := _lexsegment_counts(ideal)) is not None
+        strongly = lexseg or (counts := _prefixes_cover(rows, strong=True)) is not None
+        stable = strongly or (counts := _prefixes_cover(rows, strong=False)) is not None
+    if force_oracle or counts is None:
         engine, table = "oracle", bruteforce_betti_table(ideal)
         series = _reduced_series(table.euler_kpolynomial(), ideal.n)
     else:
+        table = _ek_table(ideal, counts)
         engine, series = "eliahou-kervaire", _stable_series(ideal, table)
-    if ideal.is_zero:
-        stable = strongly = lexseg = None
-    else:
-        stable = is_stable(ideal) if force_oracle else engine != "oracle"
-        strongly = is_strongly_stable(ideal)
-        lexseg = is_lexsegment(ideal)
     inv = _measure(ideal, series, table)
     return {
         "ideal": ideal,
@@ -342,14 +342,17 @@ def main(argv=None) -> int:
     # Every integer read or printed is exact.  CPython 3.10.7 and later cap
     # decimal conversion at 4300 digits by default, which would end a long
     # Hilbert-function value or exponent in a traceback; lift it for the run.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(args)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap to lift
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _run(args)
+    except BrokenPipeError:  # the reader left; stdout on devnull, the last flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _run(args) -> int:

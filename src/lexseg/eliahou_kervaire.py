@@ -12,14 +12,13 @@ generator degree minus one, pd the largest max(u), depth n - pd.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import add
 
 from .betti import TRIVIAL, BettiTable
 from .errors import DegreeTooLargeError, StabilityRequiredError, UnitIdealError
-from .monomials import MonomialIdeal, is_stable
+from .monomials import MonomialIdeal, _prefixes_cover
 
-# generator degree `ek_betti_table` accepts: the stability check spells each
+# generator degree `_check_degree` passes: the stability walk spells each
 # generator as a word of its degree, and the table of S/(x1^d) has d rows
 DEGREE_CAP = 10**6
 
@@ -27,23 +26,24 @@ DEGREE_CAP = 10**6
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    Raises `StabilityRequiredError` for a non-stable ideal: the gate for an
-    ideal not known to be stable.  A realized lexsegment ideal is known by its
-    certificate, whose walk also tallies it for `_ek_table`.  A generator
-    degree over `DEGREE_CAP` raises `DegreeTooLargeError` before that gate.
+    A generator degree over `DEGREE_CAP` raises `DegreeTooLargeError`; then
+    the stability walk raises `StabilityRequiredError` or tallies the
+    generators for `_ek_table`, as a realized ideal's certificate walk does.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
+    _check_degree(ideal)
+    counts = {} if ideal.is_zero else _prefixes_cover(ideal.exponent_rows, strong=False)
+    if counts is None:
+        raise StabilityRequiredError(
+            "ideal is not stable; use the brute-force oracle (betti --oracle)")
+    return _ek_table(ideal, counts)
+
+
+def _check_degree(ideal: MonomialIdeal) -> None:
     if ideal.max_gen_degree > DEGREE_CAP:
         raise DegreeTooLargeError(
             f"a generator has degree {ideal.max_gen_degree}, cap is {DEGREE_CAP}")
-    if not ideal.is_zero and not is_stable(ideal):
-        raise StabilityRequiredError(
-            "ideal is not stable; use the brute-force oracle (betti --oracle)")
-    counts = defaultdict(lambda: [0] * (ideal.n + 1))
-    for u in ideal.exponent_rows:  # by degree, then by largest variable
-        counts[sum(u)][max(i for i, e in enumerate(u, 1) if e)] += 1
-    return _ek_table(ideal, counts)
 
 
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:

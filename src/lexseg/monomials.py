@@ -357,9 +357,10 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
                     if r.count(0) == n - 1), default=0)
 
 
-def _prefixes_cover(rows, strong: bool) -> bool:
-    """Whether the minimal generator ``rows`` span a stable ideal (strongly
-    stable when ``strong``), by one walk over each generator's prefixes.
+def _prefixes_cover(rows, strong: bool) -> dict | None:
+    """None unless the minimal generator ``rows`` span a stable ideal
+    (strongly stable when ``strong``); else their tallies as in
+    `_lexsegment_counts`, each read off a word's length and last letter.
 
     A generator u is read as its word, the positions of its variables in
     ascending order, each repeated by its exponent; P_k(u) is the monomial of
@@ -394,17 +395,18 @@ def _prefixes_cover(rows, strong: bool) -> bool:
             table[key] = table.get(key, 0) | 1 << bit
         # the bits u must collect: supp(u) but x1, or every i below max(u)
         words.append((w, support & ~1 if strong else (1 << w[-1]) - 1))
-    degrees = sorted(set(map(sum, rows)))
+    counts = {d: [0] * (n + 1) for d in sorted(set(map(sum, rows)))}
     lag = 0 if strong else 1
     for w, need in words:
         got = 0
-        for d in degrees:
+        for d in counts:
             if d > len(w):
                 break
             got |= table.get(w[:d - lag], 0)
         if got & need != need:
-            return False
-    return True
+            return None
+        counts[len(w)][w[-1] + 1] += 1
+    return counts
 
 
 def is_stable(ideal: MonomialIdeal) -> bool:
@@ -421,7 +423,7 @@ def is_stable(ideal: MonomialIdeal) -> bool:
     P_d(u) with d < deg u, divides u and so is no minimal generator.
     """
     _require_quotient_invariants(ideal)
-    return _prefixes_cover(ideal.exponent_rows, strong=False)
+    return _prefixes_cover(ideal.exponent_rows, strong=False) is not None
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -439,7 +441,7 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     into x_(j-1) and a shorter prefix would be a generator properly dividing u.
     """
     _require_quotient_invariants(ideal)
-    return _prefixes_cover(ideal.exponent_rows, strong=True)
+    return _prefixes_cover(ideal.exponent_rows, strong=True) is not None
 
 
 def is_lexsegment(ideal: MonomialIdeal) -> bool:
@@ -448,34 +450,34 @@ def is_lexsegment(ideal: MonomialIdeal) -> bool:
 
 
 def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:
-    """None unless the ideal is lexsegment; else a map from each degree d
-    from the least to the largest generator degree to a tally whose entry m
-    counts the degree-d generators with largest variable x_m.
+    """None unless the ideal is lexsegment; else a map from each generator
+    degree d to a tally whose entry m counts the degree-d generators with
+    largest variable x_m.
 
-    The walk stops at the largest generator degree: past it each piece is
-    the shadow of the one before, and shadows of lex segments are lex
-    segments.  I_d is the shadow of I_(d-1) plus the degree-d generators, and
-    if I_(d-1) is a segment with lex-least element u, its shadow is the
-    segment ending at u * xn (Macaulay).  So I_d is a segment iff its
-    generators, lex-descending, are the monomials right after that shadow:
-    x1^d when I_(d-1) = 0, else the successor of u * xn, then each the
-    successor of the one before.  `_lex_next` also gives each successor's
-    largest variable, so the tallies take no other pass.
+    Only generator degrees are walked: between them and past the largest,
+    each piece is the shadow of the one before, and shadows of lex segments
+    are lex segments.  If I_e is a segment with lex-least element u, its
+    shadow in degree d > e is the segment ending at u * xn^(d-e) (Macaulay),
+    and I_d is that shadow plus the degree-d generators.  So I_d is a
+    segment iff its generators, lex-descending, are the monomials right
+    after it: x1^d when I_(d-1) = 0, else the successor of u * xn^(d-e),
+    then each the successor of the one before.  `_lex_next` also gives each
+    successor's largest variable, so the tallies take no other pass.
     """
     _require_quotient_invariants(ideal)
     n, by_degree = ideal.n, {}
     for g in ideal.exponent_rows:  # lex-descending within each degree
         by_degree.setdefault(sum(g), []).append(g)
     counts = {}
-    least = None  # the lex-least monomial of I_(d-1)
-    for d in range(min(by_degree), max(by_degree) + 1):
+    least = None  # the lex-least monomial of I_e, e the last degree walked
+    for d in sorted(by_degree):
         if least is None:
             step = ((d,) + (0,) * (n - 1), 1)  # x1^d and its largest variable
         else:
-            least = least[:-1] + (least[-1] + 1,)
+            least = least[:-1] + (least[-1] + d - sum(least),)  # u * xn^(d-e)
             step = _lex_next(least, with_max=True)
         tally = counts[d] = [0] * (n + 1)
-        for g in by_degree.get(d, ()):
+        for g in by_degree[d]:
             if step is None or g != step[0]:
                 return None
             tally[step[1]] += 1

@@ -97,21 +97,22 @@ class TestEkTable:
         assert "oracle" in str(err.value)
 
     def test_degree_cap_before_stability_check(self, monkeypatch):
-        # the cap is inclusive and read before is_stable spells any word
+        # the cap is inclusive and read before the stability walk spells any word
         monkeypatch.setattr(eliahou_kervaire, "DEGREE_CAP", 4)
-        calls = count_calls(monkeypatch, "is_stable")
+        calls = count_calls(monkeypatch, "_prefixes_cover")
         assert ek_betti_table(minimal_generators(2, [M(4, 0)])).regularity == 3
-        assert calls["is_stable"] == 1
+        assert calls["_prefixes_cover"] == 1
         with pytest.raises(DegreeTooLargeError) as err:
             ek_betti_table(minimal_generators(2, [M(2, 0), M(0, 5)]))
         assert str(err.value) == "a generator has degree 5, cap is 4"
-        assert calls["is_stable"] == 1
+        assert calls["_prefixes_cover"] == 1
 
 
 class TestClosedFormOracle:
     def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
-        # both tally routes, the certificate walk's and ek_betti_table's row
-        # scan, against the closed form summed one binomial at a time
+        # both tally routes, the certificate walk's and the stability walk's
+        # behind ek_betti_table, against the closed form summed one binomial
+        # at a time
         rng = random.Random(58)
         corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                   for _ in range(200)]
@@ -170,9 +171,9 @@ class TestDerivedInvariants:
 
     @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
     def test_each_helper_reads_one_table(self, monkeypatch, example2, helper):
-        calls = count_calls(monkeypatch, "ek_betti_table", "is_stable")
+        calls = count_calls(monkeypatch, "ek_betti_table", "_prefixes_cover")
         helper(example2)
-        assert calls == {"ek_betti_table": 1, "is_stable": 1}
+        assert calls == {"ek_betti_table": 1, "_prefixes_cover": 1}
 
     def test_euler_characteristic_matches_kpolynomial(self):
         rng = random.Random(57)

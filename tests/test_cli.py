@@ -515,11 +515,15 @@ class TestMeasuredOnce:
     # and its dimension is the denominator exponent; no pivot recursion and
     # no cover search
     ORACLE = {"kpolynomial": 0, "bruteforce_betti_table": 1, "krull_dimension": 0,
-              "is_stable": 1}
-    # a stable ideal's series comes from its one EK table, and its dimension
-    # from the stable closed form
-    EK = {"kpolynomial": 0, "ek_betti_table": 1, "krull_dimension": 0,
-          "is_stable": 1}
+              "_ek_table": 0}
+    # a stable ideal's series comes from its one EK table, read off the walk
+    # that proved it stable, and its dimension from the stable closed form
+    EK = {"kpolynomial": 0, "_ek_table": 1, "krull_dimension": 0,
+          "ek_betti_table": 0}
+    # the stability facts, strongest first: example2 is lexsegment, so one
+    # walk decides all three; a non-stable ideal fails all three walks
+    LEX_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 0}
+    EVERY_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 2}
     # a realized ideal is certified by one lexsegment walk instead of the
     # constructor's trie check and the EK table's stability gate; the walk's
     # tallies feed the table, so no other pass over the rows serves it
@@ -528,8 +532,9 @@ class TestMeasuredOnce:
                  "is_stable": 0, "_undivided": 0}
 
     @pytest.mark.parametrize("ideal, flags, expected", [
-        ("example2", [], EK), ("non-stable", [], ORACLE),
-        ("example2", ["--oracle"], ORACLE)],
+        ("example2", [], {**EK, **LEX_WALK}),
+        ("non-stable", [], {**ORACLE, **EVERY_WALK}),
+        ("example2", ["--oracle"], {**ORACLE, **LEX_WALK})],
         ids=["stable", "non-stable", "oracle"])
     def test_analyze_one_series_dimension_and_stability_check(
             self, capsys, tmp_path, monkeypatch, ideal, flags, expected):
@@ -539,6 +544,36 @@ class TestMeasuredOnce:
         code, _, _ = run(capsys, "analyze", str(path), *flags)
         assert code == 0
         assert {name: calls[name] for name in expected} == expected
+
+    @pytest.mark.parametrize("n, rows, strong_args, facts, engine", [
+        (3, [[1, 0, 0], [0, 2, 0], [0, 1, 1]], [], "yes yes yes", "eliahou-kervaire"),
+        (3, [[2, 0, 0], [1, 1, 0], [0, 2, 0]], [True], "yes yes no",
+         "eliahou-kervaire"),
+        # x2 -> x1 takes x2*x3 to x1*x3, outside: stable, not strongly
+        (3, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 1, 1]], [True, False],
+         "yes no no", "eliahou-kervaire"),
+        (3, [[0, 2, 0], [1, 1, 1], [0, 0, 3]], [True, False], "no no no", "oracle")],
+        ids=["lexsegment", "strongly-stable", "stable", "non-stable"])
+    def test_analyze_walks_strongest_first(self, capsys, tmp_path, monkeypatch, n,
+                                           rows, strong_args, facts, engine):
+        # each walk runs at most once, and the first that passes ends the search
+        path = write_ideal(tmp_path, "ideal.json", n, rows)
+        real = cli._prefixes_cover
+        walks = []
+
+        def recorded(rows, strong):
+            walks.append(strong)
+            return real(rows, strong)
+
+        monkeypatch.setattr(cli, "_prefixes_cover", recorded)
+        calls = count_calls(monkeypatch, "_lexsegment_counts")
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert (calls["_lexsegment_counts"], walks) == (1, strong_args)
+        stable, strongly, lexseg = facts.split()
+        assert (f"stable: {stable}   strongly stable: {strongly}   "
+                f"lexsegment: {lexseg}\n") in out
+        assert f"betti table (engine: {engine}):" in out
 
     def test_analyze_box_cap_before_any_series(self, capsys, tmp_path, monkeypatch):
         # 45 edges on 21 vertices: not stable, and the oracle's box of 2^21
@@ -618,3 +653,24 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_1_quietly(self, tmp_path):
+        # H = C(k+2, 2) through degree 61, then constant 2000: 6,512
+        # generators, a report of about 0.5 MB, far more than a pipe holds
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [math.comb(k + 2, 2) for k in range(62)],
+                                    "tail": {"constant": 2000}}))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lexseg.cli", "lexify", str(spec), "--n", "3",
+             "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader leaves after one line, as `head -1` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == b"{\n"
+        assert (proc.wait(timeout=60), err) == (1, b"")

@@ -185,3 +185,20 @@ def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     assert done.returncode == 3, done.stderr
     assert done.stdout == "" and "Traceback" not in done.stderr
     assert cap in done.stderr
+
+
+def test_lexsegment_degree_gap_walks_only_generator_degrees(tmp_path):
+    # (x1, x2^300000) in 1000 variables, a 6 KB file: a lexsegment walk
+    # through every degree up to 300000 would build a 1001-entry tally at each
+    ideal = tmp_path / "gap.json"
+    rows = [[1] + [0] * 999, [0, 300000] + [0] * 998]
+    ideal.write_text(json.dumps({"n": 1000, "generators": rows}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "lexseg.cli", "analyze", str(ideal)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "stable: yes   strongly stable: yes   lexsegment: yes\n" in done.stdout
+    assert "regularity: 299999\n" in done.stdout

@@ -16,6 +16,7 @@ from helpers import (
     brute_minimalize_rows,
     count_calls,
     count_standard_monomials,
+    generator_shapes,
     lex_predecessor,
     lex_successor,
     monomial_count,
@@ -33,6 +34,8 @@ from lexseg.monomials import (
     _certified_lexsegment,
     _lex_next,
     _lex_segment_rows,
+    _lexsegment_counts,
+    _prefixes_cover,
     _stable_dimension,
     contains,
     divides,
@@ -498,6 +501,48 @@ class TestStabilityPredicates:
         from_closures = Counter(outcomes[len(ideals):])
         assert from_closures[False, False] == 0
         assert from_closures[True, False] >= 20
+
+    def test_prefix_walk_tallies_match_row_counts(self, example2, remark3,
+                                                  grid_ideals):
+        # a walk that passes tallies each generator by degree and largest
+        # variable, as the lexsegment walk does; one that fails returns None
+        rng = random.Random(29)
+        ideals = [random_stable_ideal(rng, rng.randint(1, 6), 6) for _ in range(100)]
+        ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
+                   for _ in range(100)]
+        ideals += [random_monomial_ideal(rng, rng.randint(1, 5), 5, 8)
+                   for _ in range(200)]
+        ideals += grid_ideals + [example2, remark3]
+        outcomes = Counter()
+        for ideal in ideals:
+            for strong in (False, True):
+                counts = _prefixes_cover(ideal.exponent_rows, strong)
+                passed = brute_is_stable(ideal, strong)
+                outcomes[strong, passed] += 1
+                if not passed:
+                    assert counts is None, (ideal, strong)
+                    continue
+                assert list(counts) == sorted({sum(g) for g in ideal.exponent_rows})
+                assert {len(tally) for tally in counts.values()} == {ideal.n + 1}
+                got = {(d, m): c for d, tally in counts.items()
+                       for m, c in enumerate(tally) if c}
+                assert got == generator_shapes(ideal), (ideal, strong)
+        assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
+
+    @pytest.mark.parametrize("rows, want", [
+        ([(1, 0, 0), (0, 5, 0)], True),  # the shadow of x1 ends at x1*x3^4
+        ([(1, 0, 0), (0, 4, 1)], False),  # x2^5 comes first
+        ([(2, 0, 0), (1, 1, 0), (1, 0, 3), (0, 5, 0)], True),
+        ([(2, 0, 0), (1, 1, 0), (0, 4, 0)], False),  # x1*x3^3 comes first
+    ], ids=["x1-then-x2^5", "x1-then-x2^4x3", "three-degrees", "skipped-x1x3^3"])
+    def test_lexsegment_walk_jumps_degree_gaps(self, rows, want):
+        # only the degrees that hold generators are walked
+        ideal = MonomialIdeal.from_exponent_rows(3, rows)
+        assert brute_is_lexsegment(ideal) == want
+        counts = _lexsegment_counts(ideal)
+        assert (counts is not None) == want
+        if want:
+            assert list(counts) == sorted({sum(r) for r in rows})
 
     @pytest.mark.parametrize("n, rows, want", [
         (1, [(3,)], (True, True)),  # one variable
