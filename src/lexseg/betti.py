@@ -7,6 +7,9 @@ is the regularity and the width the projective dimension.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import add, sub
+
 from ._value import Value, _set
 
 
@@ -17,14 +20,13 @@ class BettiTable(Value):
 
     def __init__(self, rows):
         rows = tuple([tuple(row) for row in rows])  # exact size, see _value
-        if any(type(v) is not int for r in rows for v in r):
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise TypeError(f"Betti numbers must be ints, got {rows}")
         if not rows or not rows[0]:
             raise ValueError("empty Betti table")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if set(map(len, rows)) != {len(rows[0])}:
             raise ValueError("ragged Betti table")
-        if any(v < 0 for r in rows for v in r):
+        if min(chain.from_iterable(rows)) < 0:
             raise ValueError("negative Betti number")
         if rows[0][0] != 1:
             raise ValueError("beta_{0,0} must be 1")
@@ -57,16 +59,12 @@ class BettiTable(Value):
                    for r in range(reg + 1))
 
     def euler_kpolynomial(self) -> tuple[int, ...]:
-        """Alternating column sums: coefficients of sum (-1)^p beta_{p,q} t^q."""
-        pd = self.projective_dimension
-        reg = self.regularity
-        out = [0] * (pd + reg + 1)
-        for r, row in enumerate(self.rows):
-            for p, v in enumerate(row):
-                if p % 2 == 0:
-                    out[p + r] += v
-                else:
-                    out[p + r] -= v
+        """Alternating column sums: coefficients of sum (-1)^p beta_{p,q} t^q.
+        Column p, the entries beta_{p,p+r}, lands on t^p, ..., t^(p+reg)."""
+        height = len(self.rows)
+        out = [0] * (self.projective_dimension + height)
+        for p, column in enumerate(zip(*self.rows)):
+            out[p:p + height] = map(sub if p % 2 else add, out[p:p + height], column)
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return tuple(out)

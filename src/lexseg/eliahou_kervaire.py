@@ -4,14 +4,17 @@ For a stable ideal the minimal resolution is known explicitly:
 beta_{i,i+j}(I) = sum over minimal generators u of degree j of
 C(max(u) - 1, i), max(u) being the largest variable index dividing u.  That
 is the t^i coefficient of sum_m c_m (1+t)^(m-1), c_m counting the degree-j
-generators with max(u) = m, which Horner's rule builds with additions only;
-as beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, this polynomial, one column
+generators with max(u) = m: c * C(m-1, i) when one x_m takes all c of
+them, else built by Horner's rule with additions only.  As
+beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, this polynomial, one column
 right, is row j - 1 of the quotient's table.  Regularity is the largest
 generator degree minus one, pd the largest max(u), depth n - pd.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import comb
 from operator import add
 
 from .betti import TRIVIAL, BettiTable
@@ -49,13 +52,21 @@ def _check_degree(ideal: MonomialIdeal) -> None:
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     """The table of a proper stable ideal (trivial for the zero ideal) from
     ``counts``, each degree d's tally of generators by largest variable x_m:
-    row d - 1 is 0, then sum_m c_m (1+t)^(m-1) by Horner's rule, for each d
-    up to the largest generator degree (so reg = that degree - 1)."""
+    row d - 1 is 0, then sum_m c_m (1+t)^(m-1), for each d up to the
+    largest generator degree (so reg = that degree - 1), and 0 alone in a
+    degree without generators.  When one x_m takes
+    all c of a degree's generators that is c * C(m-1, i) for i < m, read
+    off directly; else Horner's rule builds it with additions only."""
     if ideal.is_zero:
         return TRIVIAL  # free quotient, trivial resolution
     rows = []
-    for d in range(1, max(counts) + 1):
-        tally = counts.get(d, (0, 0))  # (0, 0): no generator of degree d
+    for d, tally in sorted(counts.items()):
+        rows += [[0]] * (d - 1 - len(rows))  # degrees with no generator
+        if tally.count(0) == len(tally) - 1:  # one largest variable
+            c = max(tally)
+            m = tally.index(c)
+            rows.append([0, *map(c.__mul__, map(comb, repeat(m - 1), range(m)))])
+            continue
         m = len(tally) - 1
         while m > 1 and not tally[m]:
             m -= 1

@@ -87,7 +87,7 @@ class HilbertSeries(Value):
 
     def __init__(self, numerator, denominator_exponent: int):
         num = tuple(numerator)
-        if any(type(c) is not int for c in num):
+        if not set(map(type, num)) <= {int}:
             raise TypeError(f"series numerator coefficients must be ints, got {num}")
         if not num or num[-1] == 0:
             raise ValueError("numerator needs a nonzero trailing coefficient")

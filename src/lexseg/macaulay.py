@@ -305,8 +305,11 @@ def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     generators in degree d, its reduced series and the Eliahou-Kervaire table
     the series is read from.  Over `GENERATOR_CAP` generators, or over
     `ENTRY_CAP` exponent entries, raises `TooManyGeneratorsError` before any
-    is listed.  One lexsegment walk (`monomials._certified_lexsegment`) proves
-    the rows minimal and tallies them for the table."""
+    is listed.  The lister hands its rows over one block per degree, and one
+    walk over those blocks (`monomials._certified_lexsegment`) compares each
+    row with the successor it builds itself, proving the rows minimal, and
+    tallies them for the table; each row costs that walk, and the lister's,
+    one tuple and O(1) steps."""
     _refuse_over_caps(sum(counts), n)
     try:
         ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))

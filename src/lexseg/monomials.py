@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from itertools import chain
-from operator import gt, le
+from itertools import chain, compress, groupby, islice, repeat
+from operator import eq, gt, le, lt
 
 from ._value import Value, _set
 from .errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
@@ -268,40 +268,63 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     return _in_ideal(ideal.exponent_rows, m.exponents)
 
 
-def _lex_segment_rows(n: int, counts) -> list[tuple[int, ...]]:
-    """The lex-descending minimal generators of the lexsegment ideal with
-    ``counts[d - 1]`` of them in degree d: as in `_lexsegment_counts`, from
-    x1^d while the ideal is zero, else from the successor of least * xn."""
-    rows = []
-    least = None
-    for d, count in enumerate(counts, 1):
-        if least is not None:
-            least = least[:-1] + (least[-1] + 1,)
-        if not count:
-            continue
-        row = (d,) + (0,) * (n - 1) if least is None else _lex_next(least)
-        rows.append(row)
-        for _ in range(count - 1):
-            row = _lex_next(row)
-            rows.append(row)
-        least = row
-    rows.sort(reverse=True)
-    return rows
+def _lex_segment_rows(n: int, counts) -> list[list[tuple[int, ...]]]:
+    """The minimal generators of the lexsegment ideal with ``counts[d - 1]``
+    of them in degree d, as `_walk_blocks` takes them: one lex-descending
+    block per degree that holds any, in ascending degree."""
+    sizes = [(d, k) for d, k in enumerate(counts, 1) if k]
+    walk = _lex_walk(n, sizes, {})
+    return [list(islice(walk, k)) for _, k in sizes]
 
 
-def _lex_next(row, with_max: bool = False):
-    """The row after ``row`` in the lex-descending order of its degree, or
-    None after xn^d; ``with_max`` pairs it with its largest variable's index.
-    The last exponent before xn, at position p, drops by one, and all after
-    it (which sits on xn) plus that one moves to p + 1: x_(p+2) is then the
-    largest variable."""
-    p = len(row) - 2
-    while p >= 0 and not row[p]:
-        p -= 1
-    if p < 0:
-        return None
-    nxt = row[:p] + (row[p] - 1, row[-1] + 1) + (0,) * (len(row) - p - 2)
-    return (nxt, p + 2) if with_max else nxt
+def _lex_walk(n: int, sizes, tallies):
+    """The one lexsegment walk.  For each (d, k) of ``sizes``, in ascending
+    degree d >= 1, it yields the k monomials of degree d right after the
+    shadow of the rows yielded before: x1^d first while there are none, else
+    the successor of least * xn^(d-e), least the last row yielded (of degree
+    e); then each the successor of the one before.  It stops early when a
+    degree runs out at xn^d.  ``tallies[d][m]`` counts the degree-d rows
+    with largest variable x_m.
+
+    One list holds the current row, and p its pivot: the position of its
+    last nonzero exponent before xn (-1 for a power of xn), so positions
+    p+1 to n-2 hold 0.  The successor moves one from x_(p+1) and all of xn's
+    exponent to position p + 1, so x_(p+2) is its largest variable.  Its
+    pivot is p + 1 when that position is still before xn's; else it is p
+    while x_(p+1) keeps an exponent, and only once that reaches 0 is the row
+    scanned back for the next.  The scan covers positions the pivot later
+    steps forward over one row at a time, so each row costs one tuple and
+    O(1) steps.  Multiplying the row by a power of xn keeps its pivot, so
+    the pivot carries from degree to degree as it does from row to row.
+    """
+    last = n - 2  # the last pivot position, the one before xn
+    cur = None
+    for d, k in sizes:
+        tally = tallies[d] = [0] * (n + 1)
+        if cur is None:  # x1^d: largest variable x1, pivot 0 (none for n = 1)
+            cur = [d] + [0] * (n - 1)
+            p = 0 if n > 1 else -1
+            tally[1] = 1
+            yield tuple(cur)
+            k -= 1
+        else:
+            cur[-1] += d - e
+        for _ in range(k):
+            if p < 0:
+                return
+            cur[p] -= 1
+            b = cur[-1]
+            cur[-1] = 0
+            cur[p + 1] = b + 1
+            tally[p + 2] += 1
+            yield tuple(cur)
+            if p < last:
+                p += 1
+            elif not cur[p]:
+                p -= 1
+                while p >= 0 and not cur[p]:
+                    p -= 1
+        e = d
 
 
 def _require_quotient_invariants(ideal: MonomialIdeal) -> None:
@@ -352,9 +375,10 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
     minimal generator is a pure power of x_i, and no power of a later
     variable does.  Callers reject the unit ideal.
     """
-    n = ideal.n
-    return n - max((r.index(max(r)) + 1 for r in ideal.exponent_rows
-                    if r.count(0) == n - 1), default=0)
+    n, rows = ideal.n, ideal.exponent_rows
+    pure = [*compress(rows, map((n - 1).__eq__, map(tuple.count, rows, repeat(0))))]
+    # lex-descending rows list the power of the largest variable last
+    return n - (pure[-1].index(max(pure[-1])) + 1 if pure else 0)
 
 
 def _prefixes_cover(rows, strong: bool) -> dict | None:
@@ -452,7 +476,17 @@ def is_lexsegment(ideal: MonomialIdeal) -> bool:
 def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:
     """None unless the ideal is lexsegment; else a map from each generator
     degree d to a tally whose entry m counts the degree-d generators with
-    largest variable x_m.
+    largest variable x_m: `_walk_blocks` of the stored rows grouped by
+    degree, each group still lex-descending."""
+    _require_quotient_invariants(ideal)
+    rows = sorted(ideal.exponent_rows, key=sum)  # stable: lex-descending per degree
+    return _walk_blocks(ideal.n, [list(g) for _, g in groupby(rows, key=sum)])
+
+
+def _walk_blocks(n: int, blocks) -> dict | None:
+    """None unless ``blocks``, lists of rows in n variables, one per degree
+    in ascending degree, each lex-descending, are the minimal generators of
+    a lexsegment ideal; else their tallies as in `_lexsegment_counts`.
 
     Only generator degrees are walked: between them and past the largest,
     each piece is the shadow of the one before, and shadows of lex segments
@@ -461,49 +495,42 @@ def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:
     and I_d is that shadow plus the degree-d generators.  So I_d is a
     segment iff its generators, lex-descending, are the monomials right
     after it: x1^d when I_(d-1) = 0, else the successor of u * xn^(d-e),
-    then each the successor of the one before.  `_lex_next` also gives each
-    successor's largest variable, so the tallies take no other pass.
+    then each the successor of the one before.  `_lex_walk` builds each
+    successor and tallies it by its largest variable, and each row is
+    compared with the successor built for it.
     """
-    _require_quotient_invariants(ideal)
-    n, by_degree = ideal.n, {}
-    for g in ideal.exponent_rows:  # lex-descending within each degree
-        by_degree.setdefault(sum(g), []).append(g)
-    counts = {}
-    least = None  # the lex-least monomial of I_e, e the last degree walked
-    for d in sorted(by_degree):
-        if least is None:
-            step = ((d,) + (0,) * (n - 1), 1)  # x1^d and its largest variable
-        else:
-            least = least[:-1] + (least[-1] + d - sum(least),)  # u * xn^(d-e)
-            step = _lex_next(least, with_max=True)
-        tally = counts[d] = [0] * (n + 1)
-        for g in by_degree[d]:
-            if step is None or g != step[0]:
-                return None
-            tally[step[1]] += 1
-            least = g
-            step = _lex_next(g, with_max=True)
-    return counts
+    if not all(blocks):
+        return None
+    degrees = [sum(block[0]) for block in blocks]
+    if not all(map(lt, degrees, degrees[1:])):
+        return None
+    tallies = {}
+    walk = _lex_walk(n, zip(degrees, map(len, blocks)), tallies)
+    rows = chain.from_iterable(blocks)
+    total = sum(map(len, blocks))
+    return tallies if sum(map(eq, rows, walk)) == total else None
 
 
-def _certified_lexsegment(n: int, rows) -> tuple[MonomialIdeal, dict]:
-    """The lexsegment ideal whose minimal generators are ``rows``, listed
-    lex-descending, and the walk's tallies for its Eliahou-Kervaire table;
-    raises `ValueError` when the rows are not that.
+def _certified_lexsegment(n: int, blocks) -> tuple[MonomialIdeal, dict]:
+    """The lexsegment ideal whose minimal generators are listed by
+    ``blocks`` (one lex-descending list per generator degree, in ascending
+    degree, as `_lex_segment_rows` gives them), and the walk's tallies for
+    its Eliahou-Kervaire table; raises `ValueError` when they are not that.
 
-    Strict lex order plus one `_lexsegment_counts` walk stand in for the
-    constructor's trie check and any stability test (a lexsegment ideal is
-    strongly stable): the walk puts each degree's rows after the shadow of
-    the lower-degree rows, so the rows are minimal (Macaulay).  The rows are
+    The blocks are merged into one lex-descending tuple that must descend
+    strictly, then one `_walk_blocks` walk stands in for the constructor's
+    trie check and any stability test (a lexsegment ideal is strongly
+    stable): it puts each degree's rows after the shadow of the
+    lower-degree rows, so the rows are minimal (Macaulay).  The rows are
     trusted to be exponent vectors in n variables.
     """
-    rows = tuple(rows)
+    rows = tuple(sorted(chain.from_iterable(blocks), reverse=True))
     if not _strictly_descending(rows):
         raise ValueError("rows are not strictly lex-descending")
     ideal = object.__new__(MonomialIdeal)
     _set(ideal, "n", n)
     _set(ideal, "exponent_rows", rows)
-    counts = _lexsegment_counts(ideal) if rows else {}
+    counts = _walk_blocks(n, blocks) if rows else {}
     if counts is None:
         raise ValueError("rows do not generate a lexsegment ideal")
     return ideal, counts

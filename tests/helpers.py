@@ -177,6 +177,15 @@ def lex_successor(e):
     return tuple(out)
 
 
+def blocks_by_degree(rows) -> list[list[tuple[int, ...]]]:
+    """Lex-descending rows as the lexsegment walk takes them: one
+    lex-descending list per degree, in ascending degree."""
+    by_degree = {}
+    for r in sorted(rows, reverse=True):
+        by_degree.setdefault(sum(r), []).append(r)
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
 def lex_predecessor(e):
     """The monomial before ``e`` in the lex-descending order of its degree,
     or None before the first one, x1^d: the inverse of `lex_successor`."""

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from helpers import count_calls, ek_closed_form, random_strongly_stable_ideal
+from helpers import (
+    blocks_by_degree,
+    count_calls,
+    ek_closed_form,
+    generator_shapes,
+    random_strongly_stable_ideal,
+)
 from lexseg import construct, eliahou_kervaire
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
@@ -111,8 +117,10 @@ class TestEkTable:
 class TestClosedFormOracle:
     def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
         # both tally routes, the certificate walk's and the stability walk's
-        # behind ek_betti_table, against the closed form summed one binomial
-        # at a time
+        # behind ek_betti_table, and both row builders, one binomial row for
+        # a degree whose generators share their largest variable and Horner's
+        # rule for any other, against the closed form summed one binomial at
+        # a time
         rng = random.Random(58)
         corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                   for _ in range(200)]
@@ -120,14 +128,19 @@ class TestClosedFormOracle:
         ideals = [report.ideal for report in grid_reports + large]
         ideals += [example2, remark3] + corpus
         walked = 0
+        shared = set()  # whether a degree's generators share their largest variable
         for ideal in ideals:
             want = ek_closed_form(ideal)
             assert ek_betti_table(ideal) == want, ideal
             if not ideal.is_zero and is_lexsegment(ideal):
-                certified, tallies = _certified_lexsegment(ideal.n, ideal.exponent_rows)
+                blocks = blocks_by_degree(ideal.exponent_rows)
+                certified, tallies = _certified_lexsegment(ideal.n, blocks)
                 assert _ek_table(certified, tallies) == want, ideal
                 walked += 1
+            degrees = [d for d, _ in generator_shapes(ideal)]
+            shared |= {degrees.count(d) == 1 for d in degrees}
         assert walked >= 144 + 2 + 1 + 20
+        assert shared == {True, False}
         for report in grid_reports + large:
             assert report.betti == ek_closed_form(report.ideal)
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import all_monomials, count_calls, random_edge_ideal
-from lexseg import cli, hilbert, macaulay
+from helpers import all_monomials, count_calls, lex_successor, random_edge_ideal
+from lexseg import cli, hilbert, macaulay, monomials
 from lexseg.cli import main
 from lexseg.monomials import Monomial
 
@@ -290,12 +290,14 @@ class TestLexify:
         assert out == "" and f"cannot write {target}" in err
 
     def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
-        # a realization bug that repeats a generator fails the certificate's
-        # strict lex order, reported as a verification failure, on lexify and
-        # on construct's first step, which lists its rows by the same walk
+        # a realization bug that repeats a generator in its block fails the
+        # strict lex order of the merged rows, reported as a verification
+        # failure, on lexify and on construct's first step, which lists its
+        # rows by the same walk
         real = macaulay._lex_segment_rows
         monkeypatch.setattr(macaulay, "_lex_segment_rows", lambda n, counts:
-                            [row for row in real(n, counts) for _ in (0, 1)])
+                            [[row for row in block for _ in (0, 1)]
+                             for block in real(n, counts)])
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
         for argv in (["lexify", str(spec), "--n", "6"],
@@ -309,8 +311,8 @@ class TestLexify:
         # keeps the Hilbert function 1, 3, 2, 2, ... but not the lexsegment
         # walk (nor stability)
         def last_slice(n, counts):
-            return sorted((m.exponents for d, count in enumerate(counts, 1) if count
-                           for m in all_monomials(n, d)[-count:]), reverse=True)
+            return [[m.exponents for m in all_monomials(n, d)[-count:]]
+                    for d, count in enumerate(counts, 1) if count]
 
         monkeypatch.setattr(macaulay, "_lex_segment_rows", last_slice)
         spec = tmp_path / "hf.json"
@@ -318,6 +320,34 @@ class TestLexify:
         code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
         assert code == 4
         assert out == "" and "rows do not generate a lexsegment ideal" in err
+
+    @pytest.mark.parametrize("fault", ["late-start", "skipped-successor"])
+    def test_faulty_block_exit_4(self, capsys, tmp_path, monkeypatch, fault):
+        # the lister's largest block starts one monomial late, or skips one
+        # successor in its middle; either keeps the block's length, and the
+        # walk's row-by-row comparison reports it
+        real = macaulay._lex_segment_rows
+
+        def faulty(n, counts):
+            blocks = real(n, counts)
+            block = max(blocks, key=len)
+            tail = [lex_successor(block[-1])]
+            if fault == "late-start":
+                block[:] = block[1:] + tail
+            else:
+                del block[len(block) // 2]
+                block += tail
+            return blocks
+
+        monkeypatch.setattr(macaulay, "_lex_segment_rows", faulty)
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
+        for argv in (["lexify", str(spec), "--n", "6"],
+                     ["construct", "--r", "2", "--s", "4"],
+                     ["construct", "--r", "5", "--s", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 4, argv
+            assert out == "" and "rows do not generate a lexsegment ideal" in err
 
     def test_over_generator_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         # H = dim S_k through degree 8, then 0: every one of the C(38, 9)
@@ -356,14 +386,15 @@ class TestLexify:
 
 class TestEntryCap:
     @pytest.mark.parametrize("argv, lister, entries", [
-        (["construct", "--r", "2", "--s", "4"], (macaulay, "_lex_segment_rows"), 9),
-        (["construct", "--r", "4", "--s", "2"], (macaulay, "_lex_segment_rows"), 120),
-        (["lexify", "{input}", "--n", "6"], (macaulay, "_lex_segment_rows"), 120)],
+        (["construct", "--r", "2", "--s", "4"], (monomials, "_lex_walk"), 9),
+        (["construct", "--r", "4", "--s", "2"], (monomials, "_lex_walk"), 120),
+        (["lexify", "{input}", "--n", "6"], (monomials, "_lex_walk"), 120)],
         ids=["construct-first-step", "construct-second-step", "lexify"])
     def test_over_entry_cap_exit_3(self, capsys, tmp_path, monkeypatch, argv, lister,
                                    entries):
         # entries = generators x variables; the cap is inclusive and arithmetic,
-        # so listing a row over it would be the bug (it exits 4, not 3)
+        # so walking a row over it, in the lister or the certificate, would be
+        # the bug (it exits 4, not 3)
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
         argv = [str(spec) if a == "{input}" else a for a in argv]
@@ -524,12 +555,13 @@ class TestMeasuredOnce:
     # walk decides all three; a non-stable ideal fails all three walks
     LEX_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 0}
     EVERY_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 2}
-    # a realized ideal is certified by one lexsegment walk instead of the
-    # constructor's trie check and the EK table's stability gate; the walk's
-    # tallies feed the table, so no other pass over the rows serves it
-    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_lexsegment_counts": 1,
-                 "is_lexsegment": 0, "ek_betti_table": 0, "krull_dimension": 0,
-                 "is_stable": 0, "_undivided": 0}
+    # a realized ideal is certified by one walk over the lister's blocks
+    # instead of the constructor's trie check and the EK table's stability
+    # gate; the walk's tallies feed the table, so no other pass over the rows
+    # serves it.  The lister and that certificate each run the lex walk once.
+    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_walk_blocks": 1, "_lex_walk": 2,
+                 "_lexsegment_counts": 0, "is_lexsegment": 0, "ek_betti_table": 0,
+                 "krull_dimension": 0, "is_stable": 0, "_undivided": 0}
 
     @pytest.mark.parametrize("ideal, flags, expected", [
         ("example2", [], {**EK, **LEX_WALK}),

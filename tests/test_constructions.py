@@ -1,3 +1,4 @@
+import hashlib
 from math import comb
 
 import pytest
@@ -135,13 +136,13 @@ class TestDispatch:
 class TestMeasuredOnce:
     @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
     def test_one_series_and_one_stability_check(self, monkeypatch, r, s):
-        # one lexsegment walk certifies the rows minimal and the ideal
-        # stable; the series comes from the one EK table, not the pivot
-        # recursion, and its dimension from the stable closed form
+        # one walk over the lister's blocks certifies the rows minimal and
+        # the ideal stable; the series comes from the one EK table, not the
+        # pivot recursion, and its dimension from the stable closed form
         expected = {"kpolynomial": 0, "_ek_table": 1, "_lex_segment_rows": 1,
-                    "_lexsegment_counts": 1, "is_lexsegment": 0,
-                    "ek_betti_table": 0, "is_stable": 0, "krull_dimension": 0,
-                    "_undivided": 0}
+                    "_walk_blocks": 1, "_lex_walk": 2, "_lexsegment_counts": 0,
+                    "is_lexsegment": 0, "ek_betti_table": 0, "is_stable": 0,
+                    "krull_dimension": 0, "_undivided": 0}
         calls = count_calls(monkeypatch, *expected)
         report = construct(r, s)
         assert {name: calls[name] for name in expected} == expected
@@ -185,3 +186,29 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             fixture("nope")
+
+
+def _digest(reports) -> str:
+    """SHA-256 over each (r, s) cell's generators, Betti rows and reduced
+    series (numerator and denominator exponent), in order."""
+    h = hashlib.sha256()
+    for (r, s), rep in reports:
+        h.update(repr((r, s, rep.ideal.exponent_rows, rep.betti.rows,
+                       rep.series.numerator,
+                       rep.series.denominator_exponent)).encode())
+    return h.hexdigest()
+
+
+class TestByteIdentity:
+    # any change to a generator, a Betti number or a series coefficient of
+    # these cells changes a digest: a speed-up must leave both as they are
+    GRID = "ea334d04cdccfacfe987169f6c0cbc9c89486f3a32e86c38ac42853d53f78f82"
+    LARGE = "30e3c2b6c68164da863e1572c9f8398d3d14daa57b94c1dfee06147d2873a1c7"
+
+    def test_grid_cells(self, grid_reports):
+        cells = [(r, s) for r in range(1, 13) for s in range(1, 13)]
+        assert _digest(zip(cells, grid_reports)) == self.GRID
+
+    def test_large_cells(self):
+        cells = [(1, 300), (100, 3), (40, 3), (30, 29)]
+        assert _digest((cell, construct(*cell)) for cell in cells) == self.LARGE

@@ -5,11 +5,12 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     all_monomials,
+    blocks_by_degree,
     borel_closure,
     brute_is_lexsegment,
     brute_is_stable,
@@ -32,11 +33,12 @@ from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
     _certified_lexsegment,
-    _lex_next,
     _lex_segment_rows,
+    _lex_walk,
     _lexsegment_counts,
     _prefixes_cover,
     _stable_dimension,
+    _walk_blocks,
     contains,
     divides,
     is_lexsegment,
@@ -191,20 +193,23 @@ class TestMinimalGenerators:
 
     def test_certificate_rejects_non_normalized_lex_generators(self, grid_ideals):
         # the lexsegment walk alone must catch a multiple of a lower-degree
-        # generator; the strict lex order catches repeats and misordering
+        # generator and a misordered block; the strict lex order of the
+        # merged rows catches a repeat
         ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2)
         gens = list(ideal.exponent_rows)
         low = min(gens, key=sum)
         multiple = low[:-1] + (low[-1] + 2,)
-        non_minimal = sorted(gens + [multiple], reverse=True)
-        with pytest.raises(ValueError, match="do not generate a lexsegment"):
-            _certified_lexsegment(ideal.n, non_minimal)
-        duplicated = sorted(gens + [gens[7]], reverse=True)
-        unsorted = gens[:5] + [gens[6], gens[5]] + gens[7:]
-        for bad in (duplicated, unsorted):
-            with pytest.raises(ValueError, match="not strictly lex-descending"):
+        non_minimal = blocks_by_degree(gens + [multiple])
+        blocks = blocks_by_degree(gens)
+        j = max(range(len(blocks)), key=lambda i: len(blocks[i]))
+        unsorted = blocks[:j] + [blocks[j][1::-1] + blocks[j][2:]] + blocks[j + 1:]
+        for bad in (non_minimal, unsorted):
+            with pytest.raises(ValueError, match="do not generate a lexsegment"):
                 _certified_lexsegment(ideal.n, bad)
-        assert _certified_lexsegment(ideal.n, gens)[0] == ideal
+        duplicated = blocks[:j] + [blocks[j] + blocks[j][-1:]] + blocks[j + 1:]
+        with pytest.raises(ValueError, match="not strictly lex-descending"):
+            _certified_lexsegment(ideal.n, duplicated)
+        assert _certified_lexsegment(ideal.n, blocks)[0] == ideal
         assert _certified_lexsegment(ideal.n, []) == (MonomialIdeal.zero(ideal.n), {})
 
     def test_unit_ideal_representable(self):
@@ -282,30 +287,60 @@ class TestStandardMonomialCounts:
         assert monomial_count(2, 3) - count_standard_monomials(unit, 3) == 4
 
 
+def walk_rows(n, sizes):
+    """`_lex_walk` over ``sizes``: each row it yields, with the largest
+    variable whose tally entry it bumped for that row."""
+    tallies, seen, out = {}, {}, []
+    for row in _lex_walk(n, sizes, tallies):
+        d = sum(row)
+        before, seen[d] = seen.get(d, [0] * (n + 1)), list(tallies[d])
+        (m,) = [i for i, (a, b) in enumerate(zip(before, seen[d])) if a != b]
+        out.append((row, m))
+    return out
+
+
+def successor_steps(row, k):
+    """``row`` and up to k steps of the oracle's `lex_successor` after it."""
+    rows = [row]
+    while len(rows) <= k and (row := lex_successor(row)) is not None:
+        rows.append(row)
+    return rows
+
+
 class TestLexWalk:
     def test_successor_walks_each_block(self):
+        # asked for more rows than the block has, the walk stops at xn^d
         for n in range(1, 7):
-            for d in range(7):
+            for d in range(1, 7):
                 block = [m.exponents for m in all_monomials(n, d)]
-                for e in block:
-                    assert _lex_next(e) == lex_successor(e), e
-                row = block[0]
-                walked = []
-                while row is not None:
-                    walked.append(row)
-                    row = _lex_next(row)
+                walked = [row for row, _ in walk_rows(n, [(d, len(block) + 2)])]
                 assert walked == block, (n, d)
 
     def test_successor_reports_its_largest_variable(self):
         for n in range(1, 7):
-            for d in range(7):
-                for m in all_monomials(n, d):
-                    want = lex_successor(m.exponents)
-                    step = _lex_next(m.exponents, with_max=True)
-                    if want is None:
-                        assert step is None, m
-                    else:
-                        assert step == (want, Monomial(want).max_index), m
+            for d in range(1, 7):
+                block = all_monomials(n, d)
+                maxes = [m for _, m in walk_rows(n, [(d, len(block))])]
+                assert maxes == [u.max_index for u in block], (n, d)
+
+    @given(st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(1, 30),
+                     st.integers(1, 4), st.integers(0, 40)))
+    @example((1, 2, 1, 3, 5))  # n = 1: x1^5 is xn^5, nothing after it
+    @example((3, 1, 2, 2, 10))  # from x2*x3^2, runs into x3^3 after one step
+    @example((3, 1, 1, 2, 4))  # from x1*x3^2, ends exactly at x3^3
+    @example((2, 1, 5, 1, 3))  # degree 1 has room for two, so the walk stops
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_successor_oracle(self, case):
+        # the carried pivot against the oracle's stepping: j rows of degree
+        # e from x1^e, then k of degree e + g from least * xn^g, least the
+        # j-th row; each row with its largest variable, stopping at xn^d
+        n, e, j, g, k = case
+        want = successor_steps((e,) + (0,) * (n - 1), j - 1)
+        if len(want) == j:
+            u = want[-1]
+            want += successor_steps(u[:-1] + (u[-1] + g,), k)[1:]
+        walked = walk_rows(n, [(e, j), (e + g, k)])
+        assert walked == [(u, Monomial(u).max_index) for u in want]
 
     def test_segment_rows_match_brute_force(self):
         # the brute-force lexsegment ideal takes, in each degree, the first
@@ -323,10 +358,39 @@ class TestLexWalk:
                 counts.append(count)
                 rows += outside[:count]
             want = sorted(rows, reverse=True)
-            assert _lex_segment_rows(n, counts) == want, (n, counts)
+            blocks = _lex_segment_rows(n, counts)
+            assert blocks == blocks_by_degree(want), (n, counts)
+            assert [len(b) for b in blocks] == [k for k in counts if k]
             ideal = MonomialIdeal(n, want)  # minimal and sorted
             if ideal.is_proper and not ideal.is_zero:
                 assert brute_is_lexsegment(ideal)
+                assert _walk_blocks(n, blocks) == _lexsegment_counts(ideal)
+
+    def test_block_walk_catches_each_fault(self, grid_ideals):
+        # the faults a lister could make in one block, each caught by the
+        # walk's row-by-row comparison or its degree order
+        ideal = grid_ideals[12 * 4 + 1]  # construct(5, 2)
+        n = ideal.n
+        good = blocks_by_degree(ideal.exponent_rows)
+        assert _walk_blocks(n, good) == _lexsegment_counts(ideal)
+        j = max(range(1, len(good)), key=lambda i: len(good[i]))  # not x1^d's
+        block = good[j]
+        assert len(block) >= 3 and lex_successor(block[-1]) is not None
+        faults = {
+            "late start": block[1:] + [lex_successor(block[-1])],
+            "skipped successor": (block[:len(block) // 2] + block[len(block) // 2 + 1:]
+                                  + [lex_successor(block[-1])]),
+            "early start": [lex_predecessor(block[0])] + block[:-1],
+            "repeated row": block[:1] + block,
+            "short by its last row": block[:-1],
+        }
+        for name, faulty in faults.items():
+            assert _walk_blocks(n, good[:j] + [faulty] + good[j + 1:]) is None, name
+        assert _walk_blocks(n, good[::-1]) is None  # degrees out of order
+        assert _walk_blocks(n, good[:1] + good) is None  # a degree twice
+        assert _walk_blocks(n, good + [[]]) is None  # an empty block
+        merged = [good[0] + good[1]] + good[2:]
+        assert _walk_blocks(n, merged) is None  # two degrees in one block
 
 
 class TestKrullDimension:
