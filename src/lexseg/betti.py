@@ -11,6 +11,7 @@ from itertools import chain
 from operator import add, sub
 
 from ._value import Value, _set
+from .errors import CAPS, refuse
 
 
 class BettiTable(Value):
@@ -51,10 +52,14 @@ class BettiTable(Value):
 
     @classmethod
     def from_entries(cls, entries: dict) -> "BettiTable":
-        """Build from a {(p, q): beta} mapping; zero values are ignored."""
+        """Build from a {(p, q): beta} mapping; zero values are ignored.
+        A table over the Betti-table cap (`errors.CAPS`) is refused before
+        any row is built."""
         nz = {k: v for k, v in entries.items() if v != 0}
         pd = max((p for p, _ in nz), default=0)
         reg = max((q - p for p, q in nz), default=0)
+        if (reg + 1) * (pd + 1) > CAPS["betti-table"].bound:
+            refuse("betti-table", (reg + 1) * (pd + 1), rows=reg + 1, columns=pd + 1)
         return cls([nz.get((p, p + r), 0) for p in range(pd + 1)]
                    for r in range(reg + 1))
 

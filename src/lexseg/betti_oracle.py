@@ -9,7 +9,8 @@ elimination; the declared reference field is Q, so no modular-arithmetic
 false negatives can occur.  Each complex is read off the generators dividing
 m, one generating face each; where the complex is a cone, exactly when m is
 not the lcm of those generators, every beta vanishes and the cell costs no
-rank.  The scan still visits every cell of the box, which `BOX_CAP` bounds.
+rank.  The scan still visits every cell of the box, which the box cap
+(`errors.CAPS`) bounds.
 The per-multidegree ranks and the box scan live in `_kernels`.
 """
 
@@ -19,10 +20,14 @@ from math import prod
 
 from . import _kernels
 from .betti import TRIVIAL, BettiTable
-from .errors import AmbientMismatchError, BoxTooLargeError, UnitIdealError
+from .errors import (
+    CAPS,
+    AmbientMismatchError,
+    BoxTooLargeError,
+    UnitIdealError,
+    cap_message,
+)
 from .monomials import Monomial, MonomialIdeal
-
-BOX_CAP = 10**6
 
 
 def koszul_betti(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
@@ -47,9 +52,8 @@ def bruteforce_betti_table(ideal: MonomialIdeal) -> BettiTable:
     if ideal.is_zero:
         return TRIVIAL
     box = _box_size(ideal)
-    if box > BOX_CAP:
-        raise BoxTooLargeError(
-            f"multidegree box has {box} cells, cap is {BOX_CAP}", box_size=box)
+    if box > CAPS["box"].bound:
+        raise BoxTooLargeError(cap_message("box", box), box_size=box)
     entries = _kernels.koszul_scan(ideal.exponent_rows, ideal.lcm_exponents)
     entries[(0, 0)] = 1
     return BettiTable.from_entries(entries)

@@ -10,8 +10,8 @@ its own exit code.
 Exit codes: 0 success, 1 stdout closed early (quietly), 2 usage (bad
 arguments, unreadable or malformed input files, an unwritable ``--out``,
 ``analyze --max-degree`` over 10^4), 3 mathematical domain error (unit ideal,
-non-O-sequence, stability required, box, generator, entry or degree cap), 4
-verification failure.
+non-O-sequence, stability required, box, generator, entry, degree or Betti
+table cap), 4 verification failure.  The caps are `errors.CAPS`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ import time
 
 from .betti_oracle import bruteforce_betti_table
 from .constructions import ConstructionReport, _measure, construct
-from .eliahou_kervaire import _check_degree, _ek_table, ek_betti_table
+from .eliahou_kervaire import _ek_table, ek_betti_table
 from .errors import (
+    CAPS,
     AmbientMismatchError,
     ConstructionError,
     LexsegError,
     NotOSequenceError,
     UnitIdealError,
+    cap_message,
+    refuse,
 )
 from .hilbert import _reduced_series, _stable_series
 from .macaulay import (
@@ -45,8 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
-
-MAX_DEGREE = 10**4  # largest `analyze --max-degree`: it bounds how many values are listed
 
 
 class _UsageError(Exception):
@@ -69,8 +70,8 @@ def _positive_int(text: str) -> int:
 
 def _max_degree(text: str) -> int:
     value = _int_at_least(text, 0)
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"{text!r} must be <= {MAX_DEGREE}")
+    if value > CAPS["max-degree"].bound:
+        raise argparse.ArgumentTypeError(cap_message("max-degree", text))
     return value
 
 
@@ -106,7 +107,8 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
     tallies the EK table; the oracle's serves when none does, or on demand."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    _check_degree(ideal)
+    if (degree := ideal.max_gen_degree) > CAPS["degree"].bound:
+        refuse("degree", degree)
     stable = strongly = lexseg = None
     counts = {}  # the zero ideal's: its table is trivial
     if not ideal.is_zero:  # strongest first: each fact implies the next
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the brute-force Betti engine")
     p.add_argument("--max-degree", type=_max_degree, default=8,
                    help="how far to print the Hilbert function (default 8, "
-                        f"at most {MAX_DEGREE})")
+                        f"at most {CAPS['max-degree'].bound})")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lexify",

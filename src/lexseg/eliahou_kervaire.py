@@ -13,40 +13,36 @@ generator degree minus one, pd the largest max(u), depth n - pd.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb
 from operator import add
 
 from .betti import TRIVIAL, BettiTable
-from .errors import DegreeTooLargeError, StabilityRequiredError, UnitIdealError
-from .monomials import MonomialIdeal, _prefixes_cover
-
-# generator degree `_check_degree` passes: the stability walk spells each
-# generator as a word of its degree, and the table of S/(x1^d) has d rows
-DEGREE_CAP = 10**6
+from .errors import CAPS, StabilityRequiredError, UnitIdealError, refuse
+from .monomials import MonomialIdeal, _lexsegment_counts, _prefixes_cover
 
 
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    A generator degree over `DEGREE_CAP` raises `DegreeTooLargeError`; then
-    the stability walk raises `StabilityRequiredError` or tallies the
-    generators for `_ek_table`, as a realized ideal's certificate walk does.
+    A generator degree over the degree cap (`CAPS`) raises
+    `DegreeTooLargeError`; then the stability walks raise
+    `StabilityRequiredError` or tally the generators for `_ek_table`, as a
+    realized ideal's certificate walk does.  The lexsegment walk goes first:
+    a lexsegment ideal is strongly stable, and that walk, O(g) and ended by
+    the first row that is not the successor it builds, gives the same
+    tallies; `_prefixes_cover` runs only when it fails.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
-    _check_degree(ideal)
-    counts = {} if ideal.is_zero else _prefixes_cover(ideal.exponent_rows, strong=False)
+    if (degree := ideal.max_gen_degree) > CAPS["degree"].bound:
+        refuse("degree", degree)
+    counts = {} if ideal.is_zero else (
+        _lexsegment_counts(ideal) or _prefixes_cover(ideal.exponent_rows, strong=False))
     if counts is None:
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
     return _ek_table(ideal, counts)
-
-
-def _check_degree(ideal: MonomialIdeal) -> None:
-    if ideal.max_gen_degree > DEGREE_CAP:
-        raise DegreeTooLargeError(
-            f"a generator has degree {ideal.max_gen_degree}, cap is {DEGREE_CAP}")
 
 
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
@@ -56,9 +52,12 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     largest generator degree (so reg = that degree - 1), and 0 alone in a
     degree without generators.  When one x_m takes
     all c of a degree's generators that is c * C(m-1, i) for i < m, read
-    off directly; else Horner's rule builds it with additions only."""
+    off directly; else Horner's rule builds it with additions only.  Before
+    any row is built the table's size is held to the Betti-table cap
+    (`_refuse_over_table_cap`)."""
     if ideal.is_zero:
         return TRIVIAL  # free quotient, trivial resolution
+    _refuse_over_table_cap(ideal.n, counts)
     rows = []
     for d, tally in sorted(counts.items()):
         rows += [[0]] * (d - 1 - len(rows))  # degrees with no generator
@@ -78,6 +77,18 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     rows = [row + [0] * (width - len(row)) for row in rows]
     rows[0][0] = 1
     return BettiTable(rows)
+
+
+def _refuse_over_table_cap(n: int, counts) -> None:
+    """Hold the table of a proper nonzero stable ideal in n variables,
+    tallied by ``counts`` as `_ek_table` takes them, to the Betti-table cap:
+    first by the bound (largest degree) * (n + 1), and only when that passes
+    the cap by the exact (reg + 1) * (pd + 1), pd the largest x_m tallied."""
+    height = max(counts)
+    if height * (n + 1) > CAPS["betti-table"].bound:
+        width = 1 + max(max(compress(range(len(tally)), tally)) for tally in counts.values())
+        if height * width > CAPS["betti-table"].bound:
+            refuse("betti-table", height * width, rows=height, columns=width)
 
 
 def projective_dimension(ideal: MonomialIdeal) -> int:

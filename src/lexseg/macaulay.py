@@ -13,21 +13,17 @@ All binomially-sized integers here are Python ints (arbitrary precision).
 
 from __future__ import annotations
 
+from collections import deque
 from math import comb
 
 from ._value import Value, _set
 from .betti import BettiTable
-from .eliahou_kervaire import _ek_table
-from .errors import NotOSequenceError, TooManyGeneratorsError
+from .eliahou_kervaire import _ek_table, _refuse_over_table_cap
+from .errors import CAPS, NotOSequenceError, refuse
 from .hilbert import HilbertSeries, _stable_series
-from .monomials import MonomialIdeal, _certified_lexsegment, _lex_segment_rows
+from .monomials import MonomialIdeal, _certified_lexsegment, _lex_segment_rows, _lex_walk
 
 MAX_GROWTH = "max-growth"
-
-GENERATOR_CAP = 10**6  # minimal generators a realization may list
-# exponent entries (generators x variables) a realization may store: the
-# generator cap bounds the walk's time, this its memory (about 10 bytes each)
-ENTRY_CAP = 5 * 10**7
 
 
 def _grow(d: int, tops) -> int:
@@ -237,25 +233,29 @@ def is_o_sequence(spec: HilbertFunctionSpec, n: int) -> OSequenceCheck:
 
 
 def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
-                       stop: int) -> tuple[OSequenceCheck, list[int]]:
-    """Macaulay's condition through degree ``stop``, and the room each bound
+                       stop: int) -> tuple[OSequenceCheck, list[int], list[int]]:
+    """Macaulay's condition through degree ``stop``, the room each bound
     leaves, H(k-1)^<k-1> - H(k) (n - H(1) for k = 1): the number of new
-    minimal generators of the realizing ideal in degree k = 1..stop.
+    minimal generators of the realizing ideal in degree k = 1..stop, and the
+    values H(0), H(1), ... it checked.
 
     Past degree t+1 (t the last explicit degree) a constant-c tail cannot
     break the bound, and each degree t+2..c gains a generator (there
     H(k-1) = c > k-1, so c^<k-1> > c).  So at each degree t < k < stop the
-    walk passes its running total plus one per degree left to
-    `_refuse_over_caps`.  `is_o_sequence` stops at t or t+1, before that."""
+    walk refuses once its running total plus one per degree left passes the
+    generator or the entry cap.  `is_o_sequence` stops at t or t+1, before
+    that."""
     if type(n) is not int:
         raise TypeError(f"variable count must be an int, got {n!r}")
     if n < 1:
-        return OSequenceCheck(False, None, "ambient variable count must be >= 1"), []
+        return OSequenceCheck(False, None, "ambient variable count must be >= 1"), [], []
     h = spec.value(0)
     if h != 1:
-        return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), []
+        return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), [], []
     t = spec.last_explicit_degree
+    generators, entries = CAPS["generators"].bound, CAPS["entries"].bound
     counts = []
+    values = [h]
     total = 0
     for k in range(1, stop + 1):
         bound = macaulay_growth(h, k - 1) if k > 1 else n  # largest H(k)
@@ -263,13 +263,18 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
         if hk > bound:
             reason = (f"H(1) = {hk} > {n} variables" if k == 1 else
                       f"H({k}) = {hk} exceeds {h}^<{k - 1}> = {bound}")
-            return OSequenceCheck(False, k - 1, reason), counts
+            return OSequenceCheck(False, k - 1, reason), counts, values
         counts.append(bound - hk)
+        values.append(hk)
         total += bound - hk
         if t < k < stop:
-            _refuse_over_caps(total + stop - k, n)
+            rows = total + stop - k
+            if rows > generators:
+                refuse("generators", rows)
+            if rows * n > entries:
+                refuse("entries", rows * n, rows=rows, n=n)
         h = hk
-    return OSequenceCheck(True), counts
+    return OSequenceCheck(True), counts, values
 
 
 def generation_horizon(spec: HilbertFunctionSpec) -> int:
@@ -286,31 +291,29 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
     return max(t + 1, spec.tail)
 
 
-def _refuse_over_caps(rows: int, n: int) -> None:
-    """Raise `TooManyGeneratorsError` when an ideal with ``rows`` or more
-    minimal generators in n variables would pass `GENERATOR_CAP` or
-    `ENTRY_CAP`."""
-    if rows > GENERATOR_CAP:
-        raise TooManyGeneratorsError(
-            f"the lexsegment ideal would have at least {rows} minimal "
-            f"generators, cap is {GENERATOR_CAP}")
-    if rows * n > ENTRY_CAP:
-        raise TooManyGeneratorsError(
-            f"the ideal would store at least {rows} generators of {n} "
-            f"exponents ({rows * n} entries), cap is {ENTRY_CAP}")
-
-
 def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
     generators in degree d, its reduced series and the Eliahou-Kervaire table
-    the series is read from.  Over `GENERATOR_CAP` generators, or over
-    `ENTRY_CAP` exponent entries, raises `TooManyGeneratorsError` before any
-    is listed.  The lister hands its rows over one block per degree, and one
-    walk over those blocks (`monomials._certified_lexsegment`) compares each
-    row with the successor it builds itself, proving the rows minimal, and
-    tallies them for the table; each row costs that walk, and the lister's,
-    one tuple and O(1) steps."""
-    _refuse_over_caps(sum(counts), n)
+    the series is read from.  Over the generator or the entry cap (`CAPS`),
+    raises `TooManyGeneratorsError` before any row is listed.  When the
+    largest degree times n + 1 passes the Betti-table cap, a first walk
+    keeps only its tallies, so a table over that cap is refused before any
+    row is kept.  The lister
+    hands its rows over one block per degree, and one walk over those blocks
+    (`monomials._certified_lexsegment`) compares each row with the successor
+    it builds itself, proving the rows minimal, and tallies them for the
+    table; each row costs that walk, and the lister's, one tuple and O(1)
+    steps."""
+    rows = sum(counts)
+    if rows > CAPS["generators"].bound:
+        refuse("generators", rows)
+    if rows * n > CAPS["entries"].bound:
+        refuse("entries", rows * n, rows=rows, n=n)
+    if rows and len(counts) * (n + 1) > CAPS["betti-table"].bound:
+        tallies = {}
+        sizes = [(d, k) for d, k in enumerate(counts, 1) if k]
+        deque(_lex_walk(n, sizes, tallies), maxlen=0)  # keeps no row
+        _refuse_over_table_cap(n, tallies)
     try:
         ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
     except ValueError as exc:
@@ -339,18 +342,19 @@ def _lex_ideal_and_series(
         n: int) -> tuple[MonomialIdeal, HilbertSeries, BettiTable, list[int]]:
     """`lex_ideal_from_hf` with the Hilbert series it verified against, the
     Eliahou-Kervaire table that series was read from, and the values H(0),
-    ..., H(t+3) it checked, t the generation horizon."""
+    ..., H(t+3) it checked, t the generation horizon: H(0..t) as the
+    Macaulay check read them, the spec's three after."""
     stop = generation_horizon(spec)
     # past is_o_sequence's horizon a constant tail never breaks the bound
-    check, counts = _o_sequence_counts(spec, n, stop)
+    check, counts, want = _o_sequence_counts(spec, n, stop)
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
     ideal, series, table = _realize(n, counts)
     values = series.values(stop + 4)
-    for k, got in enumerate(values):
-        want = spec.value(k, n)
-        if got != want:
-            raise AssertionError(
-                f"realized Hilbert function differs at degree {k}: {got} != {want}")
+    want += [spec.value(k, n) for k in range(stop + 1, stop + 4)]
+    if values != want:
+        k = next(k for k, (got, w) in enumerate(zip(values, want)) if got != w)
+        raise AssertionError(
+            f"realized Hilbert function differs at degree {k}: {values[k]} != {want[k]}")
     return ideal, series, table, values

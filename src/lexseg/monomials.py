@@ -497,7 +497,7 @@ def _walk_blocks(n: int, blocks) -> dict | None:
     after it: x1^d when I_(d-1) = 0, else the successor of u * xn^(d-e),
     then each the successor of the one before.  `_lex_walk` builds each
     successor and tallies it by its largest variable, and each row is
-    compared with the successor built for it.
+    compared with the successor built for it, up to the first that differs.
     """
     if not all(blocks):
         return None
@@ -507,8 +507,8 @@ def _walk_blocks(n: int, blocks) -> dict | None:
     tallies = {}
     walk = _lex_walk(n, zip(degrees, map(len, blocks)), tallies)
     rows = chain.from_iterable(blocks)
-    total = sum(map(len, blocks))
-    return tallies if sum(map(eq, rows, walk)) == total else None
+    # the walk goes first, so a row it stopped short of is left in ``rows``
+    return tallies if all(map(eq, walk, rows)) and next(rows, None) is None else None
 
 
 def _certified_lexsegment(n: int, blocks) -> tuple[MonomialIdeal, dict]:

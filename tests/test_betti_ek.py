@@ -9,7 +9,7 @@ from helpers import (
     generator_shapes,
     random_strongly_stable_ideal,
 )
-from lexseg import construct, eliahou_kervaire
+from lexseg import construct, monomials
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
@@ -19,7 +19,13 @@ from lexseg.eliahou_kervaire import (
     projective_dimension,
     regularity,
 )
-from lexseg.errors import DegreeTooLargeError, StabilityRequiredError, UnitIdealError
+from lexseg.errors import (
+    CAPS,
+    BettiTableTooLargeError,
+    DegreeTooLargeError,
+    StabilityRequiredError,
+    UnitIdealError,
+)
 from lexseg.hilbert import kpolynomial
 from lexseg.monomials import (
     Monomial,
@@ -103,15 +109,59 @@ class TestEkTable:
         assert "oracle" in str(err.value)
 
     def test_degree_cap_before_stability_check(self, monkeypatch):
-        # the cap is inclusive and read before the stability walk spells any word
-        monkeypatch.setattr(eliahou_kervaire, "DEGREE_CAP", 4)
-        calls = count_calls(monkeypatch, "_prefixes_cover")
+        # the cap is inclusive and read before any stability walk; (x1^4) is
+        # lexsegment, so its one walk is the lexsegment walk
+        monkeypatch.setattr(CAPS["degree"], "bound", 4)
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
         assert ek_betti_table(minimal_generators(2, [M(4, 0)])).regularity == 3
-        assert calls["_prefixes_cover"] == 1
+        assert calls == {"_lexsegment_counts": 1}
         with pytest.raises(DegreeTooLargeError) as err:
             ek_betti_table(minimal_generators(2, [M(2, 0), M(0, 5)]))
         assert str(err.value) == "a generator has degree 5, cap is 4"
-        assert calls["_prefixes_cover"] == 1
+        assert calls == {"_lexsegment_counts": 1}
+
+    @pytest.mark.parametrize("table", [ek_betti_table, bruteforce_betti_table],
+                             ids=["closed-form", "oracle"])
+    def test_table_cap(self, monkeypatch, table):
+        # (x1, x2^5) in 3 variables: 5 rows of pd + 1 = 3 entries, while the
+        # closed form's first bound, 5 rows of n + 1, is 20; the cap is inclusive
+        ideal = minimal_generators(3, [M(1, 0, 0), M(0, 5, 0)])
+        monkeypatch.setattr(CAPS["betti-table"], "bound", 15)
+        assert table(ideal).rows == ((1, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+                                     (0, 1, 1))
+        monkeypatch.setattr(CAPS["betti-table"], "bound", 14)
+        with pytest.raises(BettiTableTooLargeError) as err:
+            table(ideal)
+        assert str(err.value) == ("the Betti table would have 15 entries "
+                                  "(5 rows of 3), cap is 14")
+
+    def test_table_cap_before_any_row(self):
+        # S/(x1^(10^9)) has 10^9 rows of 2: refused off the tallies, and off
+        # the largest keys of the entries, before a row is built
+        message = ("the Betti table would have 2000000000 entries "
+                   "(1000000000 rows of 2), cap is 2000000")
+        with pytest.raises(BettiTableTooLargeError) as err:
+            _ek_table(MonomialIdeal(1, [(10**9,)]), {10**9: [0, 1]})
+        assert str(err.value) == message
+        with pytest.raises(BettiTableTooLargeError) as err:
+            BettiTable.from_entries({(0, 0): 1, (1, 10**9): 1})
+        assert str(err.value) == message
+
+    def test_lexsegment_walk_first(self, monkeypatch, example2):
+        # a lexsegment ideal's walk tallies its table; the prefix walk runs
+        # only once that walk fails, at the first row that is not the
+        # successor it built: x1*x3, not x2^2
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
+        assert ek_betti_table(example2) == bruteforce_betti_table(example2)
+        assert calls == {"_lexsegment_counts": 1}
+        built = []
+        real = monomials._lex_walk
+        monkeypatch.setattr(monomials, "_lex_walk",
+                            lambda *args: (built.append(row) or row for row in real(*args)))
+        ideal = minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0), M(0, 1, 1)])
+        assert ek_betti_table(ideal) == bruteforce_betti_table(ideal)
+        assert calls == {"_lexsegment_counts": 2, "_prefixes_cover": 1}
+        assert built == [(2, 0, 0), (1, 1, 0), (1, 0, 1)]
 
 
 class TestClosedFormOracle:
@@ -184,9 +234,11 @@ class TestDerivedInvariants:
 
     @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
     def test_each_helper_reads_one_table(self, monkeypatch, example2, helper):
-        calls = count_calls(monkeypatch, "ek_betti_table", "_prefixes_cover")
+        # example2 is lexsegment: the lexsegment walk tallies it, no prefix walk
+        calls = count_calls(monkeypatch, "ek_betti_table", "_lexsegment_counts",
+                            "_prefixes_cover")
         helper(example2)
-        assert calls == {"ek_betti_table": 1, "_prefixes_cover": 1}
+        assert calls == {"ek_betti_table": 1, "_lexsegment_counts": 1}
 
     def test_euler_characteristic_matches_kpolynomial(self):
         rng = random.Random(57)

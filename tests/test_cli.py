@@ -13,6 +13,7 @@ import pytest
 from helpers import all_monomials, count_calls, lex_successor, random_edge_ideal
 from lexseg import cli, hilbert, macaulay, monomials
 from lexseg.cli import main
+from lexseg.errors import CAPS, LexsegError
 from lexseg.monomials import Monomial
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -363,15 +364,15 @@ class TestLexify:
         code, out, err = run(capsys, "lexify", str(spec), "--n", "30")
         assert code == 3
         assert out == ""
-        assert f"{math.comb(38, 9)} minimal generators, cap is {macaulay.GENERATOR_CAP}" in err
+        assert f"{math.comb(38, 9)} minimal generators, cap is {CAPS['generators'].bound}" in err
 
     def test_generator_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
-        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 20)
+        monkeypatch.setattr(CAPS["generators"], "bound", 20)
         code, out, _ = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 0 and "20 minimal generators" in out
-        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 19)
+        monkeypatch.setattr(CAPS["generators"], "bound", 19)
         code, out, err = run(capsys, "lexify", str(spec), "--n", "6")
         assert code == 3 and out == ""
         assert "20 minimal generators, cap is 19" in err
@@ -382,6 +383,29 @@ class TestLexify:
         code, out, _ = run(capsys, "lexify", str(spec), "--n", "1")
         assert code == 0
         assert "0 minimal generators" in out
+
+
+class TestCapsTable:
+    def test_readme_states_every_cap(self):
+        # the README's caps table has one row per cap of `errors.CAPS`, with
+        # its bound (written 10^k or c·10^k), its error and its exit code
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Caps\n", 1)[1]
+        table = next(b for b in section.split("\n\n") if b.startswith("| cap |"))
+        rows = {}
+        for line in table.splitlines()[2:]:
+            name, bound, _, error, code = map(str.strip, line.strip("|").split("|"))
+            rows[name.strip("`")] = bound, error, int(code)
+        assert set(rows) == set(CAPS)
+        for name, cap in CAPS.items():
+            bound, error, code = rows[name]
+            factor, power = re.fullmatch(r"(?:(\d+)·)?10\^(\d+)", bound).groups()
+            assert int(factor or 1) * 10 ** int(power) == cap.bound, name
+            if cap.error is None:  # the parser raises its own usage error
+                assert "usage error" in error and code == 2, name
+            else:
+                assert f"`{cap.error.__name__}`" in error, name
+                assert issubclass(cap.error, LexsegError) and code == 3, name
 
 
 class TestEntryCap:
@@ -398,18 +422,40 @@ class TestEntryCap:
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
         argv = [str(spec) if a == "{input}" else a for a in argv]
-        monkeypatch.setattr(macaulay, "ENTRY_CAP", entries)
+        monkeypatch.setattr(CAPS["entries"], "bound", entries)
         code, _, _ = run(capsys, *argv)
         assert code == 0
 
         def no_rows(*args):
             raise AssertionError("listed rows over the entry cap")
 
-        monkeypatch.setattr(macaulay, "ENTRY_CAP", entries - 1)
+        monkeypatch.setattr(CAPS["entries"], "bound", entries - 1)
         monkeypatch.setattr(*lister, no_rows)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert f"({entries} entries), cap is {entries - 1}" in err
+
+
+class TestBettiTableCap:
+    def test_lexify_refused_before_any_row(self, capsys, tmp_path, monkeypatch):
+        # H = 1, 2, 2, ... in 3 variables is (x1, x2^2): 2 rows of pd + 1 = 3
+        # entries, where 2 rows of n + 1 would be 8; past that bound a walk
+        # that keeps no row decides, so the refusal lists none
+        spec = tmp_path / "hf.json"
+        spec.write_text(json.dumps({"initial": [1, 2], "tail": {"constant": 2}}))
+        monkeypatch.setattr(CAPS["betti-table"], "bound", 6)
+        code, out, _ = run(capsys, "lexify", str(spec), "--n", "3")
+        assert code == 0
+        assert "generators: x1, x2^2" in out
+
+        def no_rows(*args):
+            raise AssertionError("listed rows over the Betti-table cap")
+
+        monkeypatch.setattr(CAPS["betti-table"], "bound", 5)
+        monkeypatch.setattr(macaulay, "_lex_segment_rows", no_rows)
+        code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
+        assert code == 3 and out == ""
+        assert "the Betti table would have 6 entries (2 rows of 3), cap is 5" in err
 
 
 class TestExpansion:
@@ -618,6 +664,23 @@ class TestMeasuredOnce:
         assert (code, out) == (3, "")
         assert err == "error: multidegree box has 2097152 cells, cap is 1000000\n"
         assert calls["kpolynomial"] == 0
+
+    @pytest.mark.parametrize("n, rows, code, expected", [
+        (6, GOLDEN["inputs"]["example2"]["generators"], 0,
+         {"_lexsegment_counts": 1, "_prefixes_cover": 0, "_ek_table": 1}),
+        (3, [[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 1, 1]], 0,
+         {"_lexsegment_counts": 1, "_prefixes_cover": 1, "_ek_table": 1}),
+        (3, [[0, 2, 0], [1, 1, 1], [0, 0, 3]], 3,
+         {"_lexsegment_counts": 1, "_prefixes_cover": 1, "_ek_table": 0})],
+        ids=["lexsegment", "stable", "non-stable"])
+    def test_betti_tries_the_lexsegment_walk_first(self, capsys, tmp_path, monkeypatch,
+                                                   n, rows, code, expected):
+        # a lexsegment ideal's table is read off the lexsegment walk; the
+        # stable prefix walk runs only when that walk fails
+        path = write_ideal(tmp_path, "ideal.json", n, rows)
+        calls = count_calls(monkeypatch, *expected)
+        assert run(capsys, "betti", path)[0] == code
+        assert {name: calls[name] for name in expected} == expected
 
     def test_lexify_one_series(self, capsys, tmp_path, monkeypatch):
         spec = tmp_path / "hf.json"

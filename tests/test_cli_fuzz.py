@@ -5,10 +5,10 @@ Every outcome is a documented exit code (argparse's `SystemExit(2)` counts
 as 2), no other exception escapes, and a nonzero exit prints nothing to
 stdout.  The in-process inputs stay small or are answered before any real
 work: exponents are at most 10^3 (the stability walk costs O(degree)), oracle
-boxes are either small or over `BOX_CAP`, and r, s and grids are at most 12.
-Requests that only a generator, entry or degree cap stops, and that would
-allocate gigabytes or run for hours without it, run in a child process under
-an address-space limit.
+boxes are either small or over the box cap, and r, s and grids are at most 12.
+Requests that only a generator, entry, degree or Betti-table cap stops, and
+that would allocate gigabytes or run for hours without it, run in a child
+process under an address-space limit.
 """
 
 import json
@@ -158,11 +158,13 @@ def _limit_address_space():
     (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is"),
     (["lexify", "{horizon}", "--n", "100"], "minimal generators, cap is"),
     (["analyze", "{ideal}"], "degree 100000000, cap is"),
-    (["betti", "{ideal}"], "degree 100000000, cap is")],
+    (["betti", "{ideal}"], "degree 100000000, cap is"),
+    (["analyze", "{table}"], "6020000 entries (20000 rows of 301), cap is"),
+    (["betti", "{table}"], "6020000 entries (20000 rows of 301), cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
          "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
          "analyze-degree",
-         "betti-degree"])
+         "betti-degree", "analyze-table", "betti-table"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
     spec = tmp_path / "h1-zero.json"
@@ -176,7 +178,13 @@ def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     horizon = tmp_path / "horizon.json"
     horizon.write_text('{"initial": [1, 100, 5050, 171700, 4421275], '
                        '"tail": {"constant": 4421275}}')
-    files = {"{input}": str(spec), "{ideal}": str(ideal), "{horizon}": str(horizon)}
+    # (x1, ..., x299, x300^20000): a lexsegment ideal of 300 generators whose
+    # dense Betti table has 20000 rows of 301 entries
+    table = tmp_path / "dense-table.json"
+    rows = [[int(i == j) for i in range(300)] for j in range(299)]
+    table.write_text(json.dumps({"n": 300, "generators": rows + [[0] * 299 + [20000]]}))
+    files = {"{input}": str(spec), "{ideal}": str(ideal), "{horizon}": str(horizon),
+             "{table}": str(table)}
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-m", "lexseg.cli", *(files.get(a, a) for a in argv)],

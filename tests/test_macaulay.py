@@ -16,7 +16,7 @@ from helpers import (
     random_strongly_stable_ideal,
 )
 from lexseg import macaulay
-from lexseg.errors import NotOSequenceError, TooManyGeneratorsError
+from lexseg.errors import CAPS, NotOSequenceError, TooManyGeneratorsError
 from lexseg.macaulay import (
     MAX_GROWTH,
     HilbertFunctionSpec,
@@ -149,20 +149,20 @@ class TestHorizonCap:
     SPEC = HilbertFunctionSpec((1, 3, 6, 10), 10)
 
     def test_spec_realizes_at_its_own_count(self, monkeypatch):
-        monkeypatch.setattr(macaulay, "GENERATOR_CAP", 12)
+        monkeypatch.setattr(CAPS["generators"], "bound", 12)
         assert len(lex_ideal_from_hf(self.SPEC, 3).exponent_rows) == 12
 
     @pytest.mark.parametrize("name, cap, growths, message", [
         # 5 by degree 4 and one for each of degrees 5..10: refused at t+1
-        ("GENERATOR_CAP", 5, 3, "at least 11 minimal generators, cap is 5"),
+        ("generators", 5, 3, "at least 11 minimal generators, cap is 5"),
         # 7 by degree 5 and one for each of degrees 6..10
-        ("GENERATOR_CAP", 11, 4, "at least 12 minimal generators, cap is 11"),
-        ("ENTRY_CAP", 33, 4,
+        ("generators", 11, 4, "at least 12 minimal generators, cap is 11"),
+        ("entries", 33, 4,
          "at least 12 generators of 3 exponents \\(36 entries\\), cap is 33")],
         ids=["at-t-plus-1", "past-t-plus-1", "entries"])
     def test_walk_ends_once_the_cap_is_sure_to_pass(self, monkeypatch, name,
                                                     cap, growths, message):
-        monkeypatch.setattr(macaulay, name, cap)
+        monkeypatch.setattr(CAPS[name], "bound", cap)
         calls = count_calls(monkeypatch, "macaulay_growth")
         with pytest.raises(TooManyGeneratorsError, match=message):
             lex_ideal_from_hf(self.SPEC, 3)
@@ -172,7 +172,7 @@ class TestHorizonCap:
     @pytest.mark.parametrize("initial, c, n, degree", [
         # c - t - 1 is over the cap, but H(2) > 2^<1> = 3
         ((1, 2), 2 * 10**6, 2, 1),
-        # H(1) = 0 puts n > ENTRY_CAP / n generators in degree 1, but H(2) > 0
+        # H(1) = 0 puts n > (entry cap) / n generators in degree 1, but H(2) > 0
         ((1, 0, 1), 1, 2 * 10**6, 1)],
         ids=["tail-length", "running-total"])
     def test_violation_through_t_plus_1_wins(self, initial, c, n, degree):

@@ -391,6 +391,9 @@ class TestLexWalk:
         assert _walk_blocks(n, good + [[]]) is None  # an empty block
         merged = [good[0] + good[1]] + good[2:]
         assert _walk_blocks(n, merged) is None  # two degrees in one block
+        # a row past xn^d, where the walk stops short of the block
+        assert _walk_blocks(2, [[(1, 0)], [(0, 2)]]) is not None
+        assert _walk_blocks(2, [[(1, 0)], [(0, 2), (0, 2)]]) is None
 
 
 class TestKrullDimension:
