@@ -27,7 +27,6 @@ from .errors import (
     BettiTableTooLargeError,
     BoxTooLargeError,
     ConstructionError,
-    DegreeTooLargeError,
     LexsegError,
     NotOSequenceError,
     StabilityRequiredError,
@@ -72,7 +71,6 @@ __all__ = [
     "BoxTooLargeError",
     "ConstructionError",
     "ConstructionReport",
-    "DegreeTooLargeError",
     "HPolynomial",
     "HilbertFunctionSpec",
     "HilbertSeries",

@@ -10,8 +10,8 @@ its own exit code.
 Exit codes: 0 success, 1 stdout closed early (quietly), 2 usage (bad
 arguments, unreadable or malformed input files, an unwritable ``--out``,
 ``analyze --max-degree`` over 10^4), 3 mathematical domain error (unit ideal,
-non-O-sequence, stability required, box, generator, entry, degree or Betti
-table cap), 4 verification failure.  The caps are `errors.CAPS`.
+non-O-sequence, stability required, box, generator, entry or Betti table
+cap), 4 verification failure.  The caps are `errors.CAPS`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     NotOSequenceError,
     UnitIdealError,
     cap_message,
-    refuse,
 )
 from .hilbert import _reduced_series, _stable_series
 from .macaulay import (
@@ -102,13 +101,11 @@ def _flag(value) -> str:
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
     """The `analyze` report; "ideal" and "betti" hold the ideal and its table,
-    whose alternating sum, the K-polynomial, gives the series.  Past the
-    degree cap, the first of the lexsegment, strong and stable walks to pass
-    tallies the EK table; the oracle's serves when none does, or on demand."""
+    whose alternating sum, the K-polynomial, gives the series.  The first of
+    the lexsegment, strong and stable walks to pass tallies the EK table;
+    the oracle's serves when none does, or on demand."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    if (degree := ideal.max_gen_degree) > CAPS["degree"].bound:
-        refuse("degree", degree)
     stable = strongly = lexseg = None
     counts = {}  # the zero ideal's: its table is trivial
     if not ideal.is_zero:  # strongest first: each fact implies the next

@@ -25,18 +25,17 @@ from .monomials import MonomialIdeal, _lexsegment_counts, _prefixes_cover
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    A generator degree over the degree cap (`CAPS`) raises
-    `DegreeTooLargeError`; then the stability walks raise
-    `StabilityRequiredError` or tally the generators for `_ek_table`, as a
-    realized ideal's certificate walk does.  The lexsegment walk goes first:
-    a lexsegment ideal is strongly stable, and that walk, O(g) and ended by
-    the first row that is not the successor it builds, gives the same
-    tallies; `_prefixes_cover` runs only when it fails.
+    The stability walks raise `StabilityRequiredError` or tally the
+    generators for `_ek_table`, as a realized ideal's certificate walk does,
+    and a table over the Betti-table cap (`CAPS`) is refused before any row
+    is built; neither walk builds a tuple that grows with a generator's
+    degree.  The lexsegment walk goes first: a lexsegment ideal is strongly
+    stable, and that walk, O(g) and ended by the first row that is not the
+    successor it builds, gives the same tallies; `_prefixes_cover` runs only
+    when it fails.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
-    if (degree := ideal.max_gen_degree) > CAPS["degree"].bound:
-        refuse("degree", degree)
     counts = {} if ideal.is_zero else (
         _lexsegment_counts(ideal) or _prefixes_cover(ideal.exponent_rows, strong=False))
     if counts is None:

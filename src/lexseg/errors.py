@@ -5,7 +5,10 @@ each one's bound, the error its refusal raises and that error's message;
 each guarded site compares against the bound itself and calls `refuse`
 only to refuse (or raises its own error with `cap_message`: the oracle's
 box error carries the box size, and `analyze --max-degree` is argparse's
-usage error).
+usage error).  A cap counts what its path costs: no cap reads a generator's
+degree, since no walk builds a tuple that grows with it, and a huge degree
+meets the Betti-table cap (the closed form's rows) or the box cap (the
+oracle's cells) instead.
 """
 
 
@@ -45,10 +48,6 @@ class BoxTooLargeError(LexsegError):
         self.box_size = box_size
 
 
-class DegreeTooLargeError(LexsegError):
-    """A generator's degree exceeds the enforced cap of the closed-form Betti table."""
-
-
 class TooManyGeneratorsError(LexsegError):
     """A lexsegment realization would list more minimal generators than the enforced cap."""
 
@@ -84,9 +83,6 @@ CAPS = {
     "entries": Cap(5 * 10**7, TooManyGeneratorsError,
                    "the ideal would store at least {rows} generators of {n} "
                    "exponents ({value} entries), cap is {bound}"),
-    # the stability walk spells each generator as a word of its degree
-    "degree": Cap(10**6, DegreeTooLargeError,
-                  "a generator has degree {value}, cap is {bound}"),
     # the cells of the Betti oracle's multidegree box
     "box": Cap(10**6, BoxTooLargeError,
                "multidegree box has {value} cells, cap is {bound}"),

@@ -10,8 +10,9 @@ the mathematical variable index (as in "largest variable dividing u") is
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import eq, gt, le, lt
 
 from ._value import Value, _set
@@ -143,9 +144,15 @@ class MonomialIdeal(Value):
         """The ideal generated by any exponent vectors, minimalized."""
         # minimalize_rows gives checked, minimal, lex-descending rows: the
         # constructor's checks would only repeat its passes
+        return cls._trusted(n, minimalize_rows(_check_rows(rows, n)))
+
+    @classmethod
+    def _trusted(cls, n: int, rows) -> "MonomialIdeal":
+        """The ideal whose generators are ``rows``, trusted to be a tuple of
+        exponent tuples in n variables, minimal and lex-descending."""
         ideal = object.__new__(cls)
         _set(ideal, "n", n)
-        _set(ideal, "exponent_rows", minimalize_rows(_check_rows(rows, n)))
+        _set(ideal, "exponent_rows", rows)
         return ideal
 
     @cached_property
@@ -384,7 +391,7 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
 def _prefixes_cover(rows, strong: bool) -> dict | None:
     """None unless the minimal generator ``rows`` span a stable ideal
     (strongly stable when ``strong``); else their tallies as in
-    `_lexsegment_counts`, each read off a word's length and last letter.
+    `_lexsegment_counts`, each read off a generator's degree and last run.
 
     A generator u is read as its word, the positions of its variables in
     ascending order, each repeated by its exponent; P_k(u) is the monomial of
@@ -395,41 +402,51 @@ def _prefixes_cover(rows, strong: bool) -> dict | None:
     ``strong``), OR-ed over the generator degrees d <= deg u, cover every
     position below max(u) (every position of supp(u) but the first).  No
     swap is built and no membership query is made.
+
+    Every monomial here, generator, neighbour or prefix, is held as its
+    runs: the (position, exponent) pairs of its support, in ascending
+    position, so no tuple grows with a degree.  P_k(u) is the runs of u
+    that end by letter k, found by bisecting their cumulative ends, plus
+    the part of the next run that k reaches into.
     """
     n = len(rows[0])
-    words = []
+    gens = []
     table = {}
     for g in rows:
-        w = ()
-        ends = []  # the position of the last copy of each letter
-        for i, e in enumerate(g):
-            if e:
-                w += (i,) * e
-                ends.append(len(w) - 1)
+        runs = tuple([(i, e) for i, e in enumerate(g) if e])
         support = 0
-        for p in ends:
-            i = w[p]
+        for r, (i, e) in enumerate(runs):
             support |= 1 << i
+            lowered = runs[:r] + ((i, e - 1),) if e > 1 else runs[:r]
+            rest = runs[r + 1:]
             if not strong:  # g - e_i
-                key, bit = w[:p] + w[p + 1:], i
-            elif i + 1 < n:  # g + e_(i+1) - e_i
-                key, bit = w[:p] + (i + 1,) + w[p + 1:], i + 1
+                key, bit = lowered + rest, i
+            elif i + 1 < n:  # g + e_(i+1) - e_i: x_(i+1)'s run raised, or inserted
+                m = rest[0][1] if rest and rest[0][0] == i + 1 else 0
+                key, bit = lowered + ((i + 1, m + 1),) + rest[1 if m else 0:], i + 1
             else:
                 continue
             table[key] = table.get(key, 0) | 1 << bit
         # the bits u must collect: supp(u) but x1, or every i below max(u)
-        words.append((w, support & ~1 if strong else (1 << w[-1]) - 1))
+        gens.append((runs, support & ~1 if strong else (1 << runs[-1][0]) - 1))
     counts = {d: [0] * (n + 1) for d in sorted(set(map(sum, rows)))}
     lag = 0 if strong else 1
-    for w, need in words:
+    for runs, need in gens:
+        ends = [*accumulate(e for _, e in runs)]
+        degree = ends[-1]
         got = 0
+        j = 0
         for d in counts:
-            if d > len(w):
+            if d > degree:
                 break
-            got |= table.get(w[:d - lag], 0)
+            k = d - lag
+            j = bisect_right(ends, k, j)  # runs[:j] end by letter k
+            start = ends[j - 1] if j else 0
+            got |= table.get(runs[:j] + ((runs[j][0], k - start),) if k > start
+                             else runs[:j], 0)
         if got & need != need:
             return None
-        counts[len(w)][w[-1] + 1] += 1
+        counts[degree][runs[-1][0] + 1] += 1
     return counts
 
 
@@ -527,10 +544,7 @@ def _certified_lexsegment(n: int, blocks) -> tuple[MonomialIdeal, dict]:
     rows = tuple(sorted(chain.from_iterable(blocks), reverse=True))
     if not _strictly_descending(rows):
         raise ValueError("rows are not strictly lex-descending")
-    ideal = object.__new__(MonomialIdeal)
-    _set(ideal, "n", n)
-    _set(ideal, "exponent_rows", rows)
     counts = _walk_blocks(n, blocks) if rows else {}
     if counts is None:
         raise ValueError("rows do not generate a lexsegment ideal")
-    return ideal, counts
+    return MonomialIdeal._trusted(n, rows), counts

@@ -132,9 +132,13 @@ def _swap_closure(n: int, seeds, strong: bool) -> MonomialIdeal:
     variable only, and minimalizes.  The closed set's ideal is (strongly)
     stable, since its minimal generators are among the closed set.
     Termination is immediate since exchanges never raise degree and the
-    degree blocks are finite.
+    degree blocks are finite.  An exchange that a seed divides is left out:
+    each of its own exchanges is a multiple of that seed or of one of the
+    seed's, so the ideal is the same, and a low-degree seed in early
+    variables keeps the closure of a high-degree one small.
     """
-    pool = {m.exponents for m in seeds}
+    seeds = [m.exponents for m in seeds]
+    pool = set(seeds)
     frontier = list(pool)
     while frontier:
         expo = frontier.pop()
@@ -145,7 +149,7 @@ def _swap_closure(n: int, seeds, strong: bool) -> MonomialIdeal:
                 e[j] -= 1
                 e[i] += 1
                 t = tuple(e)
-                if t not in pool:
+                if t not in pool and not any(all(map(le, s, t)) for s in seeds):
                     pool.add(t)
                     frontier.append(t)
     return MonomialIdeal.from_exponent_rows(n, pool)

@@ -22,7 +22,6 @@ from lexseg.eliahou_kervaire import (
 from lexseg.errors import (
     CAPS,
     BettiTableTooLargeError,
-    DegreeTooLargeError,
     StabilityRequiredError,
     UnitIdealError,
 )
@@ -107,18 +106,6 @@ class TestEkTable:
         with pytest.raises(StabilityRequiredError) as err:
             ek_betti_table(ideal)
         assert "oracle" in str(err.value)
-
-    def test_degree_cap_before_stability_check(self, monkeypatch):
-        # the cap is inclusive and read before any stability walk; (x1^4) is
-        # lexsegment, so its one walk is the lexsegment walk
-        monkeypatch.setattr(CAPS["degree"], "bound", 4)
-        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
-        assert ek_betti_table(minimal_generators(2, [M(4, 0)])).regularity == 3
-        assert calls == {"_lexsegment_counts": 1}
-        with pytest.raises(DegreeTooLargeError) as err:
-            ek_betti_table(minimal_generators(2, [M(2, 0), M(0, 5)]))
-        assert str(err.value) == "a generator has degree 5, cap is 4"
-        assert calls == {"_lexsegment_counts": 1}
 
     @pytest.mark.parametrize("table", [ek_betti_table, bruteforce_betti_table],
                              ids=["closed-form", "oracle"])

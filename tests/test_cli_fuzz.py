@@ -4,11 +4,11 @@ for every subcommand, through `main` in-process.
 Every outcome is a documented exit code (argparse's `SystemExit(2)` counts
 as 2), no other exception escapes, and a nonzero exit prints nothing to
 stdout.  The in-process inputs stay small or are answered before any real
-work: exponents are at most 10^3 (the stability walk costs O(degree)), oracle
-boxes are either small or over the box cap, and r, s and grids are at most 12.
-Requests that only a generator, entry, degree or Betti-table cap stops, and
-that would allocate gigabytes or run for hours without it, run in a child
-process under an address-space limit.
+work: exponents are at most 10^3, oracle boxes are either small or over the
+box cap, and r, s and grids are at most 12.  Requests that only a generator,
+entry, box or Betti-table cap stops, and that would allocate gigabytes or run
+for hours without it, run in a child process under an address-space limit,
+as do the stability predicates on a generator of degree 10^8.
 """
 
 import json
@@ -157,22 +157,29 @@ def _limit_address_space():
     (["lexify", "{input}", "--n", "100000"], "entries), cap is"),
     (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is"),
     (["lexify", "{horizon}", "--n", "100"], "minimal generators, cap is"),
-    (["analyze", "{ideal}"], "degree 100000000, cap is"),
-    (["betti", "{ideal}"], "degree 100000000, cap is"),
+    (["analyze", "{ideal}"], "200000000 entries (100000000 rows of 2), cap is"),
+    (["betti", "{ideal}"], "200000000 entries (100000000 rows of 2), cap is"),
+    (["analyze", "{ideal}", "--oracle"], "multidegree box has 100000001 cells, cap is"),
+    (["analyze", "{unstable}"], "multidegree box has 600000006 cells, cap is"),
+    (["betti", "{unstable}"], "ideal is not stable; use the brute-force oracle"),
     (["analyze", "{table}"], "6020000 entries (20000 rows of 301), cap is"),
     (["betti", "{table}"], "6020000 entries (20000 rows of 301), cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
          "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
-         "analyze-degree",
-         "betti-degree", "analyze-table", "betti-table"])
+         "analyze-degree", "betti-degree", "analyze-oracle-degree",
+         "analyze-unstable-degree", "betti-unstable-degree", "analyze-table",
+         "betti-table"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
     spec = tmp_path / "h1-zero.json"
     spec.write_text('{"initial": [1, 0], "tail": {"constant": 0}}')
-    # (x1^(10^8)): a stable ideal whose stability words and table grow with
-    # the degree
+    # (x1^(10^8)): a stable ideal whose table has a row per degree and whose
+    # oracle box has a cell per degree
     ideal = tmp_path / "huge-degree.json"
     ideal.write_text('{"n": 2, "generators": [[100000000, 0]]}')
+    # (x2^(10^8), x3^5) in 3 variables: not stable, so only the oracle serves
+    unstable = tmp_path / "huge-degree-unstable.json"
+    unstable.write_text('{"n": 3, "generators": [[0, 100000000, 0], [0, 0, 5]]}')
     # H(k) = C(99 + k, k) through degree 4, then constant: more than 4*10^6
     # degrees of the horizon walk would each gain a generator
     horizon = tmp_path / "horizon.json"
@@ -184,7 +191,7 @@ def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     rows = [[int(i == j) for i in range(300)] for j in range(299)]
     table.write_text(json.dumps({"n": 300, "generators": rows + [[0] * 299 + [20000]]}))
     files = {"{input}": str(spec), "{ideal}": str(ideal), "{horizon}": str(horizon),
-             "{table}": str(table)}
+             "{table}": str(table), "{unstable}": str(unstable)}
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-m", "lexseg.cli", *(files.get(a, a) for a in argv)],
@@ -210,3 +217,18 @@ def test_lexsegment_degree_gap_walks_only_generator_degrees(tmp_path):
     assert done.stderr == ""
     assert "stable: yes   strongly stable: yes   lexsegment: yes\n" in done.stdout
     assert "regularity: 299999\n" in done.stdout
+
+
+def test_stability_predicates_on_a_huge_degree():
+    # each generator is held as its runs, so a degree of 10^8 costs no more
+    # than a degree of 1: x1 * x2^(10^8 - 1) is not in (x2^(10^8)), and
+    # (x1^(10^8)) is strongly stable
+    code = ("from lexseg import MonomialIdeal, is_stable, is_strongly_stable\n"
+            "print(is_stable(MonomialIdeal(2, [(0, 10**8)])),"
+            " is_strongly_stable(MonomialIdeal(2, [(10**8, 0)])))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False True\n"

@@ -638,6 +638,47 @@ class TestStabilityPredicates:
         assert brute_is_stable(ideal, strong=False)
         assert not brute_is_stable(ideal, strong=True)
 
+    def test_prefix_walk_on_long_runs(self):
+        # closures whose generators reach degree 10^3 and more through long
+        # runs of x2 and x3, so the walk's prefixes end deep inside a run;
+        # the seeds x1^k and x2^K bound each closure to a few hundred
+        # generators, and a copy with one letter moved later may break it
+        rng = random.Random(41)
+        outcomes = Counter()
+        for _ in range(40):
+            n = rng.randint(3, 4)
+            K = rng.randint(300, 900)
+            anchors = [(rng.randint(1, 4),) + (0,) * (n - 1), (0, K) + (0,) * (n - 2)]
+            seeds = []
+            for D in rng.sample(range(1000, 2500), rng.randint(2, 3)):
+                b = K - rng.randint(1, 30)
+                tail = [0] * (n - 2)
+                tail[-1] = rng.randint(0, 2)  # x4's run stays short
+                tail[0] += D - b - sum(tail)
+                seeds.append((0, b, *tail))
+            closure = rng.choice((borel_closure, stable_closure))
+            ideal = closure(n, [Monomial(e) for e in anchors + seeds])
+            rows = ideal.exponent_rows
+            assert max(map(sum, rows)) >= 1000 and len(rows) <= 400, ideal
+            u = rng.choice([r for r in rows if sum(r) >= 1000])
+            i = rng.choice([p for p, e in enumerate(u[:-1]) if e])
+            w = list(u)
+            w[i] -= 1
+            w[rng.randrange(i + 1, n)] += 1
+            moved = minimal_generators(
+                n, [Monomial(g) for g in rows if g != u] + [Monomial(tuple(w))])
+            for ideal in (ideal, moved):
+                for strong in (False, True):
+                    counts = _prefixes_cover(ideal.exponent_rows, strong)
+                    passed = brute_is_stable(ideal, strong)
+                    assert (counts is not None) == passed, (ideal, strong)
+                    outcomes[strong, passed] += 1
+                    if passed:
+                        got = {(d, m): c for d, tally in counts.items()
+                               for m, c in enumerate(tally) if c}
+                        assert got == generator_shapes(ideal), (ideal, strong)
+        assert len(outcomes) == 4, outcomes
+
     def test_predicates_make_no_membership_query(self, monkeypatch, example2,
                                                  remark3, grid_ideals):
         calls = count_calls(monkeypatch, "_in_ideal", "contains")
