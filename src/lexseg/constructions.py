@@ -12,9 +12,9 @@ Two branches cover all pairs (r, s) with r, s >= 1:
   (`lex_ideal_from_hf`); its h-polynomial is 1 + (r+1)t - t^s.
 
 Either way n <= max(r, s) + 2.  Both branches realize their ideal from its
-generator counts per degree through `macaulay._realize`, which caps, lists
-and certifies the rows by one lexsegment walk and reads the reduced Hilbert
-series off the walk's Eliahou-Kervaire table.  Every constructor measures
+generator counts per degree through `macaulay._realize`, which caps the
+rows, lists them by one lexsegment walk that also tallies them, and reads
+the reduced Hilbert series off the Eliahou-Kervaire table of those tallies.  Every constructor measures
 the produced ideal and raises `ConstructionError` on any divergence from the
 predicted invariants.
 """

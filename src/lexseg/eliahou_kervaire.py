@@ -26,7 +26,7 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
     The stability walks raise `StabilityRequiredError` or tally the
-    generators for `_ek_table`, as a realized ideal's certificate walk does,
+    generators for `_ek_table`, as the walk that lists a realized ideal does,
     and a table over the Betti-table cap (`CAPS`) is refused before any row
     is built; neither walk builds a tuple that grows with a generator's
     degree.  The lexsegment walk goes first: a lexsegment ideal is strongly

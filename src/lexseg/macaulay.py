@@ -6,7 +6,7 @@ Hilbert functions of graded quotients, each realized by a unique lexsegment
 ideal.  `lex_ideal_from_hf` builds that ideal degree by degree: the room
 the growth bound leaves, found in the loop that checks it, is the number of
 new minimal generators in degree k, the monomials right after the previous
-degree's shadow.  The walk that certifies them tallies them for the EK table.
+degree's shadow.  The walk that lists them tallies them for the EK table.
 
 All binomially-sized integers here are Python ints (arbitrary precision).
 """
@@ -21,7 +21,7 @@ from .betti import BettiTable
 from .eliahou_kervaire import _ek_table, _refuse_over_table_cap
 from .errors import CAPS, NotOSequenceError, refuse
 from .hilbert import HilbertSeries, _stable_series
-from .monomials import MonomialIdeal, _certified_lexsegment, _lex_segment_rows, _lex_walk
+from .monomials import MonomialIdeal, _lex_segment, _lex_walk
 
 MAX_GROWTH = "max-growth"
 
@@ -298,12 +298,10 @@ def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     raises `TooManyGeneratorsError` before any row is listed.  When the
     largest degree times n + 1 passes the Betti-table cap, a first walk
     keeps only its tallies, so a table over that cap is refused before any
-    row is kept.  The lister
-    hands its rows over one block per degree, and one walk over those blocks
-    (`monomials._certified_lexsegment`) compares each row with the successor
-    it builds itself, proving the rows minimal, and tallies them for the
-    table; each row costs that walk, and the lister's, one tuple and O(1)
-    steps."""
+    row is kept.  Then one walk (`monomials._lex_segment`) lists the rows,
+    minimal and lex-descending by construction, and tallies them for the
+    table, each row for one tuple and O(1) steps; a walk that runs short of
+    the counts or repeats a row raises `AssertionError`."""
     rows = sum(counts)
     if rows > CAPS["generators"].bound:
         refuse("generators", rows)
@@ -315,7 +313,7 @@ def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
         deque(_lex_walk(n, sizes, tallies), maxlen=0)  # keeps no row
         _refuse_over_table_cap(n, tallies)
     try:
-        ideal, tallies = _certified_lexsegment(n, _lex_segment_rows(n, counts))
+        ideal, tallies = _lex_segment(n, counts)
     except ValueError as exc:
         raise AssertionError(f"realized ideal: {exc}") from None
     table = _ek_table(ideal, tallies)
@@ -329,10 +327,10 @@ def lex_ideal_from_hf(spec: HilbertFunctionSpec, n: int) -> MonomialIdeal:
     piece fills dim S_k - H(k-1)^<k-1> of it (Macaulay).  So degree k has
     H(k-1)^<k-1> - H(k) new minimal generators (n - H(1) in degree 1), the
     monomials right after that shadow.  Generation stops at max(t+1, c) for
-    a constant-c tail and at t for a max-growth tail.  `_realize` caps,
-    lists and certifies the generators; the series of its Eliahou-Kervaire
-    table is re-verified against the spec up to three degrees past the
-    stopping point.
+    a constant-c tail and at t for a max-growth tail.  `_realize` caps the
+    generators and lists them by one walk, which also tallies them; the
+    series of their Eliahou-Kervaire table is re-verified against the spec
+    up to three degrees past the stopping point.
     """
     return _lex_ideal_and_series(spec, n)[0]
 

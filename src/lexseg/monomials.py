@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import eq, gt, le, lt
 
 from ._value import Value, _set
@@ -275,13 +275,28 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     return _in_ideal(ideal.exponent_rows, m.exponents)
 
 
-def _lex_segment_rows(n: int, counts) -> list[list[tuple[int, ...]]]:
-    """The minimal generators of the lexsegment ideal with ``counts[d - 1]``
-    of them in degree d, as `_walk_blocks` takes them: one lex-descending
-    block per degree that holds any, in ascending degree."""
+def _lex_segment(n: int, counts) -> tuple[MonomialIdeal, dict]:
+    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
+    generators in degree d, and its tallies as in `_lexsegment_counts` for
+    its Eliahou-Kervaire table, both from one `_lex_walk`.
+
+    The walk puts each degree's rows right after the shadow of the lower
+    degrees, so no lower-degree row divides them (Macaulay) and the rows are
+    minimal without the constructor's trie pass; a lexsegment ideal is
+    strongly stable, so no stability test runs either.  The rows are kept in
+    walk order, already lex-descending: a degree's first row is the
+    successor of least * xn^(d-e), which lowers an exponent before xn's and
+    so falls below least.  Raises `ValueError` when the walk runs short of
+    ``sum(counts)`` rows or its rows do not descend strictly.
+    """
+    tallies = {}
     sizes = [(d, k) for d, k in enumerate(counts, 1) if k]
-    walk = _lex_walk(n, sizes, {})
-    return [list(islice(walk, k)) for _, k in sizes]
+    rows = tuple([*_lex_walk(n, sizes, tallies)])  # exact size, see _value
+    if len(rows) != (want := sum(counts)):
+        raise ValueError(f"the walk listed {len(rows)} of {want} rows")
+    if not _strictly_descending(rows):
+        raise ValueError("rows are not strictly lex-descending")
+    return MonomialIdeal._trusted(n, rows), tallies
 
 
 def _lex_walk(n: int, sizes, tallies):
@@ -526,25 +541,3 @@ def _walk_blocks(n: int, blocks) -> dict | None:
     rows = chain.from_iterable(blocks)
     # the walk goes first, so a row it stopped short of is left in ``rows``
     return tallies if all(map(eq, walk, rows)) and next(rows, None) is None else None
-
-
-def _certified_lexsegment(n: int, blocks) -> tuple[MonomialIdeal, dict]:
-    """The lexsegment ideal whose minimal generators are listed by
-    ``blocks`` (one lex-descending list per generator degree, in ascending
-    degree, as `_lex_segment_rows` gives them), and the walk's tallies for
-    its Eliahou-Kervaire table; raises `ValueError` when they are not that.
-
-    The blocks are merged into one lex-descending tuple that must descend
-    strictly, then one `_walk_blocks` walk stands in for the constructor's
-    trie check and any stability test (a lexsegment ideal is strongly
-    stable): it puts each degree's rows after the shadow of the
-    lower-degree rows, so the rows are minimal (Macaulay).  The rows are
-    trusted to be exponent vectors in n variables.
-    """
-    rows = tuple(sorted(chain.from_iterable(blocks), reverse=True))
-    if not _strictly_descending(rows):
-        raise ValueError("rows are not strictly lex-descending")
-    counts = _walk_blocks(n, blocks) if rows else {}
-    if counts is None:
-        raise ValueError("rows do not generate a lexsegment ideal")
-    return MonomialIdeal._trusted(n, rows), counts

@@ -190,6 +190,15 @@ def blocks_by_degree(rows) -> list[list[tuple[int, ...]]]:
     return [by_degree[d] for d in sorted(by_degree)]
 
 
+def degree_counts(rows) -> list[int]:
+    """How many rows have each degree 1, 2, ..., up to the largest, as
+    `macaulay._realize` and `monomials._lex_segment` take them."""
+    counts = [0] * max(map(sum, rows), default=0)
+    for r in rows:
+        counts[sum(r) - 1] += 1
+    return counts
+
+
 def lex_predecessor(e):
     """The monomial before ``e`` in the lex-descending order of its degree,
     or None before the first one, x1^d: the inverse of `lex_successor`."""

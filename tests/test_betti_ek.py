@@ -3,8 +3,8 @@ import random
 import pytest
 
 from helpers import (
-    blocks_by_degree,
     count_calls,
+    degree_counts,
     ek_closed_form,
     generator_shapes,
     random_strongly_stable_ideal,
@@ -29,7 +29,7 @@ from lexseg.hilbert import kpolynomial
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
-    _certified_lexsegment,
+    _lex_segment,
     is_lexsegment,
     minimal_generators,
 )
@@ -153,7 +153,7 @@ class TestEkTable:
 
 class TestClosedFormOracle:
     def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
-        # both tally routes, the certificate walk's and the stability walk's
+        # both tally routes, the realizing walk's and the stability walk's
         # behind ek_betti_table, and both row builders, one binomial row for
         # a degree whose generators share their largest variable and Horner's
         # rule for any other, against the closed form summed one binomial at
@@ -170,9 +170,9 @@ class TestClosedFormOracle:
             want = ek_closed_form(ideal)
             assert ek_betti_table(ideal) == want, ideal
             if not ideal.is_zero and is_lexsegment(ideal):
-                blocks = blocks_by_degree(ideal.exponent_rows)
-                certified, tallies = _certified_lexsegment(ideal.n, blocks)
-                assert _ek_table(certified, tallies) == want, ideal
+                realized, tallies = _lex_segment(ideal.n, degree_counts(ideal.exponent_rows))
+                assert realized == ideal
+                assert _ek_table(realized, tallies) == want, ideal
                 walked += 1
             degrees = [d for d, _ in generator_shapes(ideal)]
             shared |= {degrees.count(d) == 1 for d in degrees}

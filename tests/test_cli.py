@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import all_monomials, count_calls, lex_successor, random_edge_ideal
+from helpers import count_calls, random_edge_ideal
 from lexseg import cli, hilbert, macaulay, monomials
 from lexseg.cli import main
 from lexseg.errors import CAPS, LexsegError
@@ -291,14 +291,20 @@ class TestLexify:
         assert out == "" and f"cannot write {target}" in err
 
     def test_non_minimal_generators_exit_4(self, capsys, tmp_path, monkeypatch):
-        # a realization bug that repeats a generator in its block fails the
-        # strict lex order of the merged rows, reported as a verification
-        # failure, on lexify and on construct's first step, which lists its
-        # rows by the same walk
-        real = macaulay._lex_segment_rows
-        monkeypatch.setattr(macaulay, "_lex_segment_rows", lambda n, counts:
-                            [[row for row in block for _ in (0, 1)]
-                             for block in real(n, counts)])
+        # a realization bug that repeats a generator in place of the next,
+        # keeping the row count, fails the strict lex order of the walk's
+        # rows, reported as a verification failure, on lexify and on
+        # construct's first step, which lists its rows by the same walk
+        real = monomials._lex_walk
+
+        def repeating(*args):
+            walk = real(*args)
+            first = next(walk)
+            yield from (first, first)
+            next(walk, None)  # the row the repeat stands in for
+            yield from walk
+
+        monkeypatch.setattr(monomials, "_lex_walk", repeating)
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
         for argv in (["lexify", str(spec), "--n", "6"],
@@ -307,57 +313,15 @@ class TestLexify:
             assert code == 4, argv
             assert out == "" and "rows are not strictly lex-descending" in err
 
-    def test_non_stable_realization_exit_4(self, capsys, tmp_path, monkeypatch):
-        # a realization bug that takes the lex-last monomials of a degree
-        # keeps the Hilbert function 1, 3, 2, 2, ... but not the lexsegment
-        # walk (nor stability)
-        def last_slice(n, counts):
-            return [[m.exponents for m in all_monomials(n, d)[-count:]]
-                    for d, count in enumerate(counts, 1) if count]
-
-        monkeypatch.setattr(macaulay, "_lex_segment_rows", last_slice)
-        spec = tmp_path / "hf.json"
-        spec.write_text(json.dumps({"initial": [1, 3], "tail": {"constant": 2}}))
-        code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
-        assert code == 4
-        assert out == "" and "rows do not generate a lexsegment ideal" in err
-
-    @pytest.mark.parametrize("fault", ["late-start", "skipped-successor"])
-    def test_faulty_block_exit_4(self, capsys, tmp_path, monkeypatch, fault):
-        # the lister's largest block starts one monomial late, or skips one
-        # successor in its middle; either keeps the block's length, and the
-        # walk's row-by-row comparison reports it
-        real = macaulay._lex_segment_rows
-
-        def faulty(n, counts):
-            blocks = real(n, counts)
-            block = max(blocks, key=len)
-            tail = [lex_successor(block[-1])]
-            if fault == "late-start":
-                block[:] = block[1:] + tail
-            else:
-                del block[len(block) // 2]
-                block += tail
-            return blocks
-
-        monkeypatch.setattr(macaulay, "_lex_segment_rows", faulty)
-        spec = tmp_path / "hf.json"
-        spec.write_text(json.dumps({"initial": [1, 6, 5], "tail": {"constant": 5}}))
-        for argv in (["lexify", str(spec), "--n", "6"],
-                     ["construct", "--r", "2", "--s", "4"],
-                     ["construct", "--r", "5", "--s", "2"]):
-            code, out, err = run(capsys, *argv)
-            assert code == 4, argv
-            assert out == "" and "rows do not generate a lexsegment ideal" in err
-
     def test_over_generator_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         # H = dim S_k through degree 8, then 0: every one of the C(38, 9)
         # degree-9 monomials in 30 variables is a generator.  The cap is
         # arithmetic, so a walk here would be the bug; it exits 4, not 3.
-        def no_walk(n, counts):
+        def no_walk(*args):
             raise AssertionError("walked an over-cap degree")
 
-        monkeypatch.setattr(macaulay, "_lex_segment_rows", no_walk)
+        monkeypatch.setattr(monomials, "_lex_walk", no_walk)
+        monkeypatch.setattr(macaulay, "_lex_walk", no_walk)
         spec = tmp_path / "huge.json"
         spec.write_text(json.dumps({"initial": [math.comb(29 + k, k) for k in range(9)],
                                     "tail": {"constant": 0}}))
@@ -409,28 +373,28 @@ class TestCapsTable:
 
 
 class TestEntryCap:
-    @pytest.mark.parametrize("argv, lister, entries", [
-        (["construct", "--r", "2", "--s", "4"], (monomials, "_lex_walk"), 9),
-        (["construct", "--r", "4", "--s", "2"], (monomials, "_lex_walk"), 120),
-        (["lexify", "{input}", "--n", "6"], (monomials, "_lex_walk"), 120)],
+    @pytest.mark.parametrize("argv, entries", [
+        (["construct", "--r", "2", "--s", "4"], 9),
+        (["construct", "--r", "4", "--s", "2"], 120),
+        (["lexify", "{input}", "--n", "6"], 120)],
         ids=["construct-first-step", "construct-second-step", "lexify"])
-    def test_over_entry_cap_exit_3(self, capsys, tmp_path, monkeypatch, argv, lister,
-                                   entries):
+    def test_over_entry_cap_exit_3(self, capsys, tmp_path, monkeypatch, argv, entries):
         # entries = generators x variables; the cap is inclusive and arithmetic,
-        # so walking a row over it, in the lister or the certificate, would be
-        # the bug (it exits 4, not 3)
+        # so listing a row over it would be the bug (it exits 4, not 3); the
+        # under-cap run shows the patched lister is the one `_realize` calls
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps(GOLDEN["inputs"]["hf-example2"]))
         argv = [str(spec) if a == "{input}" else a for a in argv]
         monkeypatch.setattr(CAPS["entries"], "bound", entries)
+        calls = count_calls(monkeypatch, "_lex_segment")
         code, _, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == 0 and calls == {"_lex_segment": 1}
 
         def no_rows(*args):
             raise AssertionError("listed rows over the entry cap")
 
         monkeypatch.setattr(CAPS["entries"], "bound", entries - 1)
-        monkeypatch.setattr(*lister, no_rows)
+        monkeypatch.setattr(macaulay, "_lex_segment", no_rows)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert f"({entries} entries), cap is {entries - 1}" in err
@@ -444,15 +408,16 @@ class TestBettiTableCap:
         spec = tmp_path / "hf.json"
         spec.write_text(json.dumps({"initial": [1, 2], "tail": {"constant": 2}}))
         monkeypatch.setattr(CAPS["betti-table"], "bound", 6)
+        calls = count_calls(monkeypatch, "_lex_segment")
         code, out, _ = run(capsys, "lexify", str(spec), "--n", "3")
-        assert code == 0
+        assert code == 0 and calls == {"_lex_segment": 1}  # the lister `_realize` calls
         assert "generators: x1, x2^2" in out
 
         def no_rows(*args):
             raise AssertionError("listed rows over the Betti-table cap")
 
         monkeypatch.setattr(CAPS["betti-table"], "bound", 5)
-        monkeypatch.setattr(macaulay, "_lex_segment_rows", no_rows)
+        monkeypatch.setattr(macaulay, "_lex_segment", no_rows)
         code, out, err = run(capsys, "lexify", str(spec), "--n", "3")
         assert code == 3 and out == ""
         assert "the Betti table would have 6 entries (2 rows of 3), cap is 5" in err
@@ -601,11 +566,12 @@ class TestMeasuredOnce:
     # walk decides all three; a non-stable ideal fails all three walks
     LEX_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 0}
     EVERY_WALK = {"_lexsegment_counts": 1, "_prefixes_cover": 2}
-    # a realized ideal is certified by one walk over the lister's blocks
-    # instead of the constructor's trie check and the EK table's stability
-    # gate; the walk's tallies feed the table, so no other pass over the rows
-    # serves it.  The lister and that certificate each run the lex walk once.
-    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_walk_blocks": 1, "_lex_walk": 2,
+    # a realized ideal's rows come from one lex walk, minimal and
+    # lex-descending by construction, so neither the constructor's trie check
+    # nor the EK table's stability gate runs and no certificate walks them
+    # again; the walk's tallies feed the table, so no other pass over the
+    # rows serves it
+    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_walk_blocks": 0, "_lex_walk": 1,
                  "_lexsegment_counts": 0, "is_lexsegment": 0, "ek_betti_table": 0,
                  "krull_dimension": 0, "is_stable": 0, "_undivided": 0}
 

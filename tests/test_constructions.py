@@ -136,11 +136,13 @@ class TestDispatch:
 class TestMeasuredOnce:
     @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
     def test_one_series_and_one_stability_check(self, monkeypatch, r, s):
-        # one walk over the lister's blocks certifies the rows minimal and
-        # the ideal stable; the series comes from the one EK table, not the
-        # pivot recursion, and its dimension from the stable closed form
-        expected = {"kpolynomial": 0, "_ek_table": 1, "_lex_segment_rows": 1,
-                    "_walk_blocks": 1, "_lex_walk": 2, "_lexsegment_counts": 0,
+        # one lex walk lists the rows, minimal and lex-descending by
+        # construction, and tallies them, so no certificate walks them again
+        # and no stability check runs; the series comes from the one EK
+        # table, not the pivot recursion, and its dimension from the stable
+        # closed form
+        expected = {"kpolynomial": 0, "_ek_table": 1, "_lex_segment": 1,
+                    "_walk_blocks": 0, "_lex_walk": 1, "_lexsegment_counts": 0,
                     "is_lexsegment": 0, "ek_betti_table": 0, "is_stable": 0,
                     "krull_dimension": 0, "_undivided": 0}
         calls = count_calls(monkeypatch, *expected)

@@ -17,6 +17,7 @@ from helpers import (
     brute_minimalize_rows,
     count_calls,
     count_standard_monomials,
+    degree_counts,
     generator_shapes,
     lex_predecessor,
     lex_successor,
@@ -27,13 +28,13 @@ from helpers import (
     random_strongly_stable_ideal,
     stable_closure,
 )
+from lexseg import monomials
 from lexseg.constructions import fixture
 from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
-    _certified_lexsegment,
-    _lex_segment_rows,
+    _lex_segment,
     _lex_walk,
     _lexsegment_counts,
     _prefixes_cover,
@@ -191,10 +192,12 @@ class TestMinimalGenerators:
                 MonomialIdeal(ideal.n, tuple(bad))
         assert MonomialIdeal(ideal.n, tuple(gens)).gens == ideal.gens
 
-    def test_certificate_rejects_non_normalized_lex_generators(self, grid_ideals):
-        # the lexsegment walk alone must catch a multiple of a lower-degree
-        # generator and a misordered block; the strict lex order of the
-        # merged rows catches a repeat
+    def test_certificate_rejects_non_normalized_lex_generators(self, grid_ideals,
+                                                                monkeypatch):
+        # the lexsegment walk behind `is_lexsegment` must catch a multiple of
+        # a lower-degree generator and a misordered block; the realizer,
+        # which lists its rows by that walk, checks the walk's own order and
+        # length, so a repeated row or a walk that runs short is refused
         ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2)
         gens = list(ideal.exponent_rows)
         low = min(gens, key=sum)
@@ -204,13 +207,21 @@ class TestMinimalGenerators:
         j = max(range(len(blocks)), key=lambda i: len(blocks[i]))
         unsorted = blocks[:j] + [blocks[j][1::-1] + blocks[j][2:]] + blocks[j + 1:]
         for bad in (non_minimal, unsorted):
-            with pytest.raises(ValueError, match="do not generate a lexsegment"):
-                _certified_lexsegment(ideal.n, bad)
-        duplicated = blocks[:j] + [blocks[j] + blocks[j][-1:]] + blocks[j + 1:]
+            assert _walk_blocks(ideal.n, bad) is None
+        counts = degree_counts(gens)
+        assert _lex_segment(ideal.n, counts)[0] == ideal
+        assert _lex_segment(ideal.n, []) == (MonomialIdeal.zero(ideal.n), {})
+
+        def repeated(*args):  # the walk's second row stands in for its third
+            rows = [*_lex_walk(*args)]
+            return iter(rows[:2] + rows[1:2] + rows[3:])
+
+        monkeypatch.setattr(monomials, "_lex_walk", repeated)
         with pytest.raises(ValueError, match="not strictly lex-descending"):
-            _certified_lexsegment(ideal.n, duplicated)
-        assert _certified_lexsegment(ideal.n, blocks)[0] == ideal
-        assert _certified_lexsegment(ideal.n, []) == (MonomialIdeal.zero(ideal.n), {})
+            _lex_segment(ideal.n, counts)
+        monkeypatch.setattr(monomials, "_lex_walk", lambda *args: iter(gens[:-1]))
+        with pytest.raises(ValueError, match=f"listed {len(gens) - 1} of {len(gens)} rows"):
+            _lex_segment(ideal.n, counts)
 
     def test_unit_ideal_representable(self):
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
@@ -357,18 +368,21 @@ class TestLexWalk:
                 count = rng.choice([0, min(1, len(outside)), rng.randint(0, len(outside))])
                 counts.append(count)
                 rows += outside[:count]
-            want = sorted(rows, reverse=True)
-            blocks = _lex_segment_rows(n, counts)
-            assert blocks == blocks_by_degree(want), (n, counts)
-            assert [len(b) for b in blocks] == [k for k in counts if k]
+            want = tuple(sorted(rows, reverse=True))
+            realized, tallies = _lex_segment(n, counts)
+            assert realized.exponent_rows == want, (n, counts)
+            assert set(tallies) == {d for d, k in enumerate(counts, 1) if k}
+            got = {(d, m): c for d, tally in tallies.items() for m, c in enumerate(tally) if c}
+            assert got == Counter((sum(r), Monomial(r).max_index) for r in want), (n, counts)
             ideal = MonomialIdeal(n, want)  # minimal and sorted
             if ideal.is_proper and not ideal.is_zero:
                 assert brute_is_lexsegment(ideal)
-                assert _walk_blocks(n, blocks) == _lexsegment_counts(ideal)
+                assert tallies == _lexsegment_counts(ideal)
 
     def test_block_walk_catches_each_fault(self, grid_ideals):
-        # the faults a lister could make in one block, each caught by the
-        # walk's row-by-row comparison or its degree order
+        # the faults a block of stored rows could carry, each caught by the
+        # row-by-row comparison or the degree order of the walk that
+        # `is_lexsegment`, `ek_betti_table` and `analyze` run on an ideal
         ideal = grid_ideals[12 * 4 + 1]  # construct(5, 2)
         n = ideal.n
         good = blocks_by_degree(ideal.exponent_rows)
