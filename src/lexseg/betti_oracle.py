@@ -31,18 +31,25 @@ from .monomials import Monomial, MonomialIdeal
 
 
 def koszul_betti(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
-    """Multigraded Betti numbers beta_{i,m}(I) for i = 0..n at one multidegree."""
+    """Multigraded Betti numbers beta_{i,m}(I) for i = 0..n at one multidegree.
+
+    The kernel lists the 2^|supp m| subsets of m's support, the cells of the
+    box of m's radical, whatever m's exponents; that count is held to the
+    box cap."""
     if ideal.is_unit:
         raise UnitIdealError("Betti numbers of the zero ring are undefined")
     if m.n != ideal.n:
         raise AmbientMismatchError(f"monomial in {m.n} variables, ideal in {ideal.n}")
+    _refuse_over_box_cap(2 ** len(m.support))
     betas = _kernels.betti_at_multidegree(ideal.exponent_rows, m.exponents)
     betas += [0] * (ideal.n + 1 - len(betas))
     return tuple(betas)
 
 
-def _box_size(ideal: MonomialIdeal) -> int:
-    return prod(e + 1 for e in ideal.lcm_exponents)
+def _refuse_over_box_cap(box: int) -> None:
+    """Hold a box of ``box`` cells to the box cap."""
+    if box > CAPS["box"].bound:
+        raise BoxTooLargeError(cap_message("box", box), box_size=box)
 
 
 def bruteforce_betti_table(ideal: MonomialIdeal) -> BettiTable:
@@ -51,9 +58,7 @@ def bruteforce_betti_table(ideal: MonomialIdeal) -> BettiTable:
         raise UnitIdealError("the zero ring has no Betti table")
     if ideal.is_zero:
         return TRIVIAL
-    box = _box_size(ideal)
-    if box > CAPS["box"].bound:
-        raise BoxTooLargeError(cap_message("box", box), box_size=box)
+    _refuse_over_box_cap(prod(e + 1 for e in ideal.lcm_exponents))
     entries = _kernels.koszul_scan(ideal.exponent_rows, ideal.lcm_exponents)
     entries[(0, 0)] = 1
     return BettiTable.from_entries(entries)

@@ -11,12 +11,12 @@ Two branches cover all pairs (r, s) with r, s >= 1:
   whose generator counts come from the Macaulay growth bound
   (`lex_ideal_from_hf`); its h-polynomial is 1 + (r+1)t - t^s.
 
-Either way n <= max(r, s) + 2.  Both branches realize their ideal from its
-generator counts per degree through `macaulay._realize`, which caps the
-rows, lists them by one lexsegment walk that also tallies them, and reads
-the reduced Hilbert series off the Eliahou-Kervaire table of those tallies.  Every constructor measures
-the produced ideal and raises `ConstructionError` on any divergence from the
-predicted invariants.
+Either way n <= max(r, s) + 2.  Both branches realize their ideal from the
+(degree, count) pairs of its generators through `macaulay._realize`, which
+caps the rows, lists them by one lexsegment walk that also tallies them, and
+reads the reduced Hilbert series off the Eliahou-Kervaire table of those
+tallies.  Every constructor measures the produced ideal and raises
+`ConstructionError` on any divergence from the predicted invariants.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def construct_first_step(r: int, s: int) -> ConstructionReport:
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
-    ideal, series, table = _realize(n, [0] * r + [n])
+    ideal, series, table = _realize(n, [(r + 1, n)])
     # 1 + t + ... + t^(r-1) + t^r (1-t)^m with m = s-r, coefficientwise; the
     # binomials by C(m, j+1) = C(m, j) (m-j) / (j+1), an exact division
     hs = [1] * r

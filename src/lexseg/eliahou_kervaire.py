@@ -29,10 +29,10 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     generators for `_ek_table`, as the walk that lists a realized ideal does,
     and a table over the Betti-table cap (`CAPS`) is refused before any row
     is built; neither walk builds a tuple that grows with a generator's
-    degree.  The lexsegment walk goes first: a lexsegment ideal is strongly
-    stable, and that walk, O(g) and ended by the first row that is not the
-    successor it builds, gives the same tallies; `_prefixes_cover` runs only
-    when it fails.
+    degree.  The lexsegment check goes first: a lexsegment ideal is strongly
+    stable, and that check, O(g) and ended by the first stored row that
+    differs from its walk, gives the same tallies; `_prefixes_cover` runs
+    only when it fails.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")

@@ -233,11 +233,11 @@ def is_o_sequence(spec: HilbertFunctionSpec, n: int) -> OSequenceCheck:
 
 
 def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
-                       stop: int) -> tuple[OSequenceCheck, list[int], list[int]]:
-    """Macaulay's condition through degree ``stop``, the room each bound
-    leaves, H(k-1)^<k-1> - H(k) (n - H(1) for k = 1): the number of new
-    minimal generators of the realizing ideal in degree k = 1..stop, and the
-    values H(0), H(1), ... it checked.
+                       stop: int) -> tuple[OSequenceCheck, list[tuple[int, int]], list[int]]:
+    """Macaulay's condition through degree ``stop``, the (k, room) pairs of
+    each degree k = 1..stop where the bound leaves room H(k-1)^<k-1> - H(k)
+    > 0 (n - H(1) for k = 1), the realizing ideal's new minimal generators
+    there, and the values H(0), H(1), ... it checked.
 
     Past degree t+1 (t the last explicit degree) a constant-c tail cannot
     break the bound, and each degree t+2..c gains a generator (there
@@ -254,7 +254,7 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
         return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), [], []
     t = spec.last_explicit_degree
     generators, entries = CAPS["generators"].bound, CAPS["entries"].bound
-    counts = []
+    sizes = []
     values = [h]
     total = 0
     for k in range(1, stop + 1):
@@ -263,8 +263,9 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
         if hk > bound:
             reason = (f"H(1) = {hk} > {n} variables" if k == 1 else
                       f"H({k}) = {hk} exceeds {h}^<{k - 1}> = {bound}")
-            return OSequenceCheck(False, k - 1, reason), counts, values
-        counts.append(bound - hk)
+            return OSequenceCheck(False, k - 1, reason), sizes, values
+        if bound > hk:
+            sizes.append((k, bound - hk))
         values.append(hk)
         total += bound - hk
         if t < k < stop:
@@ -274,7 +275,7 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
             if rows * n > entries:
                 refuse("entries", rows * n, rows=rows, n=n)
         h = hk
-    return OSequenceCheck(True), counts, values
+    return OSequenceCheck(True), sizes, values
 
 
 def generation_horizon(spec: HilbertFunctionSpec) -> int:
@@ -291,29 +292,29 @@ def generation_horizon(spec: HilbertFunctionSpec) -> int:
     return max(t + 1, spec.tail)
 
 
-def _realize(n: int, counts) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
-    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
-    generators in degree d, its reduced series and the Eliahou-Kervaire table
-    the series is read from.  Over the generator or the entry cap (`CAPS`),
-    raises `TooManyGeneratorsError` before any row is listed.  When the
-    largest degree times n + 1 passes the Betti-table cap, a first walk
-    keeps only its tallies, so a table over that cap is refused before any
-    row is kept.  Then one walk (`monomials._lex_segment`) lists the rows,
-    minimal and lex-descending by construction, and tallies them for the
-    table, each row for one tuple and O(1) steps; a walk that runs short of
-    the counts or repeats a row raises `AssertionError`."""
-    rows = sum(counts)
+def _realize(n: int, sizes) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
+    """The lexsegment ideal in n variables with k minimal generators in
+    degree d for each (d, k) of ``sizes`` (ascending d, k >= 1), its reduced
+    series and the Eliahou-Kervaire table the series is read from.  Over the
+    generator or the entry cap (`CAPS`), raises `TooManyGeneratorsError`
+    before any row is listed.  When the largest degree times n + 1 passes
+    the Betti-table cap, a first walk keeps only its tallies, so a table
+    over that cap is refused before any row is kept.  Then one walk
+    (`monomials._lex_segment`) lists the rows, minimal and lex-descending by
+    construction, and tallies them for the table, each row for one tuple and
+    O(1) steps; a walk that runs short of the counts or repeats a row raises
+    `AssertionError`."""
+    rows = sum(k for _, k in sizes)
     if rows > CAPS["generators"].bound:
         refuse("generators", rows)
     if rows * n > CAPS["entries"].bound:
         refuse("entries", rows * n, rows=rows, n=n)
-    if rows and len(counts) * (n + 1) > CAPS["betti-table"].bound:
+    if sizes and sizes[-1][0] * (n + 1) > CAPS["betti-table"].bound:
         tallies = {}
-        sizes = [(d, k) for d, k in enumerate(counts, 1) if k]
         deque(_lex_walk(n, sizes, tallies), maxlen=0)  # keeps no row
         _refuse_over_table_cap(n, tallies)
     try:
-        ideal, tallies = _lex_segment(n, counts)
+        ideal, tallies = _lex_segment(n, sizes)
     except ValueError as exc:
         raise AssertionError(f"realized ideal: {exc}") from None
     table = _ek_table(ideal, tallies)
@@ -344,11 +345,11 @@ def _lex_ideal_and_series(
     Macaulay check read them, the spec's three after."""
     stop = generation_horizon(spec)
     # past is_o_sequence's horizon a constant tail never breaks the bound
-    check, counts, want = _o_sequence_counts(spec, n, stop)
+    check, sizes, want = _o_sequence_counts(spec, n, stop)
     if not check:
         raise NotOSequenceError(
             f"not an O-sequence: {check.reason}", degree=check.degree)
-    ideal, series, table = _realize(n, counts)
+    ideal, series, table = _realize(n, sizes)
     values = series.values(stop + 4)
     want += [spec.value(k, n) for k in range(stop + 1, stop + 4)]
     if values != want:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
+from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, repeat
-from operator import eq, gt, le, lt
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, gt, le
 
 from ._value import Value, _set
 from .errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
@@ -226,6 +227,8 @@ def _undivided(rows) -> list[tuple[int, ...]]:
     Rows are taken by ascending degree and each is queried against a divisor
     trie of the kept rows of strictly smaller degree, since distinct rows of
     equal degree never divide each other; a single-degree set makes no query.
+    A kept row is the trie path of its support's (position, exponent) pairs,
+    its end marked, so the trie is as deep as the widest support, not n.
     """
     by_degree = {}
     for r in rows:
@@ -236,8 +239,9 @@ def _undivided(rows) -> list[tuple[int, ...]]:
     for d in sorted(by_degree):
         for r in level:  # the previous degree's kept rows join the trie
             node = trie
-            for e in r:
-                node = node.setdefault(e, {})
+            for pair in compress(enumerate(r), r):  # the (i, r[i]) with r[i] > 0
+                node = node.setdefault(pair, {})
+            node[None] = None
         level = by_degree[d]
         if trie:
             level = [r for r in level if not _trie_divides(trie, r)]
@@ -247,18 +251,16 @@ def _undivided(rows) -> list[tuple[int, ...]]:
 
 def _trie_divides(trie, w) -> bool:
     """Whether some row stored in ``trie`` (nested dicts keyed by the
-    exponent at each position) divides w; only children keyed <= w[p] are
-    walked at depth p."""
-    last = len(w) - 1
-    stack = [(trie, 0)]
+    (position, exponent) pairs of a row's support, None marking a row's
+    end) divides w; only children keyed (p, e) with e <= w[p] are walked."""
+    stack = [trie]
     while stack:
-        node, p = stack.pop()
-        bound = w[p]
-        for e, child in node.items():
-            if e <= bound:
-                if p == last:
-                    return True
-                stack.append((child, p + 1))
+        for key, child in stack.pop().items():
+            if key is None:
+                return True
+            p, e = key
+            if e <= w[p]:
+                stack.append(child)
     return False
 
 
@@ -275,10 +277,11 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     return _in_ideal(ideal.exponent_rows, m.exponents)
 
 
-def _lex_segment(n: int, counts) -> tuple[MonomialIdeal, dict]:
-    """The lexsegment ideal in n variables with ``counts[d - 1]`` minimal
-    generators in degree d, and its tallies as in `_lexsegment_counts` for
-    its Eliahou-Kervaire table, both from one `_lex_walk`.
+def _lex_segment(n: int, sizes) -> tuple[MonomialIdeal, dict]:
+    """The lexsegment ideal in n variables with k minimal generators in
+    degree d for each (d, k) of ``sizes`` (ascending d, each k >= 1), and
+    its tallies as in `_lexsegment_counts` for its Eliahou-Kervaire table,
+    both from one `_lex_walk`.
 
     The walk puts each degree's rows right after the shadow of the lower
     degrees, so no lower-degree row divides them (Macaulay) and the rows are
@@ -287,12 +290,11 @@ def _lex_segment(n: int, counts) -> tuple[MonomialIdeal, dict]:
     walk order, already lex-descending: a degree's first row is the
     successor of least * xn^(d-e), which lowers an exponent before xn's and
     so falls below least.  Raises `ValueError` when the walk runs short of
-    ``sum(counts)`` rows or its rows do not descend strictly.
+    the sum of the k or its rows do not descend strictly.
     """
     tallies = {}
-    sizes = [(d, k) for d, k in enumerate(counts, 1) if k]
     rows = tuple([*_lex_walk(n, sizes, tallies)])  # exact size, see _value
-    if len(rows) != (want := sum(counts)):
+    if len(rows) != (want := sum(k for _, k in sizes)):
         raise ValueError(f"the walk listed {len(rows)} of {want} rows")
     if not _strictly_descending(rows):
         raise ValueError("rows are not strictly lex-descending")
@@ -306,7 +308,10 @@ def _lex_walk(n: int, sizes, tallies):
     the successor of least * xn^(d-e), least the last row yielded (of degree
     e); then each the successor of the one before.  It stops early when a
     degree runs out at xn^d.  ``tallies[d][m]`` counts the degree-d rows
-    with largest variable x_m.
+    with largest variable x_m.  The rows descend strictly in lex order,
+    across degrees too (see `_lex_segment`, which checks it at run time):
+    `_lexsegment_counts` compares them with stored rows one by one and
+    relies on this.
 
     One list holds the current row, and p its pivot: the position of its
     last nonzero exponent before xn (-1 for a power of xn), so positions
@@ -508,17 +513,7 @@ def is_lexsegment(ideal: MonomialIdeal) -> bool:
 def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:
     """None unless the ideal is lexsegment; else a map from each generator
     degree d to a tally whose entry m counts the degree-d generators with
-    largest variable x_m: `_walk_blocks` of the stored rows grouped by
-    degree, each group still lex-descending."""
-    _require_quotient_invariants(ideal)
-    rows = sorted(ideal.exponent_rows, key=sum)  # stable: lex-descending per degree
-    return _walk_blocks(ideal.n, [list(g) for _, g in groupby(rows, key=sum)])
-
-
-def _walk_blocks(n: int, blocks) -> dict | None:
-    """None unless ``blocks``, lists of rows in n variables, one per degree
-    in ascending degree, each lex-descending, are the minimal generators of
-    a lexsegment ideal; else their tallies as in `_lexsegment_counts`.
+    largest variable x_m.
 
     Only generator degrees are walked: between them and past the largest,
     each piece is the shadow of the one before, and shadows of lex segments
@@ -527,17 +522,15 @@ def _walk_blocks(n: int, blocks) -> dict | None:
     and I_d is that shadow plus the degree-d generators.  So I_d is a
     segment iff its generators, lex-descending, are the monomials right
     after it: x1^d when I_(d-1) = 0, else the successor of u * xn^(d-e),
-    then each the successor of the one before.  `_lex_walk` builds each
-    successor and tallies it by its largest variable, and each row is
-    compared with the successor built for it, up to the first that differs.
+    then each the successor of the one before.  `_lex_walk` builds exactly
+    these for the ideal's (degree, count) pairs, and its rows descend
+    strictly in lex order (`_lex_segment`) as the stored rows do, so the
+    ideal is lexsegment iff the two sequences are equal.  They are compared
+    in stored order up to the first row that differs.
     """
-    if not all(blocks):
-        return None
-    degrees = [sum(block[0]) for block in blocks]
-    if not all(map(lt, degrees, degrees[1:])):
-        return None
-    tallies = {}
-    walk = _lex_walk(n, zip(degrees, map(len, blocks)), tallies)
-    rows = chain.from_iterable(blocks)
-    # the walk goes first, so a row it stopped short of is left in ``rows``
-    return tallies if all(map(eq, walk, rows)) and next(rows, None) is None else None
+    _require_quotient_invariants(ideal)
+    rows, tallies = ideal.exponent_rows, {}
+    walk = _lex_walk(ideal.n, sorted(Counter(map(sum, rows)).items()), tallies)
+    stored = iter(rows)
+    # the walk goes first, so a row it stopped short of is left in ``stored``
+    return tallies if all(map(eq, walk, stored)) and next(stored, None) is None else None

@@ -181,22 +181,10 @@ def lex_successor(e):
     return tuple(out)
 
 
-def blocks_by_degree(rows) -> list[list[tuple[int, ...]]]:
-    """Lex-descending rows as the lexsegment walk takes them: one
-    lex-descending list per degree, in ascending degree."""
-    by_degree = {}
-    for r in sorted(rows, reverse=True):
-        by_degree.setdefault(sum(r), []).append(r)
-    return [by_degree[d] for d in sorted(by_degree)]
-
-
-def degree_counts(rows) -> list[int]:
-    """How many rows have each degree 1, 2, ..., up to the largest, as
-    `macaulay._realize` and `monomials._lex_segment` take them."""
-    counts = [0] * max(map(sum, rows), default=0)
-    for r in rows:
-        counts[sum(r) - 1] += 1
-    return counts
+def degree_counts(rows) -> list[tuple[int, int]]:
+    """How many rows have each degree, as (degree, count) pairs in ascending
+    degree, as `macaulay._realize` and `monomials._lex_segment` take them."""
+    return sorted(Counter(map(sum, rows)).items())
 
 
 def lex_predecessor(e):
@@ -414,7 +402,9 @@ def linear_expansion_tops(a: int, d: int) -> tuple[int, ...]:
 
 def count_calls(monkeypatch, *names) -> Counter:
     """Count calls to the named lexseg functions, however they are reached:
-    every lexseg module that binds a name gets a counting wrapper."""
+    every lexseg module that binds a name gets a counting wrapper.  A name
+    that no lexseg module binds raises `NameError`, so a pin on a function
+    that is gone fails instead of reading 0 calls."""
     calls = Counter()
 
     def counted(name, real):
@@ -425,9 +415,10 @@ def count_calls(monkeypatch, *names) -> Counter:
 
     modules = [m for key, m in sys.modules.items()
                if key == "lexseg" or key.startswith("lexseg.")]
-    for module in modules:
-        for name in names:
-            real = getattr(module, name, None)
-            if callable(real):
-                monkeypatch.setattr(module, name, counted(name, real))
+    for name in names:
+        bound = [m for m in modules if callable(getattr(m, name, None))]
+        if not bound:
+            raise NameError(f"no lexseg module binds a function {name!r}")
+        for module in bound:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls

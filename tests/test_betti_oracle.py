@@ -52,6 +52,27 @@ class TestKoszulBetti:
             with pytest.raises(AmbientMismatchError):
                 koszul_betti(ideal, m)
 
+    def test_box_cap_at_one_multidegree(self, monkeypatch):
+        # m = x1...x26 on the 26-cycle: 2^26 faces, refused before any is listed
+        n = 26
+        cycle = MonomialIdeal.from_exponent_rows(n, [
+            tuple(1 if k in (j, (j + 1) % n) else 0 for k in range(n)) for j in range(n)])
+        calls = count_calls(monkeypatch, "betti_at_multidegree")
+        with pytest.raises(BoxTooLargeError) as err:
+            koszul_betti(cycle, M(*[1] * n))
+        assert err.value.box_size == 2 ** 26
+        assert str(err.value) == "multidegree box has 67108864 cells, cap is 1000000"
+        assert calls["betti_at_multidegree"] == 0
+
+    @pytest.mark.parametrize("gens, m, want", [
+        ([(10**6, 0), (0, 1)], (10**6, 0), (1, 0, 0)),
+        ([(1000, 0), (0, 1000)], (1000, 1000), (0, 1, 0)),
+    ], ids=["one-face", "two-faces"])
+    def test_high_exponents_on_a_small_support(self, gens, m, want):
+        # the cap counts the 2^|supp m| faces listed, not m's prod(e + 1) cells
+        ideal = MonomialIdeal.from_exponent_rows(2, gens)
+        assert koszul_betti(ideal, M(*m)) == want
+
     def test_totals_reproduce_ek_table(self, example2):
         # aggregate per (homological degree, total degree) over the whole box
         table = ek_betti_table(example2)

@@ -571,7 +571,7 @@ class TestMeasuredOnce:
     # nor the EK table's stability gate runs and no certificate walks them
     # again; the walk's tallies feed the table, so no other pass over the
     # rows serves it
-    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_walk_blocks": 0, "_lex_walk": 1,
+    CERTIFIED = {"kpolynomial": 0, "_ek_table": 1, "_lex_walk": 1,
                  "_lexsegment_counts": 0, "is_lexsegment": 0, "ek_betti_table": 0,
                  "krull_dimension": 0, "is_stable": 0, "_undivided": 0}
 

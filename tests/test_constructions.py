@@ -142,7 +142,7 @@ class TestMeasuredOnce:
         # table, not the pivot recursion, and its dimension from the stable
         # closed form
         expected = {"kpolynomial": 0, "_ek_table": 1, "_lex_segment": 1,
-                    "_walk_blocks": 0, "_lex_walk": 1, "_lexsegment_counts": 0,
+                    "_lex_walk": 1, "_lexsegment_counts": 0,
                     "is_lexsegment": 0, "ek_betti_table": 0, "is_stable": 0,
                     "krull_dimension": 0, "_undivided": 0}
         calls = count_calls(monkeypatch, *expected)

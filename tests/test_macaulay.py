@@ -285,15 +285,16 @@ class TestRealization:
             lex_ideal_from_hf(HilbertFunctionSpec((1, 2, 4), 4), 2)
         assert err.value.degree == 1
 
-    @pytest.mark.parametrize("n, counts, listed", [(2, [0, 4], 3), (3, [1, 0, 9], 5)],
+    @pytest.mark.parametrize("n, sizes, listed", [(2, [(2, 4)], 3), (3, [(1, 1), (3, 9)], 5)],
                              ids=["one-degree", "after-a-gap"])
-    def test_walk_short_of_its_counts_is_refused(self, n, counts, listed):
+    def test_walk_short_of_its_counts_is_refused(self, n, sizes, listed):
         # more generators than the last degree has room for: (x1^2, x1*x2,
         # x2^2) is all of degree 2 in two variables, and past x1 only the 4
         # monomials of degree 3 in x2, x3 remain; the walk stops at xn^d
         with pytest.raises(AssertionError,
-                           match=f"realized ideal: the walk listed {listed} of {sum(counts)} rows"):
-            macaulay._realize(n, counts)
+                           match=f"realized ideal: the walk listed {listed} of "
+                                 f"{sum(k for _, k in sizes)} rows"):
+            macaulay._realize(n, sizes)
 
     def test_max_growth_tail_stops_at_initial_segment(self):
         spec = HilbertFunctionSpec((1, 2, 2), MAX_GROWTH)

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from operator import gt
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_monomials,
-    blocks_by_degree,
     borel_closure,
     brute_is_lexsegment,
     brute_is_stable,
@@ -39,7 +39,6 @@ from lexseg.monomials import (
     _lexsegment_counts,
     _prefixes_cover,
     _stable_dimension,
-    _walk_blocks,
     contains,
     divides,
     is_lexsegment,
@@ -194,22 +193,15 @@ class TestMinimalGenerators:
 
     def test_certificate_rejects_non_normalized_lex_generators(self, grid_ideals,
                                                                 monkeypatch):
-        # the lexsegment walk behind `is_lexsegment` must catch a multiple of
-        # a lower-degree generator and a misordered block; the realizer,
-        # which lists its rows by that walk, checks the walk's own order and
+        # a multiple of a lower-degree generator or a misordered degree has
+        # no stored form (the constructor test above), so the check behind
+        # `is_lexsegment` only reads normalized rows; the realizer, which
+        # lists its rows by the same walk, checks the walk's own order and
         # length, so a repeated row or a walk that runs short is refused
         ideal = grid_ideals[12 * 3 + 1]  # construct(4, 2)
         gens = list(ideal.exponent_rows)
-        low = min(gens, key=sum)
-        multiple = low[:-1] + (low[-1] + 2,)
-        non_minimal = blocks_by_degree(gens + [multiple])
-        blocks = blocks_by_degree(gens)
-        j = max(range(len(blocks)), key=lambda i: len(blocks[i]))
-        unsorted = blocks[:j] + [blocks[j][1::-1] + blocks[j][2:]] + blocks[j + 1:]
-        for bad in (non_minimal, unsorted):
-            assert _walk_blocks(ideal.n, bad) is None
-        counts = degree_counts(gens)
-        assert _lex_segment(ideal.n, counts)[0] == ideal
+        sizes = degree_counts(gens)
+        assert _lex_segment(ideal.n, sizes) == (ideal, _lexsegment_counts(ideal))
         assert _lex_segment(ideal.n, []) == (MonomialIdeal.zero(ideal.n), {})
 
         def repeated(*args):  # the walk's second row stands in for its third
@@ -218,10 +210,10 @@ class TestMinimalGenerators:
 
         monkeypatch.setattr(monomials, "_lex_walk", repeated)
         with pytest.raises(ValueError, match="not strictly lex-descending"):
-            _lex_segment(ideal.n, counts)
+            _lex_segment(ideal.n, sizes)
         monkeypatch.setattr(monomials, "_lex_walk", lambda *args: iter(gens[:-1]))
         with pytest.raises(ValueError, match=f"listed {len(gens) - 1} of {len(gens)} rows"):
-            _lex_segment(ideal.n, counts)
+            _lex_segment(ideal.n, sizes)
 
     def test_unit_ideal_representable(self):
         unit = minimal_generators(2, [M(0, 0), M(1, 0)])
@@ -359,55 +351,83 @@ class TestLexWalk:
         rng = random.Random(29)
         for _ in range(150):
             n = rng.randint(1, 5)
-            counts = []
+            sizes = []
             rows = []
             for d in range(1, rng.randint(1, 6) + 1):
                 ideal = MonomialIdeal.from_exponent_rows(n, rows)
                 outside = [m.exponents for m in all_monomials(n, d)
                            if not contains(ideal, m)]
                 count = rng.choice([0, min(1, len(outside)), rng.randint(0, len(outside))])
-                counts.append(count)
+                if count:
+                    sizes.append((d, count))
                 rows += outside[:count]
             want = tuple(sorted(rows, reverse=True))
-            realized, tallies = _lex_segment(n, counts)
-            assert realized.exponent_rows == want, (n, counts)
-            assert set(tallies) == {d for d, k in enumerate(counts, 1) if k}
+            realized, tallies = _lex_segment(n, sizes)
+            assert realized.exponent_rows == want, (n, sizes)
+            assert list(tallies) == [d for d, _ in sizes]
             got = {(d, m): c for d, tally in tallies.items() for m, c in enumerate(tally) if c}
-            assert got == Counter((sum(r), Monomial(r).max_index) for r in want), (n, counts)
+            assert got == Counter((sum(r), Monomial(r).max_index) for r in want), (n, sizes)
             ideal = MonomialIdeal(n, want)  # minimal and sorted
             if ideal.is_proper and not ideal.is_zero:
                 assert brute_is_lexsegment(ideal)
                 assert tallies == _lexsegment_counts(ideal)
 
-    def test_block_walk_catches_each_fault(self, grid_ideals):
-        # the faults a block of stored rows could carry, each caught by the
-        # row-by-row comparison or the degree order of the walk that
-        # `is_lexsegment`, `ek_betti_table` and `analyze` run on an ideal
+    def test_walk_descends_across_degree_gaps(self):
+        # `_lexsegment_counts` compares the walk with the stored rows one by
+        # one, so the walk must descend strictly across degrees, gaps too
+        # (the grid ideals are checked by the test of `is_lexsegment`)
+        rng = random.Random(43)
+        gaps = 0
+        for _ in range(300):
+            n, d, sizes = rng.randint(2, 5), 0, []
+            for _ in range(rng.randint(2, 4)):
+                d += rng.randint(1, 4)
+                sizes.append((d, rng.randint(1, 6)))
+            rows = list(_lex_walk(n, sizes, {}))
+            if len(rows) < sum(k for _, k in sizes):  # a degree ran out at xn^d
+                continue
+            assert all(map(gt, rows, rows[1:])), (n, sizes)
+            realized, tallies = _lex_segment(n, sizes)
+            assert _lexsegment_counts(realized) == tallies, (n, sizes)
+            gaps += any(b > a + 1 for (a, _), (b, _) in zip(sizes, sizes[1:]))
+        assert gaps >= 100
+
+    def test_stored_order_walk_catches_each_fault(self, grid_ideals, monkeypatch):
+        # the faults a stored ideal's rows can carry in one degree, each
+        # caught by comparing the walk with the stored rows in stored order,
+        # as `is_lexsegment`, `ek_betti_table` and `analyze` do
         ideal = grid_ideals[12 * 4 + 1]  # construct(5, 2)
-        n = ideal.n
-        good = blocks_by_degree(ideal.exponent_rows)
-        assert _walk_blocks(n, good) == _lexsegment_counts(ideal)
-        j = max(range(1, len(good)), key=lambda i: len(good[i]))  # not x1^d's
-        block = good[j]
-        assert len(block) >= 3 and lex_successor(block[-1]) is not None
+        n, rows = ideal.n, list(ideal.exponent_rows)
+        assert brute_is_lexsegment(ideal) and _lexsegment_counts(ideal) is not None
+        sizes = degree_counts(rows)
+        d = max(sizes[1:], key=lambda size: size[1])[0]  # not x1^d's degree
+        block = [r for r in rows if sum(r) == d]
+        rest = [r for r in rows if sum(r) != d]
+        assert len(block) >= 3 and d < sizes[-1][0] and lex_successor(block[-1]) is not None
         faults = {
             "late start": block[1:] + [lex_successor(block[-1])],
             "skipped successor": (block[:len(block) // 2] + block[len(block) // 2 + 1:]
                                   + [lex_successor(block[-1])]),
+            # its first row lies in the shadow, so storing drops it
             "early start": [lex_predecessor(block[0])] + block[:-1],
-            "repeated row": block[:1] + block,
             "short by its last row": block[:-1],
         }
         for name, faulty in faults.items():
-            assert _walk_blocks(n, good[:j] + [faulty] + good[j + 1:]) is None, name
-        assert _walk_blocks(n, good[::-1]) is None  # degrees out of order
-        assert _walk_blocks(n, good[:1] + good) is None  # a degree twice
-        assert _walk_blocks(n, good + [[]]) is None  # an empty block
-        merged = [good[0] + good[1]] + good[2:]
-        assert _walk_blocks(n, merged) is None  # two degrees in one block
-        # a row past xn^d, where the walk stops short of the block
-        assert _walk_blocks(2, [[(1, 0)], [(0, 2)]]) is not None
-        assert _walk_blocks(2, [[(1, 0)], [(0, 2), (0, 2)]]) is None
+            stored = MonomialIdeal.from_exponent_rows(n, rest + faulty)
+            assert not brute_is_lexsegment(stored), name
+            assert _lexsegment_counts(stored) is None, name
+            if name == "early start":
+                assert faulty[0] not in stored.exponent_rows
+        # a row past xn^d: (x1, x2^2) is lexsegment, its walk ending at x2^2;
+        # a walk that stopped one row short leaves x2^2 unread.  A minimal
+        # stored ideal cannot make the real walk stop short while its rows
+        # match: each degree has room for every generator outside the shadow
+        edge = MonomialIdeal(2, [(1, 0), (0, 2)])
+        assert brute_is_lexsegment(edge) and _lexsegment_counts(edge) is not None
+        real = monomials._lex_walk
+        monkeypatch.setattr(monomials, "_lex_walk",
+                            lambda *args: (row for row in real(*args) if row != (0, 2)))
+        assert _lexsegment_counts(edge) is None
 
 
 class TestKrullDimension:
