@@ -82,7 +82,8 @@ def _load(path: str, cls, what: str):
             data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays nested deeper than the parser's stack
         raise _UsageError(f"{path} is not valid JSON: {exc}")
     try:
         return cls.from_json_dict(data)

@@ -1,9 +1,11 @@
 """Hilbert functions, Hilbert series, and h-polynomials of monomial quotients.
 
 The K-polynomial comes from the pivot recursion
-N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti).  It has
-one base case, pure powers in distinct variables, and builds each child's
-minimal generators straight from the split (`_with_power`, `_colon_power`).
+N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti), split
+at the variable in the most generators.  It has one base case: generators
+whose supports are pairwise disjoint, where K = prod (1 - t^deg g).  Each
+child's minimal generators come straight from the split (`_with_power`,
+`_colon_power`).
 Subset inclusion-exclusion over all 2^g generator lcms is a test oracle
 (`kpoly_subsets` in the tests' helpers), not a runtime engine.  The series
 is the K-polynomial with all (1-t) factors cancelled (`_reduced_series`).
@@ -28,7 +30,7 @@ the denominator exponent.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from operator import le
 
 from ._value import Value, _set
@@ -142,52 +144,30 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _padd(a, b):
-    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _pshift(p, k):
-    return p if p == (0,) else (0,) * k + p
-
-
-def _pmul_one_minus(p, a):
-    """Multiply p by (1 - t^a)."""
-    out = list(p) + [0] * a
-    for i, c in enumerate(p):
-        out[i + a] -= c
+def _add_shifted(a, b, k):
+    """a + t^k * b, trailing zeros trimmed."""
+    out = list(a) + [0] * (k + len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i + k] += c
     return _trim(out)
 
 
-def _mixed_count(row) -> int:
-    return sum(1 for e in row if e > 0)
-
-
 def _choose_pivot(gens):
-    """Variable occurring in the most generators, split at its lowest exponent.
-
-    Restricted to variables appearing in some mixed generator so the sum
-    branch always absorbs at least one mixed generator (termination).
-    """
-    n = len(gens[0])
-    counts = [0] * n
-    in_mixed = [False] * n
-    for g in gens:
-        mixed = _mixed_count(g) > 1
-        for j, e in enumerate(g):
-            if e > 0:
-                counts[j] += 1
-                if mixed:
-                    in_mixed[j] = True
-    v = max((j for j in range(n) if in_mixed[j]), key=lambda j: counts[j])
-    k = min(g[v] for g in gens if g[v] > 0)
-    return v, k
+    """The first variable in the most generators, split at its least
+    positive exponent; None when no variable is in two generators."""
+    counts = [len(gens) - col.count(0) for col in zip(*gens)]
+    top = max(counts, default=0)
+    if top < 2:
+        return None
+    v = counts.index(top)
+    return v, min(g[v] for g in gens if g[v])
 
 
 def _with_power(gens, v, k):
     """I + (xv^k), a filter since k is the least positive exponent of xv.
 
     xv^k divides exactly the rows with g[v] > 0, and no other row divides
-    xv^k: only the zero row could, and it never shares a set with a mixed row.
+    xv^k: only the zero row could, and alone in its set it is a leaf.
     """
     power = tuple(k if j == v else 0 for j in range(len(gens[0])))
     return tuple(sorted([g for g in gens if not g[v]] + [power], reverse=True))
@@ -209,10 +189,13 @@ def _colon_power(gens, v, k):
 def _kpoly_pivot(gens0):
     """K-polynomial of a minimal, lex-descending set of exponent rows.
 
-    One base case: with no mixed generator the rows are pure powers in
-    distinct variables, so K = prod (1 - t^deg g); the empty set gives 1 and
-    the zero row (the unit ideal) gives 1 - t^0 = 0.  Both children of a
-    split come out minimal and lex-descending, so equal ideals share a key.
+    One base case: when no variable is in two rows, the supports are
+    pairwise disjoint, S/I is a tensor product of principal quotients and
+    K = prod (1 - t^deg g); the empty set gives 1 and the zero row (the unit
+    ideal) gives 1 - t^0 = 0.  Otherwise the pivot variable is in at least
+    two rows, so both children have strictly smaller total degree and the
+    recursion ends.  Both children of a split come out minimal and
+    lex-descending, so equal ideals share a key.
     """
     memo = {}
     stack = [gens0]
@@ -221,20 +204,21 @@ def _kpoly_pivot(gens0):
         if gens in memo:
             stack.pop()
             continue
-        if all(_mixed_count(g) <= 1 for g in gens):
+        pivot = _choose_pivot(gens)
+        if pivot is None:
             res = (1,)
             for g in gens:
-                res = _pmul_one_minus(res, sum(g))
+                res = _add_shifted(res, [-c for c in res], sum(g))
             memo[gens] = res
             stack.pop()
             continue
-        v, k = _choose_pivot(gens)
+        v, k = pivot
         g1 = _with_power(gens, v, k)
         g2 = _colon_power(gens, v, k)
         r1 = memo.get(g1)
         r2 = memo.get(g2)
         if r1 is not None and r2 is not None:
-            memo[gens] = _padd(r1, _pshift(r2, k))
+            memo[gens] = _add_shifted(r1, r2, k)
             stack.pop()
         else:
             if r1 is None:

@@ -31,6 +31,13 @@ def write_non_utf8(tmp_path):
     return str(path)
 
 
+def write_deeply_nested(tmp_path):
+    # deeper than the JSON parser's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    return str(path)
+
+
 def write_ideal(tmp_path, name, n, rows):
     path = tmp_path / name
     path.write_text(json.dumps({"n": n, "generators": rows}))
@@ -115,9 +122,10 @@ class TestAnalyze:
         assert code == 2
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "analyze", write_non_utf8(tmp_path))
-        assert code == 2
-        assert out == "" and "not valid JSON" in err
+        for path in (write_non_utf8(tmp_path), write_deeply_nested(tmp_path)):
+            code, out, err = run(capsys, "analyze", path)
+            assert code == 2, path
+            assert out == "" and "not valid JSON" in err
 
     def test_non_int_values_exit_2(self, capsys, tmp_path):
         for n, rows in ((2, [[1.5, 0], [0, True]]), (2.0, [[1, 0]])):
@@ -269,9 +277,10 @@ class TestLexify:
         assert "degree 1" in err
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "lexify", write_non_utf8(tmp_path), "--n", "2")
-        assert code == 2
-        assert out == "" and "not valid JSON" in err
+        for path in (write_non_utf8(tmp_path), write_deeply_nested(tmp_path)):
+            code, out, err = run(capsys, "lexify", path, "--n", "2")
+            assert code == 2, path
+            assert out == "" and "not valid JSON" in err
 
     def test_non_int_values_exit_2(self, capsys, tmp_path):
         spec = tmp_path / "coerced.json"
@@ -461,9 +470,10 @@ class TestBetti:
         assert out.splitlines()[0] == "1 ."
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
-        code, out, err = run(capsys, "betti", write_non_utf8(tmp_path))
-        assert code == 2
-        assert out == "" and "not valid JSON" in err
+        for path in (write_non_utf8(tmp_path), write_deeply_nested(tmp_path)):
+            code, out, err = run(capsys, "betti", path)
+            assert code == 2, path
+            assert out == "" and "not valid JSON" in err
 
     def test_oracle_matches_ek_json(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,

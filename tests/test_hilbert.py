@@ -1,4 +1,5 @@
 import random
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -171,17 +172,32 @@ class TestEngineAgreement:
         assert kpolynomial(ideal) == kpoly_subsets(ideal), ideal
         return kpolynomial(ideal)
 
-    def test_pure_powers_only(self):
+    def test_disjoint_supports_are_one_leaf(self, monkeypatch):
+        # generators that share no variable, mixed ones included, are the
+        # base case: K = prod (1 - t^deg g), with no split made
+        def forbidden(gens, v, k):
+            raise AssertionError(f"split {gens} at x{v}^{k}")
+
+        monkeypatch.setattr(hilbert, "_with_power", forbidden)
         rng = random.Random(11)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            pures = [M(*(rng.randint(1, 5) if j == i else 0 for j in range(n)))
-                     for i in range(n) if rng.random() < 0.7]
-            ideal = minimal_generators(n, pures)
-            expected = (1,)
+        mixed = 0
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            free = rng.sample(range(n), rng.randint(1, n))
+            rows = []
+            while free:
+                size = rng.randint(1, 3)
+                block, free = free[:size], free[size:]
+                rows.append(tuple(rng.randint(1, 4) if j in block else 0
+                                  for j in range(n)))
+            ideal = MonomialIdeal.from_exponent_rows(n, rows)
+            expected = [1]
             for g in ideal.gens:
-                expected = hilbert._pmul_one_minus(expected, g.degree)
-            assert self._agree(ideal) == expected
+                shifted = [0] * g.degree + expected
+                expected = [a - b for a, b in zip_longest(expected, shifted, fillvalue=0)]
+            assert self._agree(ideal) == tuple(expected)
+            mixed += any(sum(map(bool, r)) > 1 for r in rows)
+        assert mixed > 100
 
     def test_pure_powers_and_one_mixed(self):
         rng = random.Random(12)
@@ -211,6 +227,17 @@ class TestEngineAgreement:
                 self._agree(ideal)
                 checked += 1
         assert checked > 100
+
+    def test_edge_ideals(self):
+        # matchings are leaves partway down these trees
+        checked = 0
+        for seed in range(10):
+            for n in range(6, 15, 2):
+                ideal = random_edge_ideal(random.Random(seed), n)
+                if len(ideal.gens) <= 16:
+                    self._agree(ideal)
+                    checked += 1
+        assert checked > 30
 
     def test_zero_and_unit_ideals(self):
         for n in (1, 3):
