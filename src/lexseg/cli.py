@@ -41,7 +41,7 @@ from .macaulay import (
     macaulay_expansion,
     macaulay_growth,
 )
-from .monomials import MonomialIdeal, _lexsegment_counts, _prefixes_cover, _row_str
+from .monomials import WALKS, MonomialIdeal, _row_str, _tallies
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,18 +102,14 @@ def _flag(value) -> str:
 
 def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> dict:
     """The `analyze` report; "ideal" and "betti" hold the ideal and its table,
-    whose alternating sum, the K-polynomial, gives the series.  The first of
-    the lexsegment, strong and stable walks to pass tallies the EK table;
-    the oracle's serves when none does, or on demand."""
+    whose alternating sum, the K-polynomial, gives the series.  A stable
+    ideal's tallies give the EK table; the oracle's serves when the ideal is
+    not stable, or on demand."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    stable = strongly = lexseg = None
-    counts = {}  # the zero ideal's: its table is trivial
-    if not ideal.is_zero:  # strongest first: each fact implies the next
-        rows = ideal.exponent_rows
-        lexseg = (counts := _lexsegment_counts(ideal)) is not None
-        strongly = lexseg or (counts := _prefixes_cover(rows, strong=True)) is not None
-        stable = strongly or (counts := _prefixes_cover(rows, strong=False)) is not None
+    lexseg, strongly, stable = ([None] * 3 if ideal.is_zero else
+                                [_tallies(ideal, fact) is not None for fact in WALKS])
+    counts = {} if ideal.is_zero else _tallies(ideal, "stable")  # zero: a trivial table
     if force_oracle or counts is None:
         engine, table = "oracle", bruteforce_betti_table(ideal)
         series = _reduced_series(table.euler_kpolynomial(), ideal.n)

@@ -19,25 +19,21 @@ from operator import add
 
 from .betti import TRIVIAL, BettiTable
 from .errors import CAPS, StabilityRequiredError, UnitIdealError, refuse
-from .monomials import MonomialIdeal, _lexsegment_counts, _prefixes_cover
+from .monomials import MonomialIdeal, _tallies
 
 
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    The stability walks raise `StabilityRequiredError` or tally the
-    generators for `_ek_table`, as the walk that lists a realized ideal does,
-    and a table over the Betti-table cap (`CAPS`) is refused before any row
-    is built; neither walk builds a tuple that grows with a generator's
-    degree.  The lexsegment check goes first: a lexsegment ideal is strongly
-    stable, and that check, O(g) and ended by the first stored row that
-    differs from its walk, gives the same tallies; `_prefixes_cover` runs
-    only when it fails.
+    The ideal's stability decision (`_tallies`) raises
+    `StabilityRequiredError` or tallies the generators for `_ek_table`, as
+    the walk that lists a realized ideal does, and a table over the
+    Betti-table cap (`CAPS`) is refused before any row is built; no walk
+    builds a tuple that grows with a generator's degree.
     """
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
-    counts = {} if ideal.is_zero else (
-        _lexsegment_counts(ideal) or _prefixes_cover(ideal.exponent_rows, strong=False))
+    counts = {} if ideal.is_zero else _tallies(ideal, "stable")
     if counts is None:
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")

@@ -5,10 +5,10 @@ each one's bound, the error its refusal raises and that error's message;
 each guarded site compares against the bound itself and calls `refuse`
 only to refuse (or raises its own error with `cap_message`: the oracle's
 box error carries the box size, and `analyze --max-degree` is argparse's
-usage error).  A cap counts what its path costs: no cap reads a generator's
-degree, since no walk builds a tuple that grows with it, and a huge degree
-meets the Betti-table cap (the closed form's rows) or the box cap (the
-oracle's cells) instead.
+usage error).  A cap counts what its path costs: no walk builds a tuple that
+grows with a generator's degree, so a huge degree meets the cap of the path
+it does cost, the Betti-table cap (the closed form's rows), the box cap (the
+oracle's cells) or the K-polynomial cap (the recursion's polynomial length).
 """
 
 
@@ -56,6 +56,10 @@ class BettiTableTooLargeError(LexsegError):
     """A dense Betti table would hold more entries than the enforced cap."""
 
 
+class KPolynomialTooLargeError(LexsegError):
+    """The pivot recursion's polynomials could be longer than the enforced cap."""
+
+
 class ConstructionError(LexsegError):
     """A constructed ideal failed its own predicted-vs-measured verification."""
 
@@ -90,6 +94,10 @@ CAPS = {
     "betti-table": Cap(2 * 10**6, BettiTableTooLargeError,
                        "the Betti table would have {value} entries ({rows} rows "
                        "of {columns}), cap is {bound}"),
+    # the sum of the lcm's exponents, the pivot recursion's degree bound
+    "kpolynomial": Cap(10**7, KPolynomialTooLargeError,
+                       "the K-polynomial recursion could build polynomials of "
+                       "degree {value}, cap is {bound}"),
     # Hilbert-function values `analyze --max-degree` may list; the parser
     # raises its own usage error with this message
     "max-degree": Cap(10**4, None, "{value!r} must be <= {bound}"),

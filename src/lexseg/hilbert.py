@@ -1,23 +1,22 @@
 """Hilbert functions, Hilbert series, and h-polynomials of monomial quotients.
 
-The K-polynomial comes from the pivot recursion
-N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman, Bigatti), split
-at the variable in the most generators.  It has one base case: generators
-whose supports are pairwise disjoint, where K = prod (1 - t^deg g).  Each
-child's minimal generators come straight from the split (`_with_power`,
-`_colon_power`).
-Subset inclusion-exclusion over all 2^g generator lcms is a test oracle
-(`kpoly_subsets` in the tests' helpers), not a runtime engine.  The series
-is the K-polynomial with all (1-t) factors cancelled (`_reduced_series`).
-The series is the one source of Hilbert function values.
-
-Any ideal's K-polynomial is also the alternating sum of its Betti table
-(`BettiTable.euler_kpolynomial`).  Every series the CLI prints is read off
-the table it prints: a stable ideal's Eliahou-Kervaire table through
-`_stable_series` (`construct`, `lexify`, `analyze`), any other ideal's
-brute-force oracle table through `_reduced_series` (`analyze`).  The
-recursion serves `hilbert_series`, for library callers, and the tests check
-that the routes agree.
+The series is the K-polynomial with all (1-t) factors cancelled
+(`_reduced_series`), and the one source of Hilbert function values.  Any
+ideal's K-polynomial is the alternating sum of its Betti table
+(`BettiTable.euler_kpolynomial`), and each kind of ideal has one route to
+it, in `hilbert_series` and the CLI alike.  A stable ideal's series is read
+off its Eliahou-Kervaire table through `_stable_series` (`hilbert_series`,
+`construct`, `lexify`, `analyze`).  Any other ideal's comes from the pivot
+recursion N(I) = N(I + (xv^k)) + t^k * N(I : xv^k) (Bayer-Stillman,
+Bigatti) in `hilbert_series`, as does a stable ideal's whose table is over
+the Betti-table cap; `analyze` reads it off the brute-force oracle's table,
+which it prints.  The recursion, `kpolynomial` for any ideal, splits at the
+variable in the most generators and has one base case: generators whose
+supports are pairwise disjoint, where K = prod (1 - t^deg g).  Each child's
+minimal generators come straight from the split (`_with_power`,
+`_colon_power`).  Subset inclusion-exclusion over all 2^g generator lcms is
+a test oracle (`kpoly_subsets` in the tests' helpers), not a runtime
+engine; the tests check that the routes agree.
 
 The dimension is read off the series: dim S/I is the order of its pole at
 t = 1, the denominator exponent d of h(t)/(1-t)^d (Hilbert-Serre).  Only a
@@ -34,7 +33,14 @@ from itertools import accumulate
 from operator import le
 
 from ._value import Value, _set
-from .errors import UnitIdealError
+from .eliahou_kervaire import ek_betti_table
+from .errors import (
+    CAPS,
+    BettiTableTooLargeError,
+    StabilityRequiredError,
+    UnitIdealError,
+    refuse,
+)
 from .monomials import MonomialIdeal, _stable_dimension
 
 
@@ -231,9 +237,14 @@ def _kpoly_pivot(gens0):
 def kpolynomial(ideal: MonomialIdeal, engine: str = "pivot") -> tuple[int, ...]:
     """Numerator N(t) with F(S/I, t) = N(t)/(1-t)^n exactly (unreduced), by
     the pivot recursion.  ``engine`` must be "pivot" (else `ValueError`); it
-    stays while ``perfbench/`` passes it, until ROADMAP item 1."""
+    stays while ``perfbench/`` passes it, until ROADMAP item 1.  No child
+    raises an lcm exponent and the colon's shift t^k is paid by the drop at
+    xv, so no polynomial the recursion builds has a degree above the sum of
+    the lcm's exponents: the K-polynomial cap (`CAPS`) holds that sum first."""
     if engine != "pivot":
         raise ValueError(f"unknown engine {engine!r}")
+    if (degree := sum(ideal.lcm_exponents)) > CAPS["kpolynomial"].bound:
+        refuse("kpolynomial", degree)
     return _kpoly_pivot(ideal.exponent_rows)
 
 
@@ -266,10 +277,15 @@ def _stable_series(ideal: MonomialIdeal, table) -> HilbertSeries:
 
 
 def hilbert_series(ideal: MonomialIdeal) -> HilbertSeries:
-    """Reduced Hilbert series of S/I by the pivot recursion; rejects the unit ideal."""
+    """Reduced Hilbert series of S/I; rejects the unit ideal.  A stable
+    ideal's is read off its Eliahou-Kervaire table, as in the CLI; any other
+    ideal, or one whose table is over its cap, takes the pivot recursion."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Hilbert series")
-    return _reduced_series(kpolynomial(ideal), ideal.n)
+    try:
+        return _stable_series(ideal, ek_betti_table(ideal))
+    except (StabilityRequiredError, BettiTableTooLargeError):
+        return _reduced_series(kpolynomial(ideal), ideal.n)
 
 
 def h_polynomial(ideal: MonomialIdeal) -> HPolynomial:

@@ -186,6 +186,11 @@ class MonomialIdeal(Value):
         """Componentwise max of the generator exponent vectors."""
         return tuple(map(max, zip((0,) * self.n, *self.exponent_rows)))
 
+    @cached_property
+    def _walks(self) -> dict:
+        """Each stability walk's result by `WALKS` name; only `_tallies` uses it."""
+        return {}
+
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": [list(r) for r in self.exponent_rows]}
 
@@ -470,11 +475,34 @@ def _prefixes_cover(rows, strong: bool) -> dict | None:
     return counts
 
 
+WALKS = ("lexsegment", "strong", "stable")  # strongest first: each implies the next
+
+
+def _tallies(ideal: MonomialIdeal, fact: str) -> dict | None:
+    """None unless the proper nonzero ideal has ``fact``, one of `WALKS`;
+    else its tallies as in `_lexsegment_counts`, kept in `_walks`, shared and
+    never mutated.  A stronger fact that holds, or a weaker one that fails,
+    answers at once; else the lexsegment walk runs first, O(g) and ended by
+    the first stored row that differs, then the prefix walk of ``fact``
+    (`_prefixes_cover`), each at most once per ideal."""
+    _require_quotient_invariants(ideal)
+    walks, rank = ideal._walks, WALKS.index(fact)
+    for walk in ("lexsegment", fact):
+        for known, tallies in [*walks.items()]:  # a copy: other threads may add
+            if known == fact or (tallies is None) == (WALKS.index(known) > rank):
+                return tallies
+        if walk not in walks:
+            walks[walk] = (_lexsegment_counts(ideal) if walk == "lexsegment" else
+                           _prefixes_cover(ideal.exponent_rows, strong=walk == "strong"))
+    return walks[fact]
+
+
 def is_stable(ideal: MonomialIdeal) -> bool:
     """Stability: x_i * u / x_m stays in the ideal for every generator u with
     largest variable x_m and every i < m.
 
-    Decided by `_prefixes_cover` without a membership query: a swap passes
+    Decided by `_tallies`: a lexsegment ideal is stable, and otherwise
+    `_prefixes_cover` decides without a membership query: a swap passes
     when x_i * P_(d-1)(u) is a generator for some generator degree d <= deg u.
     Such a generator divides x_i * u / x_m, since P_(d-1)(u) divides u / x_m,
     so every passing swap is in the ideal.  Conversely, in a stable ideal
@@ -483,8 +511,7 @@ def is_stable(ideal: MonomialIdeal) -> bool:
     w = x_i * u / x_m that prefix is x_i * P_(d-1)(u): the other candidate,
     P_d(u) with d < deg u, divides u and so is no minimal generator.
     """
-    _require_quotient_invariants(ideal)
-    return _prefixes_cover(ideal.exponent_rows, strong=False) is not None
+    return _tallies(ideal, "stable") is not None
 
 
 def is_strongly_stable(ideal: MonomialIdeal) -> bool:
@@ -494,20 +521,19 @@ def is_strongly_stable(ideal: MonomialIdeal) -> bool:
     The adjacent swaps x_(j-1) * u / x_j are enough: any swap is a chain of
     them, and closure on the generators extends to the whole ideal (a swap
     of g * v moves a letter of g or leaves g dividing it).  Decided by
-    `_prefixes_cover` as in `is_stable`: an adjacent swap of u passes when
+    `_tallies` as in `is_stable`: an adjacent swap of u passes when
     x_(j-1) * P_d(u) / x_j is a generator for some generator degree
     d <= deg u with x_j | P_d(u).  That generator divides the swap; and in a
     strongly stable ideal the swap's Eliahou-Kervaire generator is its
     prefix of that form, since the swap changes the first x_j of u's word
     into x_(j-1) and a shorter prefix would be a generator properly dividing u.
     """
-    _require_quotient_invariants(ideal)
-    return _prefixes_cover(ideal.exponent_rows, strong=True) is not None
+    return _tallies(ideal, "strong") is not None
 
 
 def is_lexsegment(ideal: MonomialIdeal) -> bool:
     """True iff every graded piece is a lex segment (`_lexsegment_counts`)."""
-    return _lexsegment_counts(ideal) is not None
+    return _tallies(ideal, "lexsegment") is not None
 
 
 def _lexsegment_counts(ideal: MonomialIdeal) -> dict | None:

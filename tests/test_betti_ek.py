@@ -9,7 +9,7 @@ from helpers import (
     generator_shapes,
     random_strongly_stable_ideal,
 )
-from lexseg import construct, monomials
+from lexseg import construct, fixture, monomials
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
@@ -134,10 +134,12 @@ class TestEkTable:
             BettiTable.from_entries({(0, 0): 1, (1, 10**9): 1})
         assert str(err.value) == message
 
-    def test_lexsegment_walk_first(self, monkeypatch, example2):
+    def test_lexsegment_walk_first(self, monkeypatch):
         # a lexsegment ideal's walk tallies its table; the prefix walk runs
         # only once that walk fails, at the first row that is not the
-        # successor it built: x1*x3, not x2^2
+        # successor it built: x1*x3, not x2^2.  A fresh ideal, since each
+        # ideal keeps its walks' results
+        example2 = fixture("example2")
         calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
         assert ek_betti_table(example2) == bruteforce_betti_table(example2)
         assert calls == {"_lexsegment_counts": 1}
@@ -220,8 +222,10 @@ class TestDerivedInvariants:
                 (u.max_index for u in ideal.gens), default=0)
 
     @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
-    def test_each_helper_reads_one_table(self, monkeypatch, example2, helper):
-        # example2 is lexsegment: the lexsegment walk tallies it, no prefix walk
+    def test_each_helper_reads_one_table(self, monkeypatch, helper):
+        # example2 is lexsegment: the lexsegment walk tallies it, no prefix
+        # walk; a fresh ideal, since each ideal keeps its walks' results
+        example2 = fixture("example2")
         calls = count_calls(monkeypatch, "ek_betti_table", "_lexsegment_counts",
                             "_prefixes_cover")
         helper(example2)

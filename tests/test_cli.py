@@ -612,14 +612,14 @@ class TestMeasuredOnce:
                                            rows, strong_args, facts, engine):
         # each walk runs at most once, and the first that passes ends the search
         path = write_ideal(tmp_path, "ideal.json", n, rows)
-        real = cli._prefixes_cover
+        real = monomials._prefixes_cover
         walks = []
 
         def recorded(rows, strong):
             walks.append(strong)
             return real(rows, strong)
 
-        monkeypatch.setattr(cli, "_prefixes_cover", recorded)
+        monkeypatch.setattr(monomials, "_prefixes_cover", recorded)
         calls = count_calls(monkeypatch, "_lexsegment_counts")
         code, out, _ = run(capsys, "analyze", path)
         assert code == 0

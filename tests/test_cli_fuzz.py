@@ -232,3 +232,24 @@ def test_stability_predicates_on_a_huge_degree():
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False True\n"
+
+
+def test_kpolynomial_cap_on_a_huge_degree():
+    # the recursion's polynomials for (x2^(10^8)) would hold 10^8 + 1
+    # coefficients: refused before it starts, not a MemoryError; (x1^(10^8))
+    # is stable, but its table is over the Betti-table cap, so it meets the
+    # same cap
+    code = ("from lexseg import KPolynomialTooLargeError, MonomialIdeal, hilbert_series\n"
+            "for row in [(0, 10**8), (10**8, 0)]:\n"
+            "    try:\n"
+            "        hilbert_series(MonomialIdeal(2, [row]))\n"
+            "    except KPolynomialTooLargeError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 0, done.stderr
+    line = ("the K-polynomial recursion could build polynomials of degree "
+            "100000000, cap is 10000000\n")
+    assert done.stdout == 2 * line

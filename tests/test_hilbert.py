@@ -19,7 +19,12 @@ from helpers import (
 from lexseg import _kernels, hilbert
 from lexseg.constructions import construct, fixture
 from lexseg.eliahou_kervaire import ek_betti_table
-from lexseg.errors import UnitIdealError
+from lexseg.errors import (
+    CAPS,
+    KPolynomialTooLargeError,
+    UnitIdealError,
+    cap_message,
+)
 from lexseg.hilbert import (
     HilbertSeries,
     HPolynomial,
@@ -303,19 +308,81 @@ class TestHilbertSeries:
             assert hilbert_series(ideal).numerator[0] == 1
 
 
+def _pivot_series(ideal):
+    """The series by the pivot recursion, the oracle of the table route."""
+    return hilbert._reduced_series(kpolynomial(ideal), ideal.n)
+
+
 class TestSeriesRoutes:
     """The pivot recursion and the Euler characteristic of the closed-form
-    EK table are independent routes to a stable ideal's series; construct,
-    lexify and stable analyze requests take the second."""
+    EK table are independent routes to a stable ideal's series;
+    `hilbert_series`, construct, lexify and stable analyze requests take the
+    second."""
 
     def test_pivot_and_ek_agree(self, grid_reports, example2, remark3):
         for report in grid_reports:
-            assert report.series == hilbert_series(report.ideal), report.ideal
+            assert (report.series == hilbert_series(report.ideal)
+                    == _pivot_series(report.ideal)), report.ideal
         ideals = [example2, remark3] + _stable_corpus(seed=707, count=100)
         ideals += [MonomialIdeal.zero(n) for n in (1, 3)]
         for ideal in ideals:
             table = ek_betti_table(ideal)
-            assert hilbert._stable_series(ideal, table) == hilbert_series(ideal), ideal
+            assert (hilbert._stable_series(ideal, table) == hilbert_series(ideal)
+                    == _pivot_series(ideal)), ideal
+
+    def test_one_route_per_kind_of_ideal(self, example2, remark3):
+        # a stable ideal's series is read off its one table, with no pivot
+        # recursion; any other ideal's is the recursion's
+        stable = [example2, remark3, construct(5, 2).ideal]
+        stable += _stable_corpus(seed=808, count=20)
+        for ideal in stable:
+            fresh = MonomialIdeal(ideal.n, ideal.exponent_rows)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                calls = count_calls(monkeypatch, "kpolynomial", "_ek_table")
+                series = hilbert_series(fresh)
+            assert calls == {"_ek_table": 1}, ideal
+            assert series == _pivot_series(ideal), ideal
+        edge = random_edge_ideal(random.Random(4), 12)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_calls(monkeypatch, "kpolynomial", "_ek_table")
+            series = hilbert_series(edge)
+        assert calls == {"kpolynomial": 1}
+        assert series == _pivot_series(edge)
+
+    def test_stable_ideal_over_the_table_cap_takes_the_recursion(self, monkeypatch):
+        # (x1, ..., x299, x300^20000): lexsegment, but its table of 20000 rows
+        # of 301 is over the cap, refused before any row is built, so the
+        # recursion keeps its answer
+        rows = [tuple(int(i == j) for i in range(300)) for j in range(299)]
+        ideal = MonomialIdeal(300, rows + [(0,) * 299 + (20000,)])
+        calls = count_calls(monkeypatch, "kpolynomial", "_ek_table")
+        series = hilbert_series(ideal)
+        assert calls == {"_ek_table": 1, "kpolynomial": 1}
+        assert (series.numerator, series.denominator_exponent) == ((1,) * 20000, 0)
+
+
+class TestKPolynomialCap:
+    """Every polynomial of the recursion has degree at most the sum of the
+    lcm's exponents, held to `CAPS["kpolynomial"]` before it starts."""
+
+    def test_over_the_cap_raises_before_the_recursion(self, monkeypatch):
+        ideal = MonomialIdeal(2, [(0, 5)])  # x2^5: not stable
+        monkeypatch.setattr(CAPS["kpolynomial"], "bound", 4)
+        calls = count_calls(monkeypatch, "_kpoly_pivot")
+        for compute in (kpolynomial, hilbert_series):
+            with pytest.raises(KPolynomialTooLargeError) as err:
+                compute(ideal)
+            assert str(err.value) == cap_message("kpolynomial", 5)
+        assert str(err.value) == ("the K-polynomial recursion could build "
+                                  "polynomials of degree 5, cap is 4")
+        assert calls["_kpoly_pivot"] == 0
+
+    def test_at_the_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(CAPS["kpolynomial"], "bound", 5)
+        ideal = MonomialIdeal(3, [(0, 2, 0), (0, 1, 1), (0, 0, 3)])
+        assert sum(ideal.lcm_exponents) == 5
+        assert kpolynomial(ideal) == kpoly_subsets(ideal)
+        assert hilbert_series(MonomialIdeal(2, [(0, 5)])).numerator == (1, 1, 1, 1, 1)
 
 
 class TestHPolynomial:

@@ -29,8 +29,21 @@ from helpers import (
     stable_closure,
 )
 from lexseg import monomials
-from lexseg.constructions import fixture
-from lexseg.errors import AmbientMismatchError, UnitIdealError, ZeroIdealError
+from lexseg.betti_oracle import bruteforce_betti_table
+from lexseg.constructions import construct, fixture
+from lexseg.eliahou_kervaire import (
+    depth,
+    ek_betti_table,
+    projective_dimension,
+    regularity,
+)
+from lexseg.errors import (
+    AmbientMismatchError,
+    StabilityRequiredError,
+    UnitIdealError,
+    ZeroIdealError,
+)
+from lexseg.hilbert import hilbert_series
 from lexseg.monomials import (
     Monomial,
     MonomialIdeal,
@@ -769,6 +782,75 @@ class TestStabilityPredicates:
                 pred(MonomialIdeal.zero(2))
             with pytest.raises(UnitIdealError):
                 pred(MonomialIdeal.unit(2))
+
+
+# a lexsegment ideal, a stable one that is not strongly stable (x2 -> x1
+# takes x2*x3 to x1*x3, outside), and one that is not stable
+DECISION_CASES = [
+    (3, [(1, 0, 0), (0, 2, 0), (0, 1, 1)]),
+    (3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1)]),
+    (3, [(1, 1, 1), (0, 2, 0), (0, 0, 3)])]
+
+
+class TestOneDecision:
+    """Each ideal decides each stability fact at most once, whoever asks."""
+
+    @pytest.mark.parametrize("case, walks", [
+        (DECISION_CASES[0], {"_lexsegment_counts": 1}),
+        (DECISION_CASES[1], {"_lexsegment_counts": 1, "_prefixes_cover": 2}),
+        (DECISION_CASES[2], {"_lexsegment_counts": 1, "_prefixes_cover": 1})],
+        ids=["lexsegment", "stable", "non-stable"])
+    def test_every_caller_shares_the_walks(self, monkeypatch, case, walks):
+        # is_stable asks first: the lexsegment and stable walks it runs on the
+        # non-stable ideal answer every later query; the stable-only ideal
+        # needs the strong walk too
+        ideal = MonomialIdeal(*case)
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
+        facts = [is_stable(ideal), is_strongly_stable(ideal), is_lexsegment(ideal)]
+        for reader in (ek_betti_table, regularity, depth, projective_dimension):
+            try:
+                reader(ideal)
+            except StabilityRequiredError:
+                assert not facts[0]
+        hilbert_series(ideal)
+        assert calls == walks
+
+    def test_a_failed_weaker_fact_answers_a_stronger_one(self, monkeypatch):
+        ideal = MonomialIdeal(*DECISION_CASES[2])
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
+        assert not is_stable(ideal)
+        assert calls == {"_lexsegment_counts": 1, "_prefixes_cover": 1}
+        assert not is_strongly_stable(ideal)
+        assert calls == {"_lexsegment_counts": 1, "_prefixes_cover": 1}
+
+    def test_a_stronger_fact_that_holds_answers_a_weaker_one(self, monkeypatch):
+        # strongly stable, not lexsegment: x2^2 is not x1*x3, the walk's
+        # successor of x1*x2
+        ideal = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0)])
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
+        assert is_strongly_stable(ideal) and not is_lexsegment(ideal)
+        assert calls == {"_lexsegment_counts": 1, "_prefixes_cover": 1}
+        assert is_stable(ideal)
+        assert ek_betti_table(ideal) == bruteforce_betti_table(ideal)
+        assert calls == {"_lexsegment_counts": 1, "_prefixes_cover": 1}
+
+    def test_tallies_are_those_of_the_walks(self):
+        for n, rows in DECISION_CASES + [(6, fixture("example2").exponent_rows)]:
+            for fact in monomials.WALKS:
+                ideal = MonomialIdeal(n, rows)
+                got = monomials._tallies(ideal, fact)
+                want = (_lexsegment_counts(ideal) if fact == "lexsegment" else
+                        _prefixes_cover(rows, strong=fact == "strong"))
+                assert got == want, (rows, fact)
+
+    @pytest.mark.parametrize("r, s", [(2, 5), (5, 2)])
+    def test_a_realized_ideal_is_checked_once(self, monkeypatch, r, s):
+        # the realizing walk leaves no decision behind, so the lexsegment
+        # check of a constructed ideal is a real check
+        ideal = construct(r, s).ideal
+        calls = count_calls(monkeypatch, "_lexsegment_counts", "_prefixes_cover")
+        assert is_lexsegment(ideal) and is_stable(ideal) and is_lexsegment(ideal)
+        assert calls == {"_lexsegment_counts": 1}
 
 
 class TestIdealJson:
