@@ -4,12 +4,13 @@ At runtime only the Betti oracle runs these loops, and it reads each complex
 off the generators dividing m, with no membership query; the Hilbert series
 uses none of them.  `count_standard`, `kpoly_counts` and `kernel_mode` are
 test references that `perfbench/` still names.  Plain Python over tuple rows
-of one common length n; all arithmetic is on Python ints, so ranks are exact.
+of one common length n; ranks by exact integer column elimination, ints only.
 """
 
 from collections import Counter
 from functools import reduce
 from itertools import product
+from math import gcd
 from operator import and_, le
 
 
@@ -74,35 +75,43 @@ def kpoly_counts(gens):
     return coeffs
 
 
-def bareiss_rank(rows):
-    """Rank over Q of an integer matrix (a list of row lists), in place.
+def column_rank(columns):
+    """Rank over Q of the integer matrix whose columns are ``columns``, each a
+    {row: entry} dict with no zero entry, keyed by any ordered row labels.
 
-    Fraction-free elimination: every entry stays an integer, and Python ints
-    never overflow.
+    Exact integer column elimination, in place: while a column's lowest
+    (largest) row is some kept column's lowest row, a unit pivot a is
+    subtracted a * b times, b the column's entry there; otherwise the column
+    becomes a * col - b * kept, divided by the gcd of its entries.  It is
+    kept once its lowest row is new, and dropped once it is empty.
     """
-    if not rows or not rows[0]:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        p = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != rank:
-            rows[rank], rows[p] = rows[p], rows[rank]
-        rr = rows[rank]
-        piv = rr[c]
-        for i in range(rank + 1, nr):
-            ri = rows[i]
-            mic = ri[c]
-            for j in range(nc):
-                ri[j] = (ri[j] * piv - mic * rr[j]) // prev
-        prev = piv
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    kept = {}  # lowest row -> the kept column ending there
+    for col in columns:
+        while col and (pivot := kept.get(low := max(col))) is not None:
+            a, b = pivot[low], col[low]
+            if a * a == 1:  # a unit pivot: subtract
+                a, b = 1, a * b
+            else:
+                col = {row: a * v for row, v in col.items()}
+            for row, v in pivot.items():
+                if w := col.get(row, 0) - b * v:
+                    col[row] = w
+                else:
+                    del col[row]
+            if a != 1 and (g := gcd(*col.values())) > 1:
+                col = {row: v // g for row, v in col.items()}
+        if col:
+            kept[low] = col
+    return len(kept)
+
+
+bareiss_rank = column_rank  # the name perfbench/tracer.py wraps and tests pin
+
+
+def _boundary(face):
+    """The boundary of a face (a bitmask) as {facet bitmask: +-1}."""
+    bits = [1 << i for i in range(face.bit_length()) if face >> i & 1]
+    return {face ^ bit: (-1) ** j for j, bit in enumerate(bits)}
 
 
 def betti_at_multidegree(gens, m):
@@ -122,27 +131,18 @@ def betti_at_multidegree(gens, m):
     if reduce(and_, tops, -1):
         return [0]
     k = len(supp)
-    # faces[d]: bitmask over supp -> row index, for each face with d vertices
-    faces = [{} for _ in range(k + 1)]
+    # faces[d]: the faces with d vertices, as bitmasks over supp
+    faces = [[] for _ in range(k + 1)]
     for b in range(1 << k):
         if any(not b & ~f for f in tops):
-            layer = faces[b.bit_count()]
-            layer[b] = len(layer)
+            faces[b.bit_count()].append(b)
     # ranks[d] = rank of the boundary map from d+1-vertex to d-vertex faces,
     # d = 0 being the augmentation; ranks[k + 1] = 0 serves as ranks[-1]
     ranks = [0] * (k + 2)
     for d in range(k):
-        rows, cols = faces[d], faces[d + 1]
-        if not cols:
+        if not faces[d + 1]:
             break
-        M = [[0] * len(cols) for _ in range(len(rows))]
-        for b, col in cols.items():
-            sign = 1
-            for idx in range(k):
-                if b >> idx & 1:
-                    M[rows[b & ~(1 << idx)]][col] = sign
-                    sign = -sign
-        ranks[d] = bareiss_rank(M)
+        ranks[d] = column_rank(map(_boundary, faces[d + 1]))
     return [len(faces[i]) - ranks[i - 1] - ranks[i] for i in range(k + 1)]
 
 

@@ -4,13 +4,13 @@ Independent of any stability hypothesis: for each multidegree m dividing the
 lcm of the generators, beta_{i,m}(I) is the rank of the reduced homology
 H~_{i-1} of the simplicial complex {s subset of supp(m) : m / x_s in I}
 (multidegrees outside that box contribute nothing, by the usual support
-argument).  Homology is taken over the rationals via fraction-free integer
-elimination; the declared reference field is Q, so no modular-arithmetic
-false negatives can occur.  Each complex is read off the generators dividing
-m, one generating face each; where the complex is a cone, exactly when m is
-not the lcm of those generators, every beta vanishes and the cell costs no
-rank.  The scan still visits every cell of the box, which the box cap
-(`errors.CAPS`) bounds.
+argument).  Homology is taken over the rationals via exact integer column
+elimination of sparse boundary columns keyed by faces; the declared
+reference field is Q, so no modular-arithmetic false negatives can occur.
+Each complex is read off the generators dividing m, one generating face
+each; where the complex is a cone, exactly when m is not the lcm of those
+generators, every beta vanishes and the cell costs no rank.  The scan still
+visits every cell of the box, which the box cap (`errors.CAPS`) bounds.
 The per-multidegree ranks and the box scan live in `_kernels`.
 """
 

@@ -83,8 +83,17 @@ def _finish(ideal, series, table, branch, predicted, expected_h, r,
     return ConstructionReport(ideal, branch, predicted, measured, series, table)
 
 
+def _check_ints(r, s) -> None:
+    """`TypeError` unless r and s are both ints (bools included), as
+    `MonomialIdeal` and `is_o_sequence` check their counts."""
+    for name, value in (("r", r), ("s", s)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def construct_first_step(r: int, s: int) -> ConstructionReport:
     """The branch for 1 <= r <= s: the first n monomials of degree r+1."""
+    _check_ints(r, s)
     if not 1 <= r <= s:
         raise ValueError(f"first step needs 1 <= r <= s, got r={r}, s={s}")
     n = s - r + 1
@@ -108,6 +117,7 @@ def second_step_hf(r: int, s: int) -> HilbertFunctionSpec:
 
 def construct_second_step(r: int, s: int) -> ConstructionReport:
     """The branch for 1 <= s < r, realized through `lex_ideal_from_hf`."""
+    _check_ints(r, s)
     if not 1 <= s < r:
         raise ValueError(f"second step needs 1 <= s < r, got r={r}, s={s}")
     n = r + 2
@@ -123,6 +133,7 @@ def construct_second_step(r: int, s: int) -> ConstructionReport:
 
 def construct(r: int, s: int) -> ConstructionReport:
     """Lexsegment ideal with regularity r and h-degree s, for any r, s >= 1."""
+    _check_ints(r, s)
     if r < 1 or s < 1:
         raise ValueError(f"need r >= 1 and s >= 1, got r={r}, s={s}")
     if r <= s:

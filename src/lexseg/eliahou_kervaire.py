@@ -25,19 +25,26 @@ from .monomials import MonomialIdeal, _tallies
 def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     """Betti table of S/I for a stable ideal I (zero ideal gives the unit table).
 
-    The ideal's stability decision (`_tallies`) raises
+    The ideal's stability decision (`_stable_counts`) raises
     `StabilityRequiredError` or tallies the generators for `_ek_table`, as
     the walk that lists a realized ideal does, and a table over the
     Betti-table cap (`CAPS`) is refused before any row is built; no walk
     builds a tuple that grows with a generator's degree.
     """
+    return _ek_table(ideal, _stable_counts(ideal))
+
+
+def _stable_counts(ideal: MonomialIdeal):
+    """The tallies of a stable ideal's generators by degree and largest
+    variable, from its stability decision (`_tallies`); {} for the zero
+    ideal.  Raises `UnitIdealError` or `StabilityRequiredError`."""
     if ideal.is_unit:
         raise UnitIdealError("the zero ring has no Betti table")
     counts = {} if ideal.is_zero else _tallies(ideal, "stable")
     if counts is None:
         raise StabilityRequiredError(
             "ideal is not stable; use the brute-force oracle (betti --oracle)")
-    return _ek_table(ideal, counts)
+    return counts
 
 
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
@@ -78,24 +85,33 @@ def _refuse_over_table_cap(n: int, counts) -> None:
     """Hold the table of a proper nonzero stable ideal in n variables,
     tallied by ``counts`` as `_ek_table` takes them, to the Betti-table cap:
     first by the bound (largest degree) * (n + 1), and only when that passes
-    the cap by the exact (reg + 1) * (pd + 1), pd the largest x_m tallied."""
-    height = max(counts)
-    if height * (n + 1) > CAPS["betti-table"].bound:
-        width = 1 + max(max(compress(range(len(tally)), tally)) for tally in counts.values())
+    the cap by the exact (reg + 1) * (pd + 1) (`_extent`)."""
+    if max(counts) * (n + 1) > CAPS["betti-table"].bound:
+        height, width = _extent(counts)
         if height * width > CAPS["betti-table"].bound:
             refuse("betti-table", height * width, rows=height, columns=width)
 
 
+def _extent(counts) -> tuple[int, int]:
+    """(reg + 1, pd + 1) of S/I for the stable ideal tallied by ``counts``:
+    the largest generator degree, and one more than the largest x_m tallied;
+    (1, 1) for the zero ideal's empty tallies."""
+    if not counts:
+        return 1, 1
+    return max(counts), 1 + max(max(compress(range(len(tally)), tally))
+                                for tally in counts.values())
+
+
 def projective_dimension(ideal: MonomialIdeal) -> int:
-    """pd(S/I), the last column of the closed-form table."""
-    return ek_betti_table(ideal).projective_dimension
+    """pd(S/I), the largest x_m among the generators' tallies."""
+    return _extent(_stable_counts(ideal))[1] - 1
 
 
 def regularity(ideal: MonomialIdeal) -> int:
-    """reg(S/I), the last row of the closed-form table."""
-    return ek_betti_table(ideal).regularity
+    """reg(S/I), the largest generator degree minus one."""
+    return _extent(_stable_counts(ideal))[0] - 1
 
 
 def depth(ideal: MonomialIdeal) -> int:
     """depth S/I = n - pd(S/I) (Auslander-Buchsbaum)."""
-    return ideal.n - ek_betti_table(ideal).projective_dimension
+    return ideal.n - projective_dimension(ideal)

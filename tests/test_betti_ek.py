@@ -7,6 +7,7 @@ from helpers import (
     degree_counts,
     ek_closed_form,
     generator_shapes,
+    random_stable_ideal,
     random_strongly_stable_ideal,
 )
 from lexseg import construct, fixture, monomials
@@ -221,15 +222,43 @@ class TestDerivedInvariants:
             assert projective_dimension(ideal) == max(
                 (u.max_index for u in ideal.gens), default=0)
 
+    def test_helpers_match_the_table_on_stable_corpus(self):
+        # stable ideals that are not all strongly stable, and the zero ideal
+        rng = random.Random(58)
+        ideals = [random_stable_ideal(rng, rng.randint(1, 5), 5) for _ in range(40)]
+        for ideal in ideals + [MonomialIdeal.zero(2)]:
+            table = ek_betti_table(ideal)
+            assert regularity(ideal) == table.regularity
+            assert projective_dimension(ideal) == table.projective_dimension
+            assert depth(ideal) == ideal.n - table.projective_dimension
+
+    def test_helpers_past_the_table_cap(self):
+        # S/(x1^(10^8)) has 10^8 rows of 2: the table is refused, while reg
+        # and pd are read off the tallies
+        ideal = MonomialIdeal(2, [(10**8, 0)])
+        assert regularity(ideal) == 10**8 - 1
+        assert projective_dimension(ideal) == depth(ideal) == 1
+        with pytest.raises(BettiTableTooLargeError):
+            ek_betti_table(ideal)
+
+    @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
+    def test_helpers_refuse_what_the_table_refuses(self, helper):
+        with pytest.raises(UnitIdealError):
+            helper(MonomialIdeal.unit(2))
+        with pytest.raises(StabilityRequiredError):
+            helper(minimal_generators(2, [M(0, 2)]))
+
     @pytest.mark.parametrize("helper", [regularity, projective_dimension, depth])
     def test_each_helper_reads_one_table(self, monkeypatch, helper):
         # example2 is lexsegment: the lexsegment walk tallies it, no prefix
-        # walk; a fresh ideal, since each ideal keeps its walks' results
+        # walk; a fresh ideal, since each ideal keeps its walks' results.
+        # reg and pd are read off that walk's tallies, so no table is built
         example2 = fixture("example2")
-        calls = count_calls(monkeypatch, "ek_betti_table", "_lexsegment_counts",
-                            "_prefixes_cover")
+        calls = count_calls(monkeypatch, "ek_betti_table", "_ek_table",
+                            "_lexsegment_counts", "_prefixes_cover")
         helper(example2)
-        assert calls == {"ek_betti_table": 1, "_lexsegment_counts": 1}
+        assert calls == {"_lexsegment_counts": 1}
+        assert calls["ek_betti_table"] == calls["_ek_table"] == 0
 
     def test_euler_characteristic_matches_kpolynomial(self):
         rng = random.Random(57)

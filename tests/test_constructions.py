@@ -114,6 +114,15 @@ class TestDispatch:
         with pytest.raises(ValueError):
             construct(2, 0)
 
+    @pytest.mark.parametrize("build", [construct, construct_first_step,
+                                       construct_second_step])
+    @pytest.mark.parametrize("r, s", [(True, 2), (2, True), (2.0, 3), (3, 2.0),
+                                      ("4", 2), (None, 1)])
+    def test_rejects_non_int(self, build, r, s):
+        # bools included, as MonomialIdeal and is_o_sequence reject them
+        with pytest.raises(TypeError, match=r"^[rs] must be an int, got "):
+            build(r, s)
+
     def test_grid_smallish(self):
         for r in range(1, 9):
             for s in range(1, 9):
