@@ -55,13 +55,14 @@ def _measure(ideal: MonomialIdeal, series: HilbertSeries,
              table: BettiTable) -> Invariants:
     """The invariants read off the reduced series and the Betti table of S/I.
 
-    dim is the reduced series' denominator exponent (Hilbert-Serre); depth
-    is n - pd (Auslander-Buchsbaum).
+    The h-degree is the numerator's degree, whose trailing coefficient
+    `HilbertSeries` holds nonzero; dim is the reduced series' denominator
+    exponent (Hilbert-Serre); depth is n - pd (Auslander-Buchsbaum).
     """
     return Invariants(
         n=ideal.n,
         regularity=table.regularity,
-        h_degree=series.h_polynomial().degree,
+        h_degree=len(series.numerator) - 1,
         dim=series.denominator_exponent,
         depth=ideal.n - table.projective_dimension,
     )

@@ -4,8 +4,10 @@ For a stable ideal the minimal resolution is known explicitly:
 beta_{i,i+j}(I) = sum over minimal generators u of degree j of
 C(max(u) - 1, i), max(u) being the largest variable index dividing u.  That
 is the t^i coefficient of sum_m c_m (1+t)^(m-1), c_m counting the degree-j
-generators with max(u) = m: c * C(m-1, i) when one x_m takes all c of
-them, else built by Horner's rule with additions only.  As
+generators with max(u) = m.  Over the tally's span [m0, m], from the least
+to the largest x_m tallied, it is c * (C(m, i+1) - C(m0-1, i+1)) when the
+span is one run of a constant c (the hockey-stick identity), else Horner's
+rule over the span only, multiplied once by (1+t)^(m0-1).  As
 beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, this polynomial, one column
 right, is row j - 1 of the quotient's table.  Regularity is the largest
 generator degree minus one, pd the largest max(u), depth n - pd.
@@ -13,9 +15,8 @@ generator degree minus one, pd the largest max(u), depth n - pd.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from math import comb
-from operator import add
+from itertools import compress
+from operator import add, sub
 
 from .betti import TRIVIAL, BettiTable
 from .errors import CAPS, StabilityRequiredError, UnitIdealError, refuse
@@ -50,35 +51,77 @@ def _stable_counts(ideal: MonomialIdeal):
 def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     """The table of a proper stable ideal (trivial for the zero ideal) from
     ``counts``, each degree d's tally of generators by largest variable x_m:
-    row d - 1 is 0, then sum_m c_m (1+t)^(m-1), for each d up to the
-    largest generator degree (so reg = that degree - 1), and 0 alone in a
-    degree without generators.  When one x_m takes
-    all c of a degree's generators that is c * C(m-1, i) for i < m, read
-    off directly; else Horner's rule builds it with additions only.  Before
-    any row is built the table's size is held to the Betti-table cap
+    row d - 1 holds sum_m c_m C(m-1, p-1) in column p >= 1, for each d up to
+    the largest generator degree (so reg = that degree - 1), and zeros in a
+    degree without generators.  Each row is built at the table's final
+    width from its tally's span [m0, m], the least and largest x_m tallied.
+    A span that is one run of a constant c (a single variable included)
+    gives c * (C(m, p) - C(m0-1, p)) by the hockey-stick identity; any other
+    span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
+    and multiplies q once by (1+t)^(m0-1), the row of C(m0-1, .), when
+    m0 > 1.  Each binomial row is built once per table (`_BinomialRows`).
+    Before any row is built the table's size is held to the Betti-table cap
     (`_refuse_over_table_cap`)."""
     if ideal.is_zero:
         return TRIVIAL  # free quotient, trivial resolution
     _refuse_over_table_cap(ideal.n, counts)
-    rows = []
+    spans = []
     for d, tally in sorted(counts.items()):
-        rows += [[0]] * (d - 1 - len(rows))  # degrees with no generator
-        if tally.count(0) == len(tally) - 1:  # one largest variable
-            c = max(tally)
-            m = tally.index(c)
-            rows.append([0, *map(c.__mul__, map(comb, repeat(m - 1), range(m)))])
-            continue
         m = len(tally) - 1
-        while m > 1 and not tally[m]:
+        while not tally[m]:
             m -= 1
-        poly = [tally[m]]
-        for c in tally[m - 1:0:-1]:  # (1+t) * poly + c
-            poly = [poly[0] + c, *map(add, poly[1:], poly), poly[-1]]
-        rows.append([0, *poly])
-    width = max(map(len, rows))
-    rows = [row + [0] * (width - len(row)) for row in rows]
+        spans.append((d, tally, m))
+    width = 1 + max([m for _, _, m in spans])
+    binomials = _BinomialRows(width)
+    rows = []
+    for d, tally, m in spans:
+        while len(rows) < d - 1:  # a degree without generators
+            rows.append([0] * width)
+        m0 = tally.index(next(filter(None, tally)))
+        c = tally[m0]
+        if tally.count(c) == m - m0 + 1:  # one run; C(m, 0) = C(m0-1, 0) = 1
+            run = [*map(sub, binomials[m], binomials[m0 - 1])]
+            rows.append(run if c == 1 else [*map(c.__mul__, run)])
+            continue
+        q = [tally[m]]
+        for c in tally[m - 1:m0 - 1:-1]:  # (1+t) * q + c
+            q = [q[0] + c, *map(add, q[1:], q), q[-1]]
+        rows.append(_shifted_product(q, binomials[m0 - 1][:m0], width) if m0 > 1
+                    else [0, *q, *[0] * (width - 1 - len(q))])
     rows[0][0] = 1
     return BettiTable(rows)
+
+
+class _BinomialRows(dict):
+    """Row j is C(j, 0), ..., C(j, width - 1), built on first use: its first
+    half by C(j, i+1) = C(j, i) (j - i) / (i + 1), exactly, the rest by
+    C(j, i) = C(j, j - i), then zeros (j < width)."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def __missing__(self, j: int) -> list[int]:
+        row = [1]
+        for i in range(j // 2):
+            row.append(row[-1] * (j - i) // (i + 1))
+        row += row[:j + 1 - len(row)][::-1]
+        row += [0] * (self.width - j - 1)
+        self[j] = row
+        return row
+
+
+def _shifted_product(q, b, width: int) -> list[int]:
+    """t * q(t) * b(t), ``width`` coefficients from t^0: one pass over the
+    longer polynomial per coefficient of the shorter."""
+    if len(q) > len(b):
+        q, b = b, q
+    n = len(b)
+    out = [0, *map(q[0].__mul__, b), *[0] * (width - 1 - n)]
+    for k in range(1, len(q)):
+        out[k + 1:k + 1 + n] = map(add, out[k + 1:k + 1 + n], map(q[k].__mul__, b))
+    return out
 
 
 def _refuse_over_table_cap(n: int, counts) -> None:

@@ -13,7 +13,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from operator import eq, gt, le
 
 from ._value import Value, _set
@@ -397,9 +397,11 @@ def krull_dimension(ideal: MonomialIdeal) -> int:
 
 
 def _stable_dimension(ideal: MonomialIdeal) -> int:
-    """dim S/I of a stable ideal in O(g): n - i, where i is the largest index
-    of a variable that some minimal generator is a pure power of (i = 0 for
-    the zero ideal); a pure power is a row with n - 1 zeros.
+    """dim S/I of a stable ideal: n - i, where i is the largest index of a
+    variable that some minimal generator is a pure power of (i = 0 for the
+    zero ideal); a pure power is a row with n - 1 zeros.  Lex-descending
+    rows list the power of the largest such variable after every other
+    pure power, so the rows are scanned from the end up to the first one.
 
     Every associated prime of a stable ideal is (x1, ..., xj) for some j
     (Eliahou-Kervaire), so its one minimal prime is its radical,
@@ -407,10 +409,11 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
     minimal generator is a pure power of x_i, and no power of a later
     variable does.  Callers reject the unit ideal.
     """
-    n, rows = ideal.n, ideal.exponent_rows
-    pure = [*compress(rows, map((n - 1).__eq__, map(tuple.count, rows, repeat(0))))]
-    # lex-descending rows list the power of the largest variable last
-    return n - (pure[-1].index(max(pure[-1])) + 1 if pure else 0)
+    n = ideal.n
+    for row in reversed(ideal.exponent_rows):
+        if row.count(0) == n - 1:
+            return n - 1 - row.index(max(row))
+    return n
 
 
 def _prefixes_cover(rows, strong: bool) -> dict | None:

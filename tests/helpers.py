@@ -10,8 +10,8 @@ the Hilbert series is compared against; it runs the standard-monomial
 counting kernel, which no runtime path uses, and `kpoly_subsets` the
 inclusion-exclusion K-polynomial the pivot recursion is compared against.
 `ek_closed_form` is the Eliahou-Kervaire table summed binomial by binomial,
-against which the library's Horner construction is checked.  `count_calls`
-counts calls to library functions.
+against which the library's rows, read off each tally's span and runs, are
+checked.  `count_calls` counts calls to library functions.
 """
 
 import math
@@ -233,14 +233,17 @@ def generator_shapes(ideal: MonomialIdeal) -> Counter:
                    for u in ideal.exponent_rows)
 
 
-def ek_closed_form(ideal: MonomialIdeal) -> BettiTable:
+def ek_closed_form(ideal: MonomialIdeal, shapes=None) -> BettiTable:
     """The Eliahou-Kervaire table of a stable ideal entry by entry:
     beta_{i+1,i+j}(S/I) = sum over generators u of degree j of
-    C(max(u) - 1, i), one binomial per generator shape and i."""
+    C(max(u) - 1, i), one binomial per generator shape and i.  ``shapes``,
+    counts by (degree, largest variable index) as `generator_shapes` gives
+    them, stand in for the ideal's own, e.g. for tallies no ideal has."""
     if ideal.is_zero:
         return TRIVIAL
     entries = {(0, 0): 1}
-    for (j, m), count in generator_shapes(ideal).items():
+    shapes = generator_shapes(ideal) if shapes is None else shapes
+    for (j, m), count in shapes.items():
         for i in range(m):
             entries[i + 1, i + j] = (entries.get((i + 1, i + j), 0)
                                      + count * math.comb(m - 1, i))

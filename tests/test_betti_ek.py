@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -183,6 +184,57 @@ class TestClosedFormOracle:
         assert shared == {True, False}
         for report in grid_reports + large:
             assert report.betti == ek_closed_form(report.ideal)
+
+    def test_every_case_of_the_row_rule_matches_binomials(self, wide_ideal):
+        # seeded random tallies, and the walk's tallies of construct(1, 300),
+        # (40, 3) and (100, 3), against the closed form summed one binomial
+        # at a time; every case of the row rule is met
+        rng = random.Random(33)
+        cases = []
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            tallies = {}
+            for d in rng.sample(range(1, 8), rng.randint(1, 3)):
+                m0 = rng.randint(1, n)
+                m = rng.randint(m0, n)
+                if rng.random() < 0.4:
+                    span = [rng.randint(1, 3)] * (m - m0 + 1)
+                else:
+                    span = [rng.randint(1, 3), *(rng.randint(0, 3) for _ in range(m - m0))]
+                    span[-1] = span[-1] or 1
+                tallies[d] = [0] * m0 + span + [0] * (n - m)
+            # the ideal only carries n: _ek_table reads the tallies
+            cases.append((MonomialIdeal(n, [(1,) + (0,) * (n - 1)]), tallies))
+        for ideal in [construct(1, 300).ideal, wide_ideal, construct(100, 3).ideal]:
+            cases.append(_lex_segment(ideal.n, degree_counts(ideal.exponent_rows)))
+        hit = Counter()
+        for ideal, tallies in cases:
+            shapes = Counter({(d, m): c for d, tally in tallies.items()
+                              for m, c in enumerate(tally) if c})
+            assert _ek_table(ideal, tallies) == ek_closed_form(ideal, shapes), tallies
+            hit.update(map(_row_case, tallies.values()))
+        assert set(hit) == {"one run from x1", "one run from a later variable",
+                            "single variable", "Horner from x1",
+                            "Horner later, q no longer than C(m0-1, .)",
+                            "Horner later, q longer than C(m0-1, .)"}, hit
+
+
+def _row_case(tally) -> str:
+    """The case of `_ek_table`'s row rule that a tally takes, by its span
+    [m0, m]: one run of a constant, else Horner's rule over the span, whose
+    q (m - m0 + 1 coefficients) a later span multiplies by the m0
+    coefficients of (1+t)^(m0-1)."""
+    support = [m for m, c in enumerate(tally) if c]
+    m0, m = support[0], support[-1]
+    if m0 == m:
+        return "single variable"
+    if len(set(tally[m0:m + 1])) == 1:
+        return "one run from x1" if m0 == 1 else "one run from a later variable"
+    if m0 == 1:
+        return "Horner from x1"
+    if m - m0 + 1 <= m0:
+        return "Horner later, q no longer than C(m0-1, .)"
+    return "Horner later, q longer than C(m0-1, .)"
 
 
 class TestDerivedInvariants:

@@ -494,6 +494,25 @@ class TestKrullDimension:
             dims[dim] += 1
         assert len(dims) >= 5, dims
 
+    def test_stable_dimension_scan_matches_all_rows_and_cover_search(self, grid_ideals):
+        # the scan from the end for the first pure power against two routes:
+        # the last of all rows with n - 1 zeros, and the cover search.  In
+        # (x1^2, x1x2, x2^2, x2x3) the last row is not a pure power
+        hand = minimal_generators(3, [M(2, 0, 0), M(1, 1, 0), M(0, 2, 0), M(0, 1, 1)])
+        assert hand.exponent_rows[-1] == (0, 1, 1) and _stable_dimension(hand) == 1
+        rng = random.Random(43)
+        ideals = [*grid_ideals, MonomialIdeal.zero(4), hand]
+        ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 6), 5)
+                   for _ in range(200)]
+        dims = Counter()
+        for ideal in ideals:
+            n = ideal.n
+            pure = [r for r in ideal.exponent_rows if r.count(0) == n - 1]
+            all_rows = n - max(j + 1 for j, e in enumerate(pure[-1]) if e) if pure else n
+            assert _stable_dimension(ideal) == all_rows == krull_dimension(ideal), ideal
+            dims[all_rows] += 1
+        assert len(dims) >= 5, dims
+
 
 class TestStabilityPredicates:
     def test_x2_alone_not_stable(self):
