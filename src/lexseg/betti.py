@@ -7,8 +7,7 @@ is the regularity and the width the projective dimension.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, sub
+from itertools import chain, compress
 
 from ._value import Value, _set
 from .errors import CAPS, refuse
@@ -64,12 +63,19 @@ class BettiTable(Value):
                    for r in range(reg + 1))
 
     def euler_kpolynomial(self) -> tuple[int, ...]:
-        """Alternating column sums: coefficients of sum (-1)^p beta_{p,q} t^q.
-        Column p, the entries beta_{p,p+r}, lands on t^p, ..., t^(p+reg)."""
-        height = len(self.rows)
-        out = [0] * (self.projective_dimension + height)
-        for p, column in enumerate(zip(*self.rows)):
-            out[p:p + height] = map(sub if p % 2 else add, out[p:p + height], column)
+        """Coefficients of sum (-1)^p beta_{p,q} t^q, entry by entry: each
+        nonzero beta_{p,p+r} of row r is added into t^(r+p) with sign
+        (-1)^p, and a zero row is skipped whole, so the work follows the
+        entries the table holds, not its rectangle."""
+        width = len(self.rows[0])
+        out = [0] * (width - 1 + len(self.rows))
+        for r, row in enumerate(self.rows):
+            if any(row):
+                for p in compress(range(width), row):
+                    if p % 2:
+                        out[r + p] -= row[p]
+                    else:
+                        out[r + p] += row[p]
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return tuple(out)

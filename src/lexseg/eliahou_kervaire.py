@@ -52,9 +52,10 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     """The table of a proper stable ideal (trivial for the zero ideal) from
     ``counts``, each degree d's tally of generators by largest variable x_m:
     row d - 1 holds sum_m c_m C(m-1, p-1) in column p >= 1, for each d up to
-    the largest generator degree (so reg = that degree - 1), and zeros in a
-    degree without generators.  Each row is built at the table's final
-    width from its tally's span [m0, m], the least and largest x_m tallied.
+    the largest generator degree (so reg = that degree - 1), and one zero
+    row, shared, in every degree without generators.  Each other row is
+    built at the table's final width from its tally's span [m0, m], the
+    least and largest x_m tallied.
     A span that is one run of a constant c (a single variable included)
     gives c * (C(m, p) - C(m0-1, p)) by the hockey-stick identity; any other
     span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
@@ -73,10 +74,10 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
         spans.append((d, tally, m))
     width = 1 + max([m for _, _, m in spans])
     binomials = _BinomialRows(width)
+    zero = (0,) * width  # one row shared by every degree without generators
     rows = []
     for d, tally, m in spans:
-        while len(rows) < d - 1:  # a degree without generators
-            rows.append([0] * width)
+        rows += [zero] * (d - 1 - len(rows))
         m0 = tally.index(next(filter(None, tally)))
         c = tally[m0]
         if tally.count(c) == m - m0 + 1:  # one run; C(m, 0) = C(m0-1, 0) = 1
@@ -88,7 +89,7 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
             q = [q[0] + c, *map(add, q[1:], q), q[-1]]
         rows.append(_shifted_product(q, binomials[m0 - 1][:m0], width) if m0 > 1
                     else [0, *q, *[0] * (width - 1 - len(q))])
-    rows[0][0] = 1
+    rows[0] = [1, *rows[0][1:]]
     return BettiTable(rows)
 
 

@@ -253,12 +253,20 @@ def _reduced_series(kpoly, n: int) -> HilbertSeries:
     cancelled; its denominator exponent is dim S/I.
 
     ``kpoly`` is the K-polynomial of S/I by either route: the pivot
-    recursion, or the Euler characteristic of a Betti table.  Callers reject
-    the unit ideal, whose K-polynomial is 0.
+    recursion, or the Euler characteristic of a Betti table.  One
+    `accumulate` per (1-t) factor gives the partial sums of the current
+    quotient: the last is its value at t = 1, and while that is 0 the
+    others are the next quotient's coefficients.  The zero polynomial, the
+    unit ideal's K-polynomial, has no such series and raises `ValueError`;
+    callers reject the unit ideal before they get here.
     """
-    coeffs = list(kpoly)
-    while sum(coeffs) == 0:  # the quotient by (1-t) has the partial sums
-        coeffs = list(accumulate(coeffs[:-1]))
+    if not any(kpoly):
+        raise ValueError("the zero polynomial has no reduced series")
+    coeffs = kpoly
+    sums = list(accumulate(coeffs))
+    while sums[-1] == 0:  # the quotient by (1-t) has the partial sums
+        coeffs = sums[:-1]
+        sums = list(accumulate(coeffs))
         n -= 1
     return HilbertSeries(tuple(coeffs), n)
 

@@ -402,6 +402,9 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
     zero ideal); a pure power is a row with n - 1 zeros.  Lex-descending
     rows list the power of the largest such variable after every other
     pure power, so the rows are scanned from the end up to the first one.
+    Lex order also lists every row that x1 divides before every row it does
+    not, and the first row is the power of x1, so once the scan meets a
+    row that x1 divides, the one pure power left is x1's: i = 1.
 
     Every associated prime of a stable ideal is (x1, ..., xj) for some j
     (Eliahou-Kervaire), so its one minimal prime is its radical,
@@ -411,6 +414,8 @@ def _stable_dimension(ideal: MonomialIdeal) -> int:
     """
     n = ideal.n
     for row in reversed(ideal.exponent_rows):
+        if row[0]:
+            return n - 1
         if row.count(0) == n - 1:
             return n - 1 - row.index(max(row))
     return n

@@ -11,7 +11,10 @@ counting kernel, which no runtime path uses, and `kpoly_subsets` the
 inclusion-exclusion K-polynomial the pivot recursion is compared against.
 `ek_closed_form` is the Eliahou-Kervaire table summed binomial by binomial,
 against which the library's rows, read off each tally's span and runs, are
-checked.  `count_calls` counts calls to library functions.
+checked, and `euler_column_sums` a table's Euler characteristic summed
+column by column over its whole rectangle, against which the library's
+pass over its nonzero entries is checked.  `count_calls` counts calls to
+library functions.
 """
 
 import math
@@ -248,6 +251,37 @@ def ek_closed_form(ideal: MonomialIdeal, shapes=None) -> BettiTable:
             entries[i + 1, i + j] = (entries.get((i + 1, i + j), 0)
                                      + count * math.comb(m - 1, i))
     return BettiTable.from_entries(entries)
+
+
+def euler_column_sums(table: BettiTable) -> tuple[int, ...]:
+    """The Euler characteristic sum (-1)^p beta_{p,q} t^q of a Betti table
+    by its definition, column by column: every entry beta_{p,p+r} of column
+    p, zero or not, is added into t^(p+r) with sign (-1)^p, and trailing
+    zero coefficients are dropped (the constant one stays)."""
+    rows = table.rows
+    out = [0] * (len(rows) + len(rows[0]) - 1)
+    for p in range(len(rows[0])):
+        for r, row in enumerate(rows):
+            out[p + r] += (-1) ** p * row[p]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def random_betti_rows(rng: random.Random) -> list[list[int]]:
+    """A seeded rectangle of Betti numbers with beta_{0,0} = 1: one row or
+    one column now and then, zero rows and zero columns inside it, and
+    entries from 0 up to past 2^64."""
+    shape = rng.random()
+    height = 1 if shape < 0.15 else rng.randint(1, 7)
+    width = 1 if 0.15 <= shape < 0.3 else rng.randint(1, 7)
+    zero_rows = {r for r in range(1, height) if rng.random() < 0.3}
+    zero_columns = {p for p in range(1, width) if rng.random() < 0.3}
+    rows = [[0 if r in zero_rows or p in zero_columns
+             else rng.choice((0, rng.randint(1, 50), rng.randint(2**64, 2**70)))
+             for p in range(width)] for r in range(height)]
+    rows[0][0] = 1
+    return rows
 
 
 def brute_minimalize_rows(rows) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,9 @@ from helpers import (
     count_calls,
     degree_counts,
     ek_closed_form,
+    euler_column_sums,
     generator_shapes,
+    random_betti_rows,
     random_stable_ideal,
     random_strongly_stable_ideal,
 )
@@ -158,10 +160,11 @@ class TestEkTable:
 class TestClosedFormOracle:
     def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
         # both tally routes, the realizing walk's and the stability walk's
-        # behind ek_betti_table, and both row builders, one binomial row for
-        # a degree whose generators share their largest variable and Horner's
-        # rule for any other, against the closed form summed one binomial at
-        # a time
+        # behind ek_betti_table, and the one row rule of _ek_table, two
+        # binomial rows for a tally that is one run of a constant (among
+        # them a degree whose generators share their largest variable) and
+        # Horner's rule over the span for any other, against the closed form
+        # summed one binomial at a time
         rng = random.Random(58)
         corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                   for _ in range(200)]
@@ -344,6 +347,27 @@ class TestBettiTableType:
         # no silent int() coercion: ((1.7,),) used to become ((1,),)
         with pytest.raises(TypeError):
             BettiTable(rows)
+
+    def test_euler_characteristic_matches_column_sums(self, grid_reports, example2,
+                                                      remark3):
+        # the pass over the nonzero entries of each nonzero row against the
+        # sum over every column of the rectangle, on seeded random tables
+        # and on every table the constructions and fixtures give
+        rng = random.Random(34)
+        tables = [BettiTable(random_betti_rows(rng)) for _ in range(400)]
+        shapes = Counter((len(t.rows) == 1, len(t.rows[0]) == 1) for t in tables)
+        assert shapes[True, False] and shapes[False, True] and shapes[True, True]
+        assert any(0 < r < len(t.rows) - 1 and not any(t.rows[r])
+                   for t in tables for r in range(len(t.rows)))
+        assert any(0 < p < len(t.rows[0]) - 1 and not any(row[p] for row in t.rows)
+                   for t in tables for p in range(len(t.rows[0])))
+        assert any(v >= 2**64 for t in tables for row in t.rows for v in row)
+        tables += [report.betti for report in grid_reports]
+        tables += [construct(300, 2).betti, construct(1, 2000).betti]
+        for ideal in (example2, remark3):
+            tables += [bruteforce_betti_table(ideal), ek_betti_table(ideal)]
+        for table in tables:
+            assert table.euler_kpolynomial() == euler_column_sums(table), table.rows
 
     def test_one_trivial_table(self):
         zero = MonomialIdeal.zero(3)

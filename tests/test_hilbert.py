@@ -288,6 +288,12 @@ class TestHilbertSeries:
         with pytest.raises(UnitIdealError):
             hilbert_series(MonomialIdeal.unit(2))
 
+    def test_reduced_series_rejects_the_zero_polynomial(self):
+        # the unit ideal's K-polynomial is 0, which (1-t) divides forever
+        for kpoly in [kpolynomial(MonomialIdeal.unit(2)), (0, 0, 0), ()]:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                hilbert._reduced_series(kpoly, 3)
+
     def test_denominator_equals_dimension_on_corpus(self):
         # the cover search is the independent route to dim S/I
         rng = random.Random(505)

@@ -504,6 +504,17 @@ class TestKrullDimension:
         ideals = [*grid_ideals, MonomialIdeal.zero(4), hand]
         ideals += [random_strongly_stable_ideal(rng, rng.randint(1, 6), 5)
                    for _ in range(200)]
+        # stable ideals that are not strongly stable, and first-step ideals,
+        # x1^r times each variable, whose one pure power is x1's: each of
+        # their rows is divisible by x1, so the scan stops at the last row
+        weak = []
+        while len(weak) < 150:
+            ideal = random_stable_ideal(rng, rng.randint(2, 6), 5)
+            if not is_strongly_stable(ideal):
+                weak.append(ideal)
+        ideals += weak
+        ideals += [construct(r, s).ideal
+                   for r, s in ((1, 2000), (1, 40), (7, 30), (13, 13), (20, 26))]
         dims = Counter()
         for ideal in ideals:
             n = ideal.n
