@@ -57,8 +57,7 @@ class BettiTable(Value):
         nz = {k: v for k, v in entries.items() if v != 0}
         pd = max((p for p, _ in nz), default=0)
         reg = max((q - p for p, q in nz), default=0)
-        if (reg + 1) * (pd + 1) > CAPS["betti-table"].bound:
-            refuse("betti-table", (reg + 1) * (pd + 1), rows=reg + 1, columns=pd + 1)
+        _refuse_over_table_cap(reg + 1, pd + 1)
         return cls([nz.get((p, p + r), 0) for p in range(pd + 1)]
                    for r in range(reg + 1))
 
@@ -98,6 +97,13 @@ class BettiTable(Value):
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _refuse_over_table_cap(height: int, width: int) -> None:
+    """Refuse a table of ``height`` rows of ``width`` entries, (reg + 1) by
+    (pd + 1), over the Betti-table cap (`errors.CAPS`)."""
+    if height * width > CAPS["betti-table"].bound:
+        refuse("betti-table", height * width, rows=height, columns=width)
 
 
 TRIVIAL = BettiTable(((1,),))  # S/(0): the free quotient's trivial resolution

@@ -114,7 +114,7 @@ def _analyze_data(ideal: MonomialIdeal, force_oracle: bool, max_degree: int) -> 
         engine, table = "oracle", bruteforce_betti_table(ideal)
         series = _reduced_series(table.euler_kpolynomial(), ideal.n)
     else:
-        table = _ek_table(ideal, counts)
+        table = _ek_table(counts)
         engine, series = "eliahou-kervaire", _stable_series(ideal, table)
     inv = _measure(ideal, series, table)
     return {

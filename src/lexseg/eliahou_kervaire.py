@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import compress
 from operator import add, sub
 
-from .betti import TRIVIAL, BettiTable
-from .errors import CAPS, StabilityRequiredError, UnitIdealError, refuse
+from .betti import TRIVIAL, BettiTable, _refuse_over_table_cap
+from .errors import StabilityRequiredError, UnitIdealError
 from .monomials import MonomialIdeal, _tallies
 
 
@@ -32,7 +32,7 @@ def ek_betti_table(ideal: MonomialIdeal) -> BettiTable:
     Betti-table cap (`CAPS`) is refused before any row is built; no walk
     builds a tuple that grows with a generator's degree.
     """
-    return _ek_table(ideal, _stable_counts(ideal))
+    return _ek_table(_stable_counts(ideal))
 
 
 def _stable_counts(ideal: MonomialIdeal):
@@ -48,9 +48,10 @@ def _stable_counts(ideal: MonomialIdeal):
     return counts
 
 
-def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
-    """The table of a proper stable ideal (trivial for the zero ideal) from
-    ``counts``, each degree d's tally of generators by largest variable x_m:
+def _ek_table(counts) -> BettiTable:
+    """The table of a proper stable ideal from ``counts``, each degree d's
+    tally of generators by largest variable x_m ({} for the zero ideal,
+    whose table is trivial):
     row d - 1 holds sum_m c_m C(m-1, p-1) in column p >= 1, for each d up to
     the largest generator degree (so reg = that degree - 1), and one zero
     row, shared, in every degree without generators.  Each other row is
@@ -61,11 +62,10 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
     span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
     and multiplies q once by (1+t)^(m0-1), the row of C(m0-1, .), when
     m0 > 1.  Each binomial row is built once per table (`_BinomialRows`).
-    Before any row is built the table's size is held to the Betti-table cap
-    (`_refuse_over_table_cap`)."""
-    if ideal.is_zero:
+    Before any row is built the table's exact size, (reg + 1) * (pd + 1)
+    read off the spans, is held to the Betti-table cap."""
+    if not counts:
         return TRIVIAL  # free quotient, trivial resolution
-    _refuse_over_table_cap(ideal.n, counts)
     spans = []
     for d, tally in sorted(counts.items()):
         m = len(tally) - 1
@@ -73,6 +73,7 @@ def _ek_table(ideal: MonomialIdeal, counts) -> BettiTable:
             m -= 1
         spans.append((d, tally, m))
     width = 1 + max([m for _, _, m in spans])
+    _refuse_over_table_cap(spans[-1][0], width)
     binomials = _BinomialRows(width)
     zero = (0,) * width  # one row shared by every degree without generators
     rows = []
@@ -123,17 +124,6 @@ def _shifted_product(q, b, width: int) -> list[int]:
     for k in range(1, len(q)):
         out[k + 1:k + 1 + n] = map(add, out[k + 1:k + 1 + n], map(q[k].__mul__, b))
     return out
-
-
-def _refuse_over_table_cap(n: int, counts) -> None:
-    """Hold the table of a proper nonzero stable ideal in n variables,
-    tallied by ``counts`` as `_ek_table` takes them, to the Betti-table cap:
-    first by the bound (largest degree) * (n + 1), and only when that passes
-    the cap by the exact (reg + 1) * (pd + 1) (`_extent`)."""
-    if max(counts) * (n + 1) > CAPS["betti-table"].bound:
-        height, width = _extent(counts)
-        if height * width > CAPS["betti-table"].bound:
-            refuse("betti-table", height * width, rows=height, columns=width)
 
 
 def _extent(counts) -> tuple[int, int]:

@@ -14,9 +14,11 @@ which it prints.  The recursion, `kpolynomial` for any ideal, splits at the
 variable in the most generators and has one base case: generators whose
 supports are pairwise disjoint, where K = prod (1 - t^deg g).  Each child's
 minimal generators come straight from the split (`_with_power`,
-`_colon_power`).  Subset inclusion-exclusion over all 2^g generator lcms is
-a test oracle (`kpoly_subsets` in the tests' helpers), not a runtime
-engine; the tests check that the routes agree.
+`_colon_power`); the colon's one filter is a query of the divisor trie that
+minimalization builds (`monomials._trie_add`), not a pairwise scan.  Subset
+inclusion-exclusion over all 2^g generator lcms is a test oracle
+(`kpoly_subsets` in the tests' helpers), not a runtime engine; the tests
+check that the routes agree.
 
 The dimension is read off the series: dim S/I is the order of its pole at
 t = 1, the denominator exponent d of h(t)/(1-t)^d (Hilbert-Serre).  Only a
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import le
 
 from ._value import Value, _set
 from .eliahou_kervaire import ek_betti_table
@@ -41,7 +42,7 @@ from .errors import (
     UnitIdealError,
     refuse,
 )
-from .monomials import MonomialIdeal, _stable_dimension
+from .monomials import MonomialIdeal, _stable_dimension, _trie_add, _trie_divides
 
 
 def _poly_str(coeffs, var: str = "t") -> str:
@@ -183,12 +184,14 @@ def _colon_power(gens, v, k):
     """I : xv^k.  Rows with g[v] > 0 lose k at v and stay minimal among
     themselves, as do the untouched rows.  An untouched row cannot divide a
     reduced one without dividing its original, so the only row that can drop
-    is an untouched row divided by a reduced row left with no xv.
+    is an untouched row divided by a reduced row left with no xv: the
+    untouched rows are filtered through a divisor trie of those cleared rows,
+    the one `monomials._undivided` builds for minimalization.
     """
     reduced = [g[:v] + (g[v] - k,) + g[v + 1:] for g in gens if g[v]]
-    cleared = [r for r in reduced if not r[v]]
-    kept = [g for g in gens if not g[v]
-            and not any(all(map(le, r, g)) for r in cleared)]
+    trie = {}
+    _trie_add(trie, [r for r in reduced if not r[v]])
+    kept = [g for g in gens if not g[v] and not _trie_divides(trie, g)]
     return tuple(sorted(reduced + kept, reverse=True))
 
 

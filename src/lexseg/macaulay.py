@@ -17,8 +17,8 @@ from collections import deque
 from math import comb
 
 from ._value import Value, _set
-from .betti import BettiTable
-from .eliahou_kervaire import _ek_table, _refuse_over_table_cap
+from .betti import BettiTable, _refuse_over_table_cap
+from .eliahou_kervaire import _ek_table, _extent
 from .errors import CAPS, NotOSequenceError, refuse
 from .hilbert import HilbertSeries, _stable_series
 from .monomials import MonomialIdeal, _lex_segment, _lex_walk
@@ -111,7 +111,10 @@ def _greedy_tops(a: int, d: int) -> tuple[list[int], int]:
 
 def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
     """Unique greedy binomial expansion of a >= 1 in degree d >= 1, every
-    term listed: the unit tail is C(deg, deg) + ... + C(deg-u+1, deg-u+1)."""
+    term listed: the unit tail is C(deg, deg) + ... + C(deg-u+1, deg-u+1).
+    `TypeError` when a or d is not an int (bools included)."""
+    if type(a) is not int or type(d) is not int:
+        raise TypeError(f"expansion arguments must be ints, got {a!r}, {d!r}")
     if a < 1:
         raise ValueError("expansion defined for positive integers only")
     if d < 1:
@@ -125,8 +128,11 @@ def macaulay_growth(a: int, d: int) -> int:
     """The Macaulay bound a^<d> on the next value of a Hilbert function.
 
     Each unit term C(j, j) grows to C(j + 1, j + 1) = 1, so the unit tail
-    adds its length and no expansion is built.
+    adds its length and no expansion is built.  `TypeError` when a or d is
+    not an int (bools included).
     """
+    if type(a) is not int or type(d) is not int:
+        raise TypeError(f"growth arguments must be ints, got {a!r}, {d!r}")
     if d < 1:
         raise ValueError("growth degree must be >= 1")
     if a < 0:
@@ -312,12 +318,12 @@ def _realize(n: int, sizes) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     if sizes and sizes[-1][0] * (n + 1) > CAPS["betti-table"].bound:
         tallies = {}
         deque(_lex_walk(n, sizes, tallies), maxlen=0)  # keeps no row
-        _refuse_over_table_cap(n, tallies)
+        _refuse_over_table_cap(*_extent(tallies))
     try:
         ideal, tallies = _lex_segment(n, sizes)
     except ValueError as exc:
         raise AssertionError(f"realized ideal: {exc}") from None
-    table = _ek_table(ideal, tallies)
+    table = _ek_table(tallies)
     return ideal, _stable_series(ideal, table), table
 
 

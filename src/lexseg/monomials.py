@@ -230,10 +230,9 @@ def _undivided(rows) -> list[tuple[int, ...]]:
     """The rows of a duplicate-free collection that no other row divides.
 
     Rows are taken by ascending degree and each is queried against a divisor
-    trie of the kept rows of strictly smaller degree, since distinct rows of
-    equal degree never divide each other; a single-degree set makes no query.
-    A kept row is the trie path of its support's (position, exponent) pairs,
-    its end marked, so the trie is as deep as the widest support, not n.
+    trie (`_trie_add`) of the kept rows of strictly smaller degree, since
+    distinct rows of equal degree never divide each other; a single-degree
+    set makes no query.
     """
     by_degree = {}
     for r in rows:
@@ -242,11 +241,7 @@ def _undivided(rows) -> list[tuple[int, ...]]:
     kept = []
     level = []
     for d in sorted(by_degree):
-        for r in level:  # the previous degree's kept rows join the trie
-            node = trie
-            for pair in compress(enumerate(r), r):  # the (i, r[i]) with r[i] > 0
-                node = node.setdefault(pair, {})
-            node[None] = None
+        _trie_add(trie, level)  # the previous degree's kept rows join the trie
         level = by_degree[d]
         if trie:
             level = [r for r in level if not _trie_divides(trie, r)]
@@ -254,10 +249,20 @@ def _undivided(rows) -> list[tuple[int, ...]]:
     return kept
 
 
+def _trie_add(trie, rows) -> None:
+    """Store each row in the divisor ``trie`` (nested dicts) as the path of
+    its support's (position, exponent) pairs, None marking its end, so the
+    trie is as deep as the widest support, not n."""
+    for r in rows:
+        node = trie
+        for pair in compress(enumerate(r), r):  # the (i, r[i]) with r[i] > 0
+            node = node.setdefault(pair, {})
+        node[None] = None
+
+
 def _trie_divides(trie, w) -> bool:
-    """Whether some row stored in ``trie`` (nested dicts keyed by the
-    (position, exponent) pairs of a row's support, None marking a row's
-    end) divides w; only children keyed (p, e) with e <= w[p] are walked."""
+    """Whether some row stored in ``trie`` by `_trie_add` divides w; only
+    children keyed (p, e) with e <= w[p] are walked."""
     stack = [trie]
     while stack:
         for key, child in stack.pop().items():

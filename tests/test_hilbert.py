@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     borel_closure,
     brute_hilbert_function,
+    brute_minimalize_rows,
     count_calls,
     count_standard_monomials,
     kpoly_subsets,
@@ -39,7 +40,6 @@ from lexseg.monomials import (
     MonomialIdeal,
     krull_dimension,
     minimal_generators,
-    minimalize_rows,
 )
 
 
@@ -124,42 +124,54 @@ def _stable_corpus(seed, count):
 
 
 class TestSplitOracle:
-    """Each child the pivot recursion builds from a split equals
-    `minimalize_rows` of the naive rows: all of I's rows plus xv^k, and
-    I's rows with k taken off at v (floored at 0)."""
+    """Each child the pivot recursion builds from a split equals the pairwise
+    reference `brute_minimalize_rows` of the naive rows: all of I's rows plus
+    xv^k, and I's rows with k taken off at v (floored at 0).  The library's
+    minimalization and the colon share one divisor trie, so the reference
+    scans every pair instead."""
 
     @pytest.fixture
     def checked_splits(self, monkeypatch):
         with_power, colon_power = hilbert._with_power, hilbert._colon_power
-        visits = []
+        visits, drops = [], []
 
         def checked_with_power(gens, v, k):
             power = tuple(k if j == v else 0 for j in range(len(gens[0])))
             child = with_power(gens, v, k)
-            assert child == minimalize_rows(list(gens) + [power]), (gens, v, k)
+            assert child == brute_minimalize_rows(list(gens) + [power]), (gens, v, k)
             visits.append(gens)
             return child
 
         def checked_colon_power(gens, v, k):
             naive = [g[:v] + (max(g[v] - k, 0),) + g[v + 1:] for g in gens]
             child = colon_power(gens, v, k)
-            assert child == minimalize_rows(naive), (gens, v, k)
+            assert child == brute_minimalize_rows(naive), (gens, v, k)
+            # an untouched row missing from the child was dropped by the filter
+            if not set(g for g in gens if not g[v]) <= set(child):
+                drops.append(gens)
             return child
 
         monkeypatch.setattr(hilbert, "_with_power", checked_with_power)
         monkeypatch.setattr(hilbert, "_colon_power", checked_colon_power)
-        return visits
+        return visits, drops
 
-    def _check(self, ideals, visits):
+    def _check(self, ideals, checked_splits):
+        visits, drops = checked_splits
         for ideal in ideals:
             kpolynomial(ideal)
         assert visits, "no split was visited"
+        assert drops, "no split dropped an untouched row"
 
     def test_random_corpus(self, checked_splits):
         self._check(_corpus(seed=606, count=200), checked_splits)
 
     def test_strongly_stable_corpus(self, checked_splits):
         self._check(_stable_corpus(seed=707, count=100), checked_splits)
+
+    def test_edge_corpus(self, checked_splits):
+        rng = random.Random(909)
+        self._check([random_edge_ideal(rng, rng.randint(10, 20)) for _ in range(20)],
+                    checked_splits)
 
     def test_grid(self, checked_splits, grid_ideals):
         self._check(grid_ideals, checked_splits)
@@ -325,11 +337,11 @@ class TestSeriesRoutes:
     `hilbert_series`, construct, lexify and stable analyze requests take the
     second."""
 
-    def test_pivot_and_ek_agree(self, grid_reports, example2, remark3):
+    def test_pivot_and_ek_agree(self, grid_reports, example2, remark3, wide_ideal):
         for report in grid_reports:
             assert (report.series == hilbert_series(report.ideal)
                     == _pivot_series(report.ideal)), report.ideal
-        ideals = [example2, remark3] + _stable_corpus(seed=707, count=100)
+        ideals = [example2, remark3, wide_ideal] + _stable_corpus(seed=707, count=100)
         ideals += [MonomialIdeal.zero(n) for n in (1, 3)]
         for ideal in ideals:
             table = ek_betti_table(ideal)

@@ -143,6 +143,16 @@ class TestGrowth:
         assert ideal.exponent_rows[0] == (141, 0, 0)  # S is full through 140
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+@pytest.mark.parametrize("function", [macaulay_expansion, macaulay_growth])
+def test_non_int_arguments_are_refused(function, bad):
+    # bools and floats in either position, as construct and is_o_sequence refuse them
+    with pytest.raises(TypeError, match="must be ints"):
+        function(bad, 3)
+    with pytest.raises(TypeError, match="must be ints"):
+        function(3, bad)
+
+
 class TestHorizonCap:
     # H = 1, 3, 6, 10 in three variables, then 10: degrees 4..10 gain 5, 2,
     # 1, 1, 1, 1, 1 generators, 12 in all
