@@ -334,15 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # Every integer read or printed is exact.  CPython 3.10.7 and later cap
-    # decimal conversion at 4300 digits by default, which would end a long
-    # Hilbert-function value or exponent in a traceback; lift it for the run.
+    # decimal conversion at 4300 digits by default, which would reject a long
+    # argument as "not an integer" or end a long Hilbert-function value or
+    # exponent in a traceback; lift it for the run, parsing included, and put
+    # it back even when the parser exits.
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap to lift
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except BrokenPipeError:  # the reader left; stdout on devnull, the last flush passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -27,7 +27,12 @@ from ._value import Value, _set
 from .betti import BettiTable
 from .errors import ConstructionError
 from .hilbert import HilbertSeries
-from .macaulay import HilbertFunctionSpec, _lex_ideal_and_series, _realize
+from .macaulay import (
+    HilbertFunctionSpec,
+    _lex_ideal_and_series,
+    _realize,
+    _refuse_over_row_caps,
+)
 from .monomials import MonomialIdeal
 
 
@@ -122,6 +127,9 @@ def construct_second_step(r: int, s: int) -> ConstructionReport:
     if not 1 <= s < r:
         raise ValueError(f"second step needs 1 <= s < r, got r={r}, s={s}")
     n = r + 2
+    # the spec lists s - 1 values, so the caps go first: degree 2 alone has
+    # at least r(r+1)/2 generators, exactly that many when s = 1
+    _refuse_over_row_caps(r * (r + 1) // 2, n)
     ideal, series, table, _ = _lex_ideal_and_series(second_step_hf(r, s), n)
     # 1 + (r+1)t - t^s; for s = 1 the two linear terms merge into r*t
     hs = [1] + [0] * s

@@ -205,35 +205,30 @@ def _kpoly_pivot(gens0):
     two rows, so both children have strictly smaller total degree and the
     recursion ends.  Both children of a split come out minimal and
     lex-descending, so equal ideals share a key.
+
+    Each split is built once: the stack holds (node, None) to expand and
+    (node, (child1, child2, k)) frames to combine, and a split's frame lies
+    beneath its children, so everything above it, both children included,
+    is in ``memo`` when it is popped.  A node already in ``memo`` is skipped.
     """
     memo = {}
-    stack = [gens0]
+    stack = [(gens0, None)]
     while stack:
-        gens = stack[-1]
-        if gens in memo:
-            stack.pop()
+        gens, split = stack.pop()
+        if split is not None:
+            g1, g2, k = split
+            memo[gens] = _add_shifted(memo[g1], memo[g2], k)
+        elif gens in memo:
             continue
-        pivot = _choose_pivot(gens)
-        if pivot is None:
+        elif (pivot := _choose_pivot(gens)) is None:
             res = (1,)
             for g in gens:
                 res = _add_shifted(res, [-c for c in res], sum(g))
             memo[gens] = res
-            stack.pop()
-            continue
-        v, k = pivot
-        g1 = _with_power(gens, v, k)
-        g2 = _colon_power(gens, v, k)
-        r1 = memo.get(g1)
-        r2 = memo.get(g2)
-        if r1 is not None and r2 is not None:
-            memo[gens] = _add_shifted(r1, r2, k)
-            stack.pop()
         else:
-            if r1 is None:
-                stack.append(g1)
-            if r2 is None:
-                stack.append(g2)
+            v, k = pivot
+            g1, g2 = _with_power(gens, v, k), _colon_power(gens, v, k)
+            stack += [(gens, (g1, g2, k)), (g1, None), (g2, None)]
     return memo[gens0]
 
 

@@ -259,7 +259,6 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
     if h != 1:
         return OSequenceCheck(False, 0, f"H(0) = {h} != 1"), [], []
     t = spec.last_explicit_degree
-    generators, entries = CAPS["generators"].bound, CAPS["entries"].bound
     sizes = []
     values = [h]
     total = 0
@@ -275,13 +274,18 @@ def _o_sequence_counts(spec: HilbertFunctionSpec, n: int,
         values.append(hk)
         total += bound - hk
         if t < k < stop:
-            rows = total + stop - k
-            if rows > generators:
-                refuse("generators", rows)
-            if rows * n > entries:
-                refuse("entries", rows * n, rows=rows, n=n)
+            _refuse_over_row_caps(total + stop - k, n)
         h = hk
     return OSequenceCheck(True), sizes, values
+
+
+def _refuse_over_row_caps(rows: int, n: int) -> None:
+    """Raise `TooManyGeneratorsError` when ``rows`` generators of n exponents
+    pass the generator or the entry cap (`CAPS`)."""
+    if rows > CAPS["generators"].bound:
+        refuse("generators", rows)
+    if rows * n > CAPS["entries"].bound:
+        refuse("entries", rows * n, rows=rows, n=n)
 
 
 def generation_horizon(spec: HilbertFunctionSpec) -> int:
@@ -310,11 +314,7 @@ def _realize(n: int, sizes) -> tuple[MonomialIdeal, HilbertSeries, BettiTable]:
     construction, and tallies them for the table, each row for one tuple and
     O(1) steps; a walk that runs short of the counts or repeats a row raises
     `AssertionError`."""
-    rows = sum(k for _, k in sizes)
-    if rows > CAPS["generators"].bound:
-        refuse("generators", rows)
-    if rows * n > CAPS["entries"].bound:
-        refuse("entries", rows * n, rows=rows, n=n)
+    _refuse_over_row_caps(sum(k for _, k in sizes), n)
     if sizes and sizes[-1][0] * (n + 1) > CAPS["betti-table"].bound:
         tallies = {}
         deque(_lex_walk(n, sizes, tallies), maxlen=0)  # keeps no row

@@ -221,6 +221,33 @@ class TestAnalyze:
         assert code == 0
         assert f", {math.comb(2198, 1100)}, ..." in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["expansion", "--a", str(10**699), "--d", "1", "--growth"], 0),
+        (["construct", "--r", str(10**699), "--s", "1"], 3),
+        (["construct", "--r", "x" * 700, "--s", "1"], 2)],
+        ids=["expansion", "construct-generators-cap", "not-an-integer"])
+    def test_arguments_past_the_decimal_digit_cap(self, capsys, argv, expected):
+        # a 700-digit argument, over a conversion cap of 640, is an integer:
+        # main lifts the cap before the arguments are parsed, and puts it back
+        # even when the parser exits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert code == expected, err
+        assert "Traceback" not in err
+        if expected == 0:
+            assert out.startswith(f"{10**699} = C({10**699},1)")
+        elif expected == 3:
+            assert "minimal generators, cap is" in err and out == ""
+
     def test_json_round_trips(self, capsys, tmp_path, example2):
         path = write_ideal(tmp_path, "e2.json", 6,
                            [list(g.exponents) for g in example2.gens])

@@ -154,6 +154,10 @@ def _limit_address_space():
     (["construct", "--r", "1", "--s", "100000"], "entries), cap is"),
     (["construct", "--r", "1000", "--s", "2"], "entries), cap is"),
     (["construct", "--r", "2000", "--s", "2"], "minimal generators, cap is"),
+    # the second step's spec lists s - 1 values: refused before it is built
+    (["construct", "--r", "20000000", "--s", "10000000"], "minimal generators, cap is"),
+    (["construct", "--r", "2000000000", "--s", "1000000000"],
+     "minimal generators, cap is"),
     (["lexify", "{input}", "--n", "100000"], "entries), cap is"),
     (["lexify", "{input}", "--n", "10000000"], "minimal generators, cap is"),
     (["lexify", "{horizon}", "--n", "100"], "minimal generators, cap is"),
@@ -165,6 +169,7 @@ def _limit_address_space():
     (["analyze", "{table}"], "6020000 entries (20000 rows of 301), cap is"),
     (["betti", "{table}"], "6020000 entries (20000 rows of 301), cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
+         "second-step-long-spec", "second-step-huge-spec",
          "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
          "analyze-degree", "betti-degree", "analyze-oracle-degree",
          "analyze-unstable-degree", "betti-unstable-degree", "analyze-table",

@@ -180,6 +180,28 @@ class TestSplitOracle:
         self._check([example2, remark3], checked_splits)
 
 
+def test_each_split_is_built_once(monkeypatch, wide_ideal, example2, remark3):
+    # each distinct node is expanded once: no pivot choice, I + (xv^k) or
+    # I : xv^k is built twice from the same arguments
+    names = ("_choose_pivot", "_with_power", "_colon_power")
+    seen = {}
+
+    def once(name, real):
+        def wrapper(*args):
+            assert args not in seen[name], (name, args)
+            seen[name].add(args)
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(hilbert, name, once(name, getattr(hilbert, name)))
+    edge = random_edge_ideal(random.Random(1), 30)
+    for ideal in (wide_ideal, edge, example2, remark3):
+        seen.update((name, set()) for name in names)
+        kpolynomial(ideal)
+        assert seen["_colon_power"], "no split was built"
+
+
 class TestEngineAgreement:
     """The pivot recursion against the inclusion-exclusion oracle on the
     families its one base case and its splits have to get right."""
