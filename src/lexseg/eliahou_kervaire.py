@@ -15,7 +15,8 @@ generator degree minus one, pd the largest max(u), depth n - pd.
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from operator import add, sub
 
 from .betti import TRIVIAL, BettiTable, _refuse_over_table_cap
@@ -61,7 +62,8 @@ def _ek_table(counts) -> BettiTable:
     gives c * (C(m, p) - C(m0-1, p)) by the hockey-stick identity; any other
     span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
     and multiplies q once by (1+t)^(m0-1), the row of C(m0-1, .), when
-    m0 > 1.  Each binomial row is built once per table (`_BinomialRows`).
+    m0 > 1.  Each binomial row is built once per process, in one bounded
+    cache of Pascal rows shared by every table (`_pascal`).
     Before any row is built the table's exact size, (reg + 1) * (pd + 1)
     read off the spans, is held to the Betti-table cap."""
     if not counts:
@@ -74,7 +76,6 @@ def _ek_table(counts) -> BettiTable:
         spans.append((d, tally, m))
     width = 1 + max([m for _, _, m in spans])
     _refuse_over_table_cap(spans[-1][0], width)
-    binomials = _BinomialRows(width)
     zero = (0,) * width  # one row shared by every degree without generators
     rows = []
     for d, tally, m in spans:
@@ -82,36 +83,28 @@ def _ek_table(counts) -> BettiTable:
         m0 = tally.index(next(filter(None, tally)))
         c = tally[m0]
         if tally.count(c) == m - m0 + 1:  # one run; C(m, 0) = C(m0-1, 0) = 1
-            run = [*map(sub, binomials[m], binomials[m0 - 1])]
+            run = [*map(sub, _pascal(m), chain(_pascal(m0 - 1), repeat(0))),
+                   *[0] * (width - 1 - m)]
             rows.append(run if c == 1 else [*map(c.__mul__, run)])
             continue
         q = [tally[m]]
         for c in tally[m - 1:m0 - 1:-1]:  # (1+t) * q + c
             q = [q[0] + c, *map(add, q[1:], q), q[-1]]
-        rows.append(_shifted_product(q, binomials[m0 - 1][:m0], width) if m0 > 1
+        rows.append(_shifted_product(q, _pascal(m0 - 1), width) if m0 > 1
                     else [0, *q, *[0] * (width - 1 - len(q))])
     rows[0] = [1, *rows[0][1:]]
     return BettiTable(rows)
 
 
-class _BinomialRows(dict):
-    """Row j is C(j, 0), ..., C(j, width - 1), built on first use: its first
-    half by C(j, i+1) = C(j, i) (j - i) / (i + 1), exactly, the rest by
-    C(j, i) = C(j, j - i), then zeros (j < width)."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, width: int):
-        self.width = width
-
-    def __missing__(self, j: int) -> list[int]:
-        row = [1]
-        for i in range(j // 2):
-            row.append(row[-1] * (j - i) // (i + 1))
-        row += row[:j + 1 - len(row)][::-1]
-        row += [0] * (self.width - j - 1)
-        self[j] = row
-        return row
+@lru_cache(maxsize=256)
+def _pascal(j: int) -> tuple[int, ...]:
+    """C(j, 0), ..., C(j, j), one bounded cache shared by every table: its
+    first half by C(j, i+1) = C(j, i) (j - i) / (i + 1), exactly, the rest
+    by C(j, i) = C(j, j - i)."""
+    row = [1]
+    for i in range(j // 2):
+        row.append(row[-1] * (j - i) // (i + 1))
+    return (*row, *row[:j + 1 - len(row)][::-1])
 
 
 def _shifted_product(q, b, width: int) -> list[int]:

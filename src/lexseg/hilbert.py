@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from operator import add
 
 from ._value import Value, _set
 from .eliahou_kervaire import ek_betti_table
@@ -128,13 +129,28 @@ class HilbertSeries(Value):
         return total
 
     def values(self, m: int) -> list[int]:
-        """H(0), ..., H(m-1) in one pass: the numerator cut or padded to m
-        terms, then one running sum per factor 1/(1-t)."""
+        """H(0), ..., H(m-1) in O(m * min(d, len h)) big-int operations.
+
+        When d < len h: the numerator cut or padded to m terms, then one
+        running sum per factor 1/(1-t).  Otherwise H(k) = sum_i h_i *
+        C(d-1+k-i, d-1) (Hilbert-Serre): the column C(d-1+j, d-1), j < m,
+        one multiply and one exact divide per step, then one pass over it
+        per coefficient of h.
+        """
         if m < 0:
             raise ValueError("value count must be non-negative")
-        out = list(self.numerator[:m]) + [0] * (m - len(self.numerator))
-        for _ in range(self.denominator_exponent):
-            out = list(accumulate(out))
+        h, d = self.numerator, self.denominator_exponent
+        if d < len(h):
+            out = list(h[:m]) + [0] * (m - len(h))
+            for _ in range(d):
+                out = list(accumulate(out))
+            return out
+        column = [1]
+        for j in range(1, m):
+            column.append(column[-1] * (d - 1 + j) // j)
+        out = [0] * m
+        for i, c in enumerate(h[:m]):
+            out[i:] = map(add, out[i:], map(c.__mul__, column))
         return out
 
     def __str__(self) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -18,6 +19,7 @@ from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
     _ek_table,
+    _pascal,
     depth,
     ek_betti_table,
     projective_dimension,
@@ -238,6 +240,57 @@ def _row_case(tally) -> str:
     if m - m0 + 1 <= m0:
         return "Horner later, q no longer than C(m0-1, .)"
     return "Horner later, q longer than C(m0-1, .)"
+
+
+class TestSharedBinomialRows:
+    def test_rows_are_binomials(self):
+        for j in range(301):
+            row = _pascal(j)
+            assert type(row) is tuple
+            assert list(row) == [math.comb(j, i) for i in range(j + 1)], j
+
+    def test_cold_and_warm_cache_give_the_same_tables(self):
+        # tallies of widths 15, 3, 15, 2001 and 15, from an empty cache, each
+        # table against the closed form summed one binomial at a time: the
+        # first reads only rows it builds, the repeats of width 15 only rows
+        # built before, among tables of other widths
+        _pascal.cache_clear()
+        seen = set()
+        for width in [15, 3, 15, 2001, 15]:
+            tallies = _tallies_of_width(random.Random(width), width)
+            ideal = MonomialIdeal(width - 1, [(1,) + (0,) * (width - 2)])
+            shapes = Counter({(d, m): c for d, tally in tallies.items()
+                              for m, c in enumerate(tally) if c})
+            misses = _pascal.cache_info().misses
+            assert _ek_table(tallies) == ek_closed_form(ideal, shapes), tallies
+            built = _pascal.cache_info().misses - misses
+            assert built == 0 if width in seen else built > 0, width
+            seen.add(width)
+
+    def test_cache_is_bounded(self):
+        construct(300, 2)
+        info = _pascal.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
+def _tallies_of_width(rng, width: int) -> dict[int, list[int]]:
+    """Tallies in n = width - 1 variables whose largest x_m tallied is x_n:
+    a single variable at x_n, one run of a constant ending there, and two
+    Horner spans, one from x1 and one from a later variable (spans of at
+    most five variables, so the closed form stays cheap at any width)."""
+    n = width - 1
+    tallies = {}
+    for d, (m0, m, run) in enumerate([(n, n, True),
+                                      (max(1, n - 2), n, True),
+                                      (1, min(n, 4), False),
+                                      (rng.randint(1, n), None, False)], start=2):
+        m = min(n, m0 + 4) if m is None else m
+        span = ([rng.randint(1, 3)] * (m - m0 + 1) if run
+                else [rng.randint(1, 3), *(rng.randint(0, 3) for _ in range(m - m0))])
+        span[-1] = span[-1] or 1
+        tallies[d] = [0] * m0 + span + [0] * (n - m)
+    return tallies
 
 
 class TestDerivedInvariants:

@@ -1,5 +1,5 @@
 import random
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import comb
 
 import pytest
@@ -485,9 +485,34 @@ class TestSeriesValues:
             for m in range(41):
                 assert s.values(m) == [s.coefficient(k) for k in range(m)], (s, m)
 
+    def test_values_match_running_sums(self):
+        # seeded series on both sides of d = len(h), d = 0 among them, and
+        # (x1) in 1,500 variables, at m = 0, m < len(h) and past it, against
+        # the numerator expanded by one running sum per factor 1/(1-t)
+        rng = random.Random(37)
+        series = [HilbertSeries((1,), 1499), HilbertSeries((1, 1499), 1498)]
+        while len(series) < 300:
+            h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+            if h[-1] and sum(h):
+                series.append(HilbertSeries(h, rng.randint(0, 10)))
+        assert {s.denominator_exponent >= len(s.numerator) for s in series} == {True, False}
+        assert any(s.denominator_exponent == 0 for s in series)
+        for s in series:
+            for m in sorted({0, 1, len(s.numerator) - 1, len(s.numerator), 25}):
+                assert s.values(m) == _running_sums(s, m), (s, m)
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             HilbertSeries((1,), 2).values(-1)
+
+
+def _running_sums(series, m: int) -> list[int]:
+    """H(0), ..., H(m-1): the numerator cut or padded to m terms, then one
+    running sum per factor 1/(1-t)."""
+    out = list(series.numerator[:m]) + [0] * (m - len(series.numerator))
+    for _ in range(series.denominator_exponent):
+        out = list(accumulate(out))
+    return out
 
 
 class TestSeriesType:
