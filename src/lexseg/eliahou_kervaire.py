@@ -62,8 +62,10 @@ def _ek_table(counts) -> BettiTable:
     gives c * (C(m, p) - C(m0-1, p)) by the hockey-stick identity; any other
     span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
     and multiplies q once by (1+t)^(m0-1), the row of C(m0-1, .), when
-    m0 > 1.  Each binomial row is built once per process, in one bounded
-    cache of Pascal rows shared by every table (`_pascal`).
+    m0 > 1.  Each binomial row C(j, .) with j <= 500 is built once per
+    process, in one bounded cache of Pascal rows shared by every table
+    (`_pascal`); a wider row is built for the table that reads it
+    (`_binomials`).
     Before any row is built the table's exact size, (reg + 1) * (pd + 1)
     read off the spans, is held to the Betti-table cap."""
     if not counts:
@@ -83,24 +85,39 @@ def _ek_table(counts) -> BettiTable:
         m0 = tally.index(next(filter(None, tally)))
         c = tally[m0]
         if tally.count(c) == m - m0 + 1:  # one run; C(m, 0) = C(m0-1, 0) = 1
-            run = [*map(sub, _pascal(m), chain(_pascal(m0 - 1), repeat(0))),
+            run = [*map(sub, _binomials(m), chain(_binomials(m0 - 1), repeat(0))),
                    *[0] * (width - 1 - m)]
             rows.append(run if c == 1 else [*map(c.__mul__, run)])
             continue
         q = [tally[m]]
         for c in tally[m - 1:m0 - 1:-1]:  # (1+t) * q + c
             q = [q[0] + c, *map(add, q[1:], q), q[-1]]
-        rows.append(_shifted_product(q, _pascal(m0 - 1), width) if m0 > 1
+        rows.append(_shifted_product(q, _binomials(m0 - 1), width) if m0 > 1
                     else [0, *q, *[0] * (width - 1 - len(q))])
     rows[0] = [1, *rows[0][1:]]
     return BettiTable(rows)
 
 
+# The largest j whose row C(j, .) the shared cache keeps: it covers every
+# row of a second-step table under the entries cap (r <= 463, so j <= 465),
+# the grid's included.  A wider row comes from a wide first-step table, which
+# has one generator degree and so reads each row once.
+_SHARED_J = 500
+
+
+def _binomials(j: int) -> tuple[int, ...]:
+    """C(j, 0), ..., C(j, j): from the shared cache when j <= `_SHARED_J`,
+    else built for this request and dropped with its table.  So the cache
+    holds at most 256 rows of at most 501 entries, 6.8 MB by
+    `sys.getsizeof` for the rows j = 245..500."""
+    return _pascal(j) if j <= _SHARED_J else _pascal.__wrapped__(j)
+
+
 @lru_cache(maxsize=256)
 def _pascal(j: int) -> tuple[int, ...]:
-    """C(j, 0), ..., C(j, j), one bounded cache shared by every table: its
-    first half by C(j, i+1) = C(j, i) (j - i) / (i + 1), exactly, the rest
-    by C(j, i) = C(j, j - i)."""
+    """C(j, 0), ..., C(j, j), one bounded cache shared by every table (read
+    through `_binomials`): its first half by C(j, i+1) = C(j, i) (j - i) /
+    (i + 1), exactly, the rest by C(j, i) = C(j, j - i)."""
     row = [1]
     for i in range(j // 2):
         row.append(row[-1] * (j - i) // (i + 1))

@@ -60,6 +60,10 @@ class KPolynomialTooLargeError(LexsegError):
     """The pivot recursion's polynomials could be longer than the enforced cap."""
 
 
+class ExpansionTooLongError(LexsegError):
+    """A Macaulay expansion would list more terms than the enforced cap."""
+
+
 class ConstructionError(LexsegError):
     """A constructed ideal failed its own predicted-vs-measured verification."""
 
@@ -98,6 +102,9 @@ CAPS = {
     "kpolynomial": Cap(10**7, KPolynomialTooLargeError,
                        "the K-polynomial recursion could build polynomials of "
                        "degree {value}, cap is {bound}"),
+    # the terms C(a_i, i) a Macaulay expansion lists, its unit tail included
+    "expansion-terms": Cap(10**5, ExpansionTooLongError,
+                           "the expansion would list {value} terms, cap is {bound}"),
     # Hilbert-function values `analyze --max-degree` may list; the parser
     # raises its own usage error with this message
     "max-degree": Cap(10**4, None, "{value!r} must be <= {bound}"),

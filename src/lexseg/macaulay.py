@@ -14,6 +14,7 @@ All binomially-sized integers here are Python ints (arbitrary precision).
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from math import comb
 
 from ._value import Value, _set
@@ -112,7 +113,9 @@ def _greedy_tops(a: int, d: int) -> tuple[list[int], int]:
 def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
     """Unique greedy binomial expansion of a >= 1 in degree d >= 1, every
     term listed: the unit tail is C(deg, deg) + ... + C(deg-u+1, deg-u+1).
-    `TypeError` when a or d is not an int (bools included)."""
+    `TypeError` when a or d is not an int (bools included);
+    `ExpansionTooLongError` before any term is built when it would list
+    more terms than the `expansion-terms` cap (`CAPS`)."""
     if type(a) is not int or type(d) is not int:
         raise TypeError(f"expansion arguments must be ints, got {a!r}, {d!r}")
     if a < 1:
@@ -120,6 +123,9 @@ def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
     if d < 1:
         raise ValueError("expansion degree must be >= 1")
     tops, units = _greedy_tops(a, d)
+    terms = len(tops) + units
+    if terms > CAPS["expansion-terms"].bound:
+        refuse("expansion-terms", terms)
     deg = d - len(tops)
     return MacaulayExpansion(d, tops + [deg - i for i in range(units)])
 
@@ -137,6 +143,15 @@ def macaulay_growth(a: int, d: int) -> int:
         raise ValueError("growth degree must be >= 1")
     if a < 0:
         raise ValueError("growth defined for non-negative integers")
+    return _growth(a, d)
+
+
+@lru_cache(maxsize=1024)
+def _growth(a: int, d: int) -> int:
+    """a^<d> for ints a >= 0 and d >= 1, computed once per process: one
+    bounded cache shared by every O-sequence check (grid cells with the
+    same r ask for the same bounds).  Only `macaulay_growth` calls it, after
+    its type checks, so no bool or float reaches a key (True == 1)."""
     if a == 0:
         return 0
     tops, units = _greedy_tops(a, d)

@@ -167,13 +167,18 @@ def _limit_address_space():
     (["analyze", "{unstable}"], "multidegree box has 600000006 cells, cap is"),
     (["betti", "{unstable}"], "ideal is not stable; use the brute-force oracle"),
     (["analyze", "{table}"], "6020000 entries (20000 rows of 301), cap is"),
-    (["betti", "{table}"], "6020000 entries (20000 rows of 301), cap is")],
+    (["betti", "{table}"], "6020000 entries (20000 rows of 301), cap is"),
+    # a < d: the expansion is a unit terms, refused before any is listed
+    (["expansion", "--a", "1000000000000", "--d", "10000000000000"],
+     "list 1000000000000 terms, cap is"),
+    (["expansion", "--a", "1000000000000", "--d", "10000000000000", "--growth"],
+     "list 1000000000000 terms, cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
          "second-step-long-spec", "second-step-huge-spec",
          "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
          "analyze-degree", "betti-degree", "analyze-oracle-degree",
          "analyze-unstable-degree", "betti-unstable-degree", "analyze-table",
-         "betti-table"])
+         "betti-table", "expansion-unit-tail", "expansion-growth-unit-tail"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
     spec = tmp_path / "h1-zero.json"

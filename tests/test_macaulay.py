@@ -16,11 +16,19 @@ from helpers import (
     random_strongly_stable_ideal,
 )
 from lexseg import macaulay
-from lexseg.errors import CAPS, NotOSequenceError, TooManyGeneratorsError
+from lexseg.constructions import construct, second_step_hf
+from lexseg.errors import (
+    CAPS,
+    ExpansionTooLongError,
+    NotOSequenceError,
+    TooManyGeneratorsError,
+)
 from lexseg.macaulay import (
     MAX_GROWTH,
     HilbertFunctionSpec,
     MacaulayExpansion,
+    _growth,
+    _o_sequence_counts,
     generation_horizon,
     is_o_sequence,
     lex_ideal_from_hf,
@@ -95,6 +103,25 @@ class TestExpansion:
         with pytest.raises(ValueError):
             MacaulayExpansion(2, (1,))  # top below its lower index
 
+    def test_term_cap_refuses_before_listing(self, monkeypatch):
+        # 5 in degree 10 is five unit terms, 6 is six: the cap is inclusive
+        # and refuses before any term is built; the growth bound lists no
+        # term, so it has no cap
+        built = []
+        real = MacaulayExpansion.__init__
+        monkeypatch.setattr(MacaulayExpansion, "__init__",
+                            lambda self, d, tops: built.append(real(self, d, tops)))
+        monkeypatch.setattr(CAPS["expansion-terms"], "bound", 5)
+        assert len(macaulay_expansion(5, 10).terms) == 5
+        assert len(built) == 1
+        with pytest.raises(ExpansionTooLongError, match="list 6 terms, cap is 5"):
+            macaulay_expansion(6, 10)
+        with pytest.raises(ExpansionTooLongError, match="list 10000000 terms"):
+            macaulay_expansion(10**7, 10**8)
+        assert len(built) == 1
+        assert macaulay_growth(6, 10) == 6
+        assert macaulay_growth(10**7, 10**8) == 10**7
+
 
 class TestGrowth:
     def test_pinned_growth_instances(self):
@@ -122,12 +149,7 @@ class TestGrowth:
         assert macaulay_growth(a, d) >= a
 
     def test_growth_equals_grown_expansion(self):
-        # a <= d is all unit terms; d + 1 + u with u < d is one term, then u
-        rng = random.Random(19)
-        pairs = [(rng.randint(1, 10**8), rng.randint(1, 60)) for _ in range(2000)]
-        pairs += [(a, d) for a in range(1, 300) for d in range(1, 40)]
-        pairs += [(a, d) for d in (100, 1000) for a in (1, d // 2, d, d + 1, 2 * d)]
-        for a, d in pairs:
+        for a, d in _growth_pairs():
             assert macaulay_growth(a, d) == macaulay_expansion(a, d).grow(), (a, d)
 
     def test_long_constant_tail_builds_no_expansion(self, monkeypatch):
@@ -141,6 +163,63 @@ class TestGrowth:
         ideal = lex_ideal_from_hf(spec, 3)
         assert built == []
         assert ideal.exponent_rows[0] == (141, 0, 0)  # S is full through 140
+
+
+def _growth_pairs() -> list[tuple[int, int]]:
+    # a <= d is all unit terms; d + 1 + u with u < d is one term, then u
+    rng = random.Random(19)
+    pairs = [(rng.randint(1, 10**8), rng.randint(1, 60)) for _ in range(2000)]
+    pairs += [(a, d) for a in range(1, 300) for d in range(1, 40)]
+    pairs += [(a, d) for d in (100, 1000) for a in (1, d // 2, d, d + 1, 2 * d)]
+    return pairs
+
+
+class TestGrowthCache:
+    def test_cold_and_warm_bounds_equal_grown_expansions(self):
+        # each pair read once from the cleared cache (a miss, or a hit on a
+        # pair drawn twice) and once right after, from the cache
+        _growth.cache_clear()
+        pairs = _growth_pairs()
+        for a, d in pairs:
+            grown = macaulay_expansion(a, d).grow()
+            assert _growth(a, d) == grown, (a, d)
+            assert _growth(a, d) == grown, (a, d)
+        info = _growth.cache_info()
+        assert info.misses == len(set(pairs)) and info.hits == 2 * len(pairs) - info.misses
+
+    @pytest.mark.parametrize("cached, bad", [((1, 3), (True, 3)), ((3, 2), (3, 2.0))])
+    def test_type_checks_come_before_the_cache(self, cached, bad):
+        # True == 1 and 2.0 == 2 hash as the cached keys; the checks refuse them first
+        macaulay_growth(*cached)
+        with pytest.raises(TypeError, match="must be ints"):
+            macaulay_growth(*bad)
+
+    def test_o_sequence_counts_cold_warm_and_uncached_agree(self, monkeypatch):
+        rng = random.Random(38)
+        cases = [(second_step_hf(r, s), r + 2) for r in range(1, 13) for s in range(1, r)]
+        assert len(cases) == 66
+        for _ in range(100):
+            n = rng.randint(1, 8)
+            initial = (1, *(rng.randint(0, 40) for _ in range(rng.randint(0, 5))))
+            tail = MAX_GROWTH if rng.random() < 0.5 else rng.randint(0, 30)
+            cases.append((HilbertFunctionSpec(initial, tail), n))
+        for spec, n in cases:
+            stop = generation_horizon(spec)
+            _growth.cache_clear()
+            cold = _o_sequence_counts(spec, n, stop)
+            assert _o_sequence_counts(spec, n, stop) == cold, spec
+            with monkeypatch.context() as m:
+                m.setattr(macaulay, "_growth", _growth.__wrapped__)
+                assert _o_sequence_counts(spec, n, stop) == cold, spec
+
+    def test_cache_is_bounded(self):
+        info = _growth.cache_info()
+        assert info.maxsize is not None
+        for r in range(1, 41):
+            for s in range(1, 41):
+                construct(r, s)
+        info = _growth.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
