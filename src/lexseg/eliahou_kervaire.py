@@ -4,20 +4,19 @@ For a stable ideal the minimal resolution is known explicitly:
 beta_{i,i+j}(I) = sum over minimal generators u of degree j of
 C(max(u) - 1, i), max(u) being the largest variable index dividing u.  That
 is the t^i coefficient of sum_m c_m (1+t)^(m-1), c_m counting the degree-j
-generators with max(u) = m.  Over the tally's span [m0, m], from the least
-to the largest x_m tallied, it is c * (C(m, i+1) - C(m0-1, i+1)) when the
-span is one run of a constant c (the hockey-stick identity), else Horner's
-rule over the span only, multiplied once by (1+t)^(m0-1).  As
-beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, this polynomial, one column
-right, is row j - 1 of the quotient's table.  Regularity is the largest
+generators with max(u) = m.  As C(m-1, i) = C(m, i+1) - C(m-1, i+1),
+it is also the t^(i+1) coefficient of sum_k (c_k - c_(k+1)) (1+t)^k, one
+binomial row for each place k where the tally changes (Abel summation); as
+beta_{p,q}(S/I) = beta_{p-1,q}(I) for p >= 1, that polynomial is row j - 1
+of the quotient's table, column by column.  Regularity is the largest
 generator degree minus one, pd the largest max(u), depth n - pd.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import add, sub
+from itertools import compress
+from operator import add, ne, sub
 
 from .betti import TRIVIAL, BettiTable, _refuse_over_table_cap
 from .errors import StabilityRequiredError, UnitIdealError
@@ -55,53 +54,45 @@ def _ek_table(counts) -> BettiTable:
     whose table is trivial):
     row d - 1 holds sum_m c_m C(m-1, p-1) in column p >= 1, for each d up to
     the largest generator degree (so reg = that degree - 1), and one zero
-    row, shared, in every degree without generators.  Each other row is
-    built at the table's final width from its tally's span [m0, m], the
-    least and largest x_m tallied.
-    A span that is one run of a constant c (a single variable included)
-    gives c * (C(m, p) - C(m0-1, p)) by the hockey-stick identity; any other
-    span runs Horner's rule over the span only, q = sum c_m (1+t)^(m-m0),
-    and multiplies q once by (1+t)^(m0-1), the row of C(m0-1, .), when
-    m0 > 1.  Each binomial row C(j, .) with j <= 500 is built once per
-    process, in one bounded cache of Pascal rows shared by every table
-    (`_pascal`); a wider row is built for the table that reads it
-    (`_binomials`).
+    row, shared, in every degree without generators.  By Abel summation that
+    row is sum_j (c_j - c_(j+1)) C(j, .), c being 0 past the largest x_m
+    tallied: c_m C(m, .), plus or minus one binomial row C(j, .) (times the
+    step when it is not +-1) for each j < m where the tally changes.  The
+    steps sum to zero, so column 0 does too.  Each binomial row C(j, .) with
+    j <= 500 is built once per process, in one bounded cache of Pascal rows
+    shared by every table (`_pascal`); a wider row is built for the table
+    that reads it (`_binomials`).
     Before any row is built the table's exact size, (reg + 1) * (pd + 1)
-    read off the spans, is held to the Betti-table cap."""
+    read off the tallies (`_extent`), is held to the Betti-table cap."""
     if not counts:
         return TRIVIAL  # free quotient, trivial resolution
-    spans = []
-    for d, tally in sorted(counts.items()):
-        m = len(tally) - 1
-        while not tally[m]:
-            m -= 1
-        spans.append((d, tally, m))
-    width = 1 + max([m for _, _, m in spans])
-    _refuse_over_table_cap(spans[-1][0], width)
+    height, width = _extent(counts)
+    _refuse_over_table_cap(height, width)
     zero = (0,) * width  # one row shared by every degree without generators
     rows = []
-    for d, tally, m in spans:
+    for d, tally in sorted(counts.items()):
         rows += [zero] * (d - 1 - len(rows))
-        m0 = tally.index(next(filter(None, tally)))
-        c = tally[m0]
-        if tally.count(c) == m - m0 + 1:  # one run; C(m, 0) = C(m0-1, 0) = 1
-            run = [*map(sub, _binomials(m), chain(_binomials(m0 - 1), repeat(0))),
-                   *[0] * (width - 1 - m)]
-            rows.append(run if c == 1 else [*map(c.__mul__, run)])
-            continue
-        q = [tally[m]]
-        for c in tally[m - 1:m0 - 1:-1]:  # (1+t) * q + c
-            q = [q[0] + c, *map(add, q[1:], q), q[-1]]
-        rows.append(_shifted_product(q, _binomials(m0 - 1), width) if m0 > 1
-                    else [0, *q, *[0] * (width - 1 - len(q))])
+        m = _top(tally)
+        c = tally[m]
+        row = [*(_binomials(m) if c == 1 else map(c.__mul__, _binomials(m))),
+               *zero[m + 1:]]
+        for j in compress(range(m), map(ne, tally, tally[1:])):
+            step = tally[j] - tally[j + 1]
+            if step == -1:
+                row[:j + 1] = map(sub, row, _binomials(j))
+            elif step == 1:
+                row[:j + 1] = map(add, row, _binomials(j))
+            else:
+                row[:j + 1] = map(add, row, map(step.__mul__, _binomials(j)))
+        rows.append(row)
     rows[0] = [1, *rows[0][1:]]
     return BettiTable(rows)
 
 
 # The largest j whose row C(j, .) the shared cache keeps: it covers every
 # row of a second-step table under the entries cap (r <= 463, so j <= 465),
-# the grid's included.  A wider row comes from a wide first-step table, which
-# has one generator degree and so reads each row once.
+# the grid's included.  A wider row is built at each read, once per place a
+# tally changes (a wide first-step table reads one).
 _SHARED_J = 500
 
 
@@ -124,26 +115,21 @@ def _pascal(j: int) -> tuple[int, ...]:
     return (*row, *row[:j + 1 - len(row)][::-1])
 
 
-def _shifted_product(q, b, width: int) -> list[int]:
-    """t * q(t) * b(t), ``width`` coefficients from t^0: one pass over the
-    longer polynomial per coefficient of the shorter."""
-    if len(q) > len(b):
-        q, b = b, q
-    n = len(b)
-    out = [0, *map(q[0].__mul__, b), *[0] * (width - 1 - n)]
-    for k in range(1, len(q)):
-        out[k + 1:k + 1 + n] = map(add, out[k + 1:k + 1 + n], map(q[k].__mul__, b))
-    return out
-
-
 def _extent(counts) -> tuple[int, int]:
     """(reg + 1, pd + 1) of S/I for the stable ideal tallied by ``counts``:
     the largest generator degree, and one more than the largest x_m tallied;
     (1, 1) for the zero ideal's empty tallies."""
     if not counts:
         return 1, 1
-    return max(counts), 1 + max(max(compress(range(len(tally)), tally))
-                                for tally in counts.values())
+    return max(counts), 1 + max(map(_top, counts.values()))
+
+
+def _top(tally) -> int:
+    """The largest m with tally[m] > 0, found from the end."""
+    m = len(tally) - 1
+    while not tally[m]:
+        m -= 1
+    return m
 
 
 def projective_dimension(ideal: MonomialIdeal) -> int:

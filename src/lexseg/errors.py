@@ -64,6 +64,10 @@ class ExpansionTooLongError(LexsegError):
     """A Macaulay expansion would list more terms than the enforced cap."""
 
 
+class ExpansionSearchTooLongError(LexsegError):
+    """The greedy search for a Macaulay expansion's tops would pass the enforced cap."""
+
+
 class ConstructionError(LexsegError):
     """A constructed ideal failed its own predicted-vs-measured verification."""
 
@@ -105,6 +109,13 @@ CAPS = {
     # the terms C(a_i, i) a Macaulay expansion lists, its unit tail included
     "expansion-terms": Cap(10**5, ExpansionTooLongError,
                            "the expansion would list {value} terms, cap is {bound}"),
+    # the greedy search for the tops of a > d in degree d: up to d - 1
+    # bisections, each of up to bits(a) steps over binomials of about bits(a)
+    # bits, so (d - 1) * bits(a)^2 (0 when a <= d: no top is searched)
+    "expansion-search": Cap(5 * 10**8, ExpansionSearchTooLongError,
+                            "the expansion's greedy search would bisect for up to "
+                            "{tops} tops over binomials of {bits} bits (work "
+                            "{value}), cap is {bound}"),
     # Hilbert-function values `analyze --max-degree` may list; the parser
     # raises its own usage error with this message
     "max-degree": Cap(10**4, None, "{value!r} must be <= {bound}"),

@@ -88,7 +88,15 @@ def _greedy_tops(a: int, d: int) -> tuple[list[int], int]:
 
     Each top, the largest t with C(t, deg) <= rem, is found by doubling and
     then bisection: O(log a) binomials, not a walk of O(a^(1/deg)) steps.
+    The search runs only while the remainder exceeds the degree, so for at
+    most d - 1 tops and none when a <= d; `ExpansionSearchTooLongError`
+    before it starts when d - 1 bisections over binomials of a's bits would
+    pass the `expansion-search` cap (`CAPS`).
     """
+    bits = a.bit_length()
+    work = (d - 1) * bits * bits if a > d else 0
+    if work > CAPS["expansion-search"].bound:
+        refuse("expansion-search", work, tops=d - 1, bits=bits)
     tops = []
     rem = a
     deg = d
@@ -115,7 +123,9 @@ def macaulay_expansion(a: int, d: int) -> MacaulayExpansion:
     term listed: the unit tail is C(deg, deg) + ... + C(deg-u+1, deg-u+1).
     `TypeError` when a or d is not an int (bools included);
     `ExpansionTooLongError` before any term is built when it would list
-    more terms than the `expansion-terms` cap (`CAPS`)."""
+    more terms than the `expansion-terms` cap (`CAPS`), and
+    `ExpansionSearchTooLongError` before its tops are searched
+    (`_greedy_tops`)."""
     if type(a) is not int or type(d) is not int:
         raise TypeError(f"expansion arguments must be ints, got {a!r}, {d!r}")
     if a < 1:
@@ -135,7 +145,8 @@ def macaulay_growth(a: int, d: int) -> int:
 
     Each unit term C(j, j) grows to C(j + 1, j + 1) = 1, so the unit tail
     adds its length and no expansion is built.  `TypeError` when a or d is
-    not an int (bools included).
+    not an int (bools included); `ExpansionSearchTooLongError` as in
+    `_greedy_tops`.
     """
     if type(a) is not int or type(d) is not int:
         raise TypeError(f"growth arguments must be ints, got {a!r}, {d!r}")

@@ -162,11 +162,11 @@ class TestEkTable:
 class TestClosedFormOracle:
     def test_horner_tables_match_binomials(self, grid_reports, example2, remark3):
         # both tally routes, the realizing walk's and the stability walk's
-        # behind ek_betti_table, and the one row rule of _ek_table, two
-        # binomial rows for a tally that is one run of a constant (among
-        # them a degree whose generators share their largest variable) and
-        # Horner's rule over the span for any other, against the closed form
-        # summed one binomial at a time
+        # behind ek_betti_table, and the row rule of _ek_table, one binomial
+        # row for each place a tally changes, on tallies that are one run of
+        # a constant (among them a degree whose generators share their
+        # largest variable) and on tallies of several runs, against the
+        # closed form summed one binomial at a time
         rng = random.Random(58)
         corpus = [random_strongly_stable_ideal(rng, rng.randint(1, 5), 5)
                   for _ in range(200)]
@@ -193,42 +193,59 @@ class TestClosedFormOracle:
     def test_every_case_of_the_row_rule_matches_binomials(self, wide_ideal):
         # seeded random tallies, and the walk's tallies of construct(1, 300),
         # (40, 3) and (100, 3), against the closed form summed one binomial
-        # at a time; every case of the row rule is met
+        # at a time; every tally shape is met.  The tallies have interior
+        # zeros, steps of more than one, up to 2000 variables (spans of at
+        # most five there, so the closed form stays cheap), and long
+        # stretches where the count grows by one per variable (c_m = m)
         rng = random.Random(33)
         cases = []
-        for _ in range(300):
-            n = rng.randint(1, 9)
+        for k in range(300):
+            n = rng.randint(1, 9) if k % 50 else 2000
             tallies = {}
             for d in rng.sample(range(1, 8), rng.randint(1, 3)):
                 m0 = rng.randint(1, n)
-                m = rng.randint(m0, n)
-                if rng.random() < 0.4:
+                m = rng.randint(m0, min(n, m0 + 4) if n == 2000 else n)
+                shape = rng.random()
+                if shape < 0.3:
                     span = [rng.randint(1, 3)] * (m - m0 + 1)
-                else:
+                elif shape < 0.6:
                     span = [rng.randint(1, 3), *(rng.randint(0, 3) for _ in range(m - m0))]
-                    span[-1] = span[-1] or 1
+                else:
+                    span = [rng.choice([0, 0, 1, 5, 40]) for _ in range(m - m0 + 1)]
+                    span[0] = span[0] or 2
+                span[-1] = span[-1] or 1
                 tallies[d] = [0] * m0 + span + [0] * (n - m)
             # the ideal only carries n: _ek_table reads the tallies
             cases.append((MonomialIdeal(n, [(1,) + (0,) * (n - 1)]), tallies))
+        for n in (40, 60):  # c_m = m over the span: a step of -1 at each place
+            cases.append((MonomialIdeal(n, [(1,) + (0,) * (n - 1)]),
+                          {2: [*range(n + 1)], 3: [0] * 20 + [*range(20, n + 1)]}))
         for ideal in [construct(1, 300).ideal, wide_ideal, construct(100, 3).ideal]:
             cases.append(_lex_segment(ideal.n, degree_counts(ideal.exponent_rows)))
         hit = Counter()
+        steps = set()
         for ideal, tallies in cases:
             shapes = Counter({(d, m): c for d, tally in tallies.items()
                               for m, c in enumerate(tally) if c})
             assert _ek_table(tallies) == ek_closed_form(ideal, shapes), tallies
             hit.update(map(_row_case, tallies.values()))
+            steps |= {a - b for tally in tallies.values() for a, b in zip(tally, tally[1:])}
         assert set(hit) == {"one run from x1", "one run from a later variable",
-                            "single variable", "Horner from x1",
-                            "Horner later, q no longer than C(m0-1, .)",
-                            "Horner later, q longer than C(m0-1, .)"}, hit
+                            "single variable", "several runs from x1",
+                            "several runs from a later x_m0, at most m0 variables",
+                            "several runs from a later x_m0, more than m0 variables"}, hit
+        assert {-40, -1, 1, 40} <= steps
+        assert any(tally[m] == 0 < tally[m - 1] and any(tally[m:])
+                   for _, tallies in cases for tally in tallies.values()
+                   for m in range(1, len(tally)))
+        assert max(ideal.n for ideal, _ in cases) == 2000
 
 
 def _row_case(tally) -> str:
-    """The case of `_ek_table`'s row rule that a tally takes, by its span
-    [m0, m]: one run of a constant, else Horner's rule over the span, whose
-    q (m - m0 + 1 coefficients) a later span multiplies by the m0
-    coefficients of (1+t)^(m0-1)."""
+    """The shape of a tally over its span [m0, m], the least and largest
+    x_m tallied: one variable, one run of a constant, or several runs,
+    from x1 or from a later variable; a later span of several runs is told
+    apart by its length m - m0 + 1 against m0."""
     support = [m for m, c in enumerate(tally) if c]
     m0, m = support[0], support[-1]
     if m0 == m:
@@ -236,10 +253,10 @@ def _row_case(tally) -> str:
     if len(set(tally[m0:m + 1])) == 1:
         return "one run from x1" if m0 == 1 else "one run from a later variable"
     if m0 == 1:
-        return "Horner from x1"
+        return "several runs from x1"
     if m - m0 + 1 <= m0:
-        return "Horner later, q no longer than C(m0-1, .)"
-    return "Horner later, q longer than C(m0-1, .)"
+        return "several runs from a later x_m0, at most m0 variables"
+    return "several runs from a later x_m0, more than m0 variables"
 
 
 class TestSharedBinomialRows:
@@ -251,24 +268,29 @@ class TestSharedBinomialRows:
 
     def test_cold_and_warm_cache_give_the_same_tables(self):
         # tallies of widths 15, 3, 15, 2001 and 15, from an empty cache, each
-        # table against the closed form summed one binomial at a time: the
-        # first reads only rows it builds, the repeats of width 15 only rows
-        # built before, among tables of other widths; every row of width
-        # 2001 (C(j, .) for j = 1201, 1997, 1999 and 2000) is wider than the
-        # shared cache keeps, so that table builds its own and leaves the
-        # cache as it was
+        # table against the closed form summed one binomial at a time.  A
+        # table reads C(j, .) at each place j where a tally changes, and it
+        # builds into the shared cache exactly the rows j <= 500 that no
+        # table before it read: the first builds rows, the repeats of width
+        # 15 build none, and the width-2001 table adds only rows with
+        # j <= 500 to the cache, its wider rows (C(j, .) for j = 1201 to
+        # 1206, 1997, 1999 and 2000) being built for that table alone
         _pascal.cache_clear()
-        seen = set()
+        read, builds = set(), []
         for width in [15, 3, 15, 2001, 15]:
             tallies = _tallies_of_width(random.Random(width), width)
             ideal = MonomialIdeal(width - 1, [(1,) + (0,) * (width - 2)])
             shapes = Counter({(d, m): c for d, tally in tallies.items()
                               for m, c in enumerate(tally) if c})
+            rows = {j for tally in tallies.values()
+                    for j, (a, b) in enumerate(zip(tally, [*tally[1:], 0])) if a != b}
             misses = _pascal.cache_info().misses
             assert _ek_table(tallies) == ek_closed_form(ideal, shapes), tallies
-            built = _pascal.cache_info().misses - misses
-            assert built == 0 if width in seen or width == 2001 else built > 0, width
-            seen.add(width)
+            builds.append(_pascal.cache_info().misses - misses)
+            assert builds[-1] == len({j for j in rows - read if j <= 500}), width
+            read |= rows
+        assert builds[0] > 0 == builds[2] == builds[4]
+        assert {1201, 1206, 1997, 1999, 2000} <= read
 
     def test_cache_is_bounded(self):
         construct(300, 2)
@@ -280,8 +302,9 @@ class TestSharedBinomialRows:
 def _tallies_of_width(rng, width: int) -> dict[int, list[int]]:
     """Tallies in n = width - 1 variables whose largest x_m tallied is x_n:
     a single variable at x_n, one run of a constant ending there, and two
-    Horner spans, one from x1 and one from a later variable (spans of at
-    most five variables, so the closed form stays cheap at any width)."""
+    spans of several runs, one from x1 and one from a later variable (spans
+    of at most five variables, so the closed form stays cheap at any
+    width)."""
     n = width - 1
     tallies = {}
     for d, (m0, m, run) in enumerate([(n, n, True),

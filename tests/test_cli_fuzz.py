@@ -172,13 +172,17 @@ def _limit_address_space():
     (["expansion", "--a", "1000000000000", "--d", "10000000000000"],
      "list 1000000000000 terms, cap is"),
     (["expansion", "--a", "1000000000000", "--d", "10000000000000", "--growth"],
-     "list 1000000000000 terms, cap is")],
+     "list 1000000000000 terms, cap is"),
+    # a 4,401-digit a in degree 10^4: the greedy search is refused before it starts
+    (["expansion", "--a", "1" + "0" * 4400, "--d", "10000", "--growth"],
+     "tops over binomials of 14617 bits (work 2136353233311), cap is")],
     ids=["first-step-s", "second-step-r", "second-step-r-generators",
          "second-step-long-spec", "second-step-huge-spec",
          "lexify-h1-zero", "lexify-h1-zero-generators", "lexify-horizon",
          "analyze-degree", "betti-degree", "analyze-oracle-degree",
          "analyze-unstable-degree", "betti-unstable-degree", "analyze-table",
-         "betti-table", "expansion-unit-tail", "expansion-growth-unit-tail"])
+         "betti-table", "expansion-unit-tail", "expansion-growth-unit-tail",
+         "expansion-search"])
 def test_over_cap_exits_3_before_allocating(tmp_path, argv, cap):
     # H(1) = 0: every variable is a generator, n rows of n entries
     spec = tmp_path / "h1-zero.json"

@@ -19,6 +19,7 @@ from lexseg import macaulay
 from lexseg.constructions import construct, second_step_hf
 from lexseg.errors import (
     CAPS,
+    ExpansionSearchTooLongError,
     ExpansionTooLongError,
     NotOSequenceError,
     TooManyGeneratorsError,
@@ -121,6 +122,27 @@ class TestExpansion:
         assert len(built) == 1
         assert macaulay_growth(6, 10) == 6
         assert macaulay_growth(10**7, 10**8) == 10**7
+
+    def test_search_cap_refuses_before_searching(self, monkeypatch):
+        # 1000 in degree 3 may bisect for 2 tops over 10-bit binomials, work
+        # 2 * 10^2 = 200: the cap is inclusive, and a refusal computes no
+        # binomial.  No top is searched when a <= d, nor in degree 1, where
+        # the one top is the remainder itself, so neither meets the cap
+        monkeypatch.setattr(CAPS["expansion-search"], "bound", 200)
+        assert macaulay_expansion(1000, 3).value() == 1000
+        monkeypatch.setattr(CAPS["expansion-search"], "bound", 199)
+        message = ("bisect for up to 2 tops over binomials of 10 bits "
+                   r"\(work 200\), cap is 199")
+        with monkeypatch.context() as patch:
+            patch.setattr(macaulay, "comb", None)  # no binomial is computed
+            with pytest.raises(ExpansionSearchTooLongError, match=message):
+                macaulay_expansion(1000, 3)
+            with pytest.raises(ExpansionSearchTooLongError, match=message):
+                macaulay_growth(1001, 3)
+        monkeypatch.setattr(CAPS["expansion-search"], "bound", 0)
+        assert macaulay_expansion(3, 3).tops == (3, 2, 1)
+        assert macaulay_expansion(10**6, 1).tops == (10**6,)
+        assert macaulay_growth(10**6, 1) == comb(10**6 + 1, 2)
 
 
 class TestGrowth:
