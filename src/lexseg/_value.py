@@ -3,7 +3,10 @@
 A value type lists its fields in ``__slots__`` (plus ``"__dict__"`` when it
 caches with `functools.cached_property`) and sets them in ``__init__`` with
 `_set`.  Equality, hashing, ``repr`` and pickling follow the fields in slot
-order; assigning or deleting an attribute raises `AttributeError`.
+order; assigning or deleting an attribute raises `AttributeError`.  Each
+value is proven once: a public constructor checks every field it is given,
+and `Value._trusted`, the one unchecked constructor, serves the library's
+builders, which made every field from values already checked.
 
 Tuples on the construct and print paths are built at their exact size, from a
 list (``tuple([...])``), never from a generator or a ``map``.  CPython builds
@@ -13,7 +16,7 @@ taken from; those per-length free lists then only grow until a full garbage
 collection empties them.
 """
 
-_set = object.__setattr__  # bypasses the refusal below; for ``__init__`` only
+_set = object.__setattr__  # bypasses the refusal below; for constructors only
 
 
 class Value:
@@ -21,6 +24,14 @@ class Value:
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value whose fields, in slot order, are ``values``, unchecked."""
+        self = object.__new__(cls)
+        for field, value in zip(cls._fields, values):
+            _set(self, field, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

@@ -14,7 +14,7 @@ generator degree minus one, pd the largest max(u), depth n - pd.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import compress
 from operator import add, ne, sub
 
@@ -51,19 +51,17 @@ def _stable_counts(ideal: MonomialIdeal):
 def _ek_table(counts) -> BettiTable:
     """The table of a proper stable ideal from ``counts``, each degree d's
     tally of generators by largest variable x_m ({} for the zero ideal,
-    whose table is trivial):
-    row d - 1 holds sum_m c_m C(m-1, p-1) in column p >= 1, for each d up to
-    the largest generator degree (so reg = that degree - 1), and one zero
-    row, shared, in every degree without generators.  By Abel summation that
-    row is sum_j (c_j - c_(j+1)) C(j, .), c being 0 past the largest x_m
-    tallied: c_m C(m, .), plus or minus one binomial row C(j, .) (times the
-    step when it is not +-1) for each j < m where the tally changes.  The
-    steps sum to zero, so column 0 does too.  Each binomial row C(j, .) with
-    j <= 500 is built once per process, in one bounded cache of Pascal rows
-    shared by every table (`_pascal`); a wider row is built for the table
-    that reads it (`_binomials`).
-    Before any row is built the table's exact size, (reg + 1) * (pd + 1)
-    read off the tallies (`_extent`), is held to the Betti-table cap."""
+    whose table is trivial): row d - 1 holds sum_m c_m C(m-1, p-1) in
+    column p >= 1, for each d up to the largest generator degree (so reg =
+    that degree - 1), and one zero row, shared, in every degree without
+    generators.  By Abel summation that row is sum_j (c_j - c_(j+1)) C(j, .),
+    c being 0 past the largest x_m tallied: c_m C(m, .), plus or minus one
+    binomial row C(j, .) (`_binomials`, times the step when it is not +-1)
+    for each j < m where the tally changes.  The steps sum to zero, so
+    column 0 does too.  Before any row is built the table's exact size,
+    (reg + 1) * (pd + 1) read off the tallies (`_extent`), is held to the
+    Betti-table cap.  The table is built unchecked: its counts c_m are
+    >= 0, each row is ``width`` ints wide and beta_{0,0} is set to 1."""
     if not counts:
         return TRIVIAL  # free quotient, trivial resolution
     height, width = _extent(counts)
@@ -84,9 +82,9 @@ def _ek_table(counts) -> BettiTable:
                 row[:j + 1] = map(add, row, _binomials(j))
             else:
                 row[:j + 1] = map(add, row, map(step.__mul__, _binomials(j)))
-        rows.append(row)
-    rows[0] = [1, *rows[0][1:]]
-    return BettiTable(rows)
+        rows.append(tuple(row))
+    rows[0] = (1, *rows[0][1:])
+    return BettiTable._trusted(tuple(rows))
 
 
 # The largest j whose row C(j, .) the shared cache keeps: it covers every
@@ -99,16 +97,15 @@ _SHARED_J = 500
 def _binomials(j: int) -> tuple[int, ...]:
     """C(j, 0), ..., C(j, j): from the shared cache when j <= `_SHARED_J`,
     else built for this request and dropped with its table.  So the cache
-    holds at most 256 rows of at most 501 entries, 6.8 MB by
-    `sys.getsizeof` for the rows j = 245..500."""
+    holds at most the 501 rows j = 0..500, 8.3 MB by `sys.getsizeof`."""
     return _pascal(j) if j <= _SHARED_J else _pascal.__wrapped__(j)
 
 
-@lru_cache(maxsize=256)
+@cache
 def _pascal(j: int) -> tuple[int, ...]:
-    """C(j, 0), ..., C(j, j), one bounded cache shared by every table (read
-    through `_binomials`): its first half by C(j, i+1) = C(j, i) (j - i) /
-    (i + 1), exactly, the rest by C(j, i) = C(j, j - i)."""
+    """C(j, 0), ..., C(j, j), one cache shared by every table (read through
+    `_binomials`, so j <= `_SHARED_J`): its first half by C(j, i+1) =
+    C(j, i) (j - i) / (i + 1), exactly, the rest by C(j, i) = C(j, j - i)."""
     row = [1]
     for i in range(j // 2):
         row.append(row[-1] * (j - i) // (i + 1))

@@ -112,7 +112,7 @@ class HilbertSeries(Value):
         _set(self, "denominator_exponent", denominator_exponent)
 
     def h_polynomial(self) -> HPolynomial:
-        return HPolynomial(self.numerator)
+        return HPolynomial._trusted(self.numerator)  # checked as a numerator
 
     def coefficient(self, k: int) -> int:
         """Taylor coefficient of t^k, i.e. the Hilbert function value H(k)."""
@@ -272,7 +272,8 @@ def _reduced_series(kpoly, n: int) -> HilbertSeries:
     quotient: the last is its value at t = 1, and while that is 0 the
     others are the next quotient's coefficients.  The zero polynomial, the
     unit ideal's K-polynomial, has no such series and raises `ValueError`;
-    callers reject the unit ideal before they get here.
+    callers reject the unit ideal before they get here.  K is trimmed, so the
+    series is built unchecked: a quotient ends in minus its dividend's end.
     """
     if not any(kpoly):
         raise ValueError("the zero polynomial has no reduced series")
@@ -282,7 +283,7 @@ def _reduced_series(kpoly, n: int) -> HilbertSeries:
         coeffs = sums[:-1]
         sums = list(accumulate(coeffs))
         n -= 1
-    return HilbertSeries(tuple(coeffs), n)
+    return HilbertSeries._trusted(tuple(coeffs), n)
 
 
 def _stable_series(ideal: MonomialIdeal, table) -> HilbertSeries:

@@ -147,15 +147,6 @@ class MonomialIdeal(Value):
         # constructor's checks would only repeat its passes
         return cls._trusted(n, minimalize_rows(_check_rows(rows, n)))
 
-    @classmethod
-    def _trusted(cls, n: int, rows) -> "MonomialIdeal":
-        """The ideal whose generators are ``rows``, trusted to be a tuple of
-        exponent tuples in n variables, minimal and lex-descending."""
-        ideal = object.__new__(cls)
-        _set(ideal, "n", n)
-        _set(ideal, "exponent_rows", rows)
-        return ideal
-
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
         """The minimal generators as `Monomial` objects, lex-descending."""

@@ -14,7 +14,8 @@ against which the library's rows, read off each tally's span and runs, are
 checked, and `euler_column_sums` a table's Euler characteristic summed
 column by column over its whole rectangle, against which the library's
 pass over its nonzero entries is checked.  `count_calls` counts calls to
-library functions.
+library functions, and `assert_public` puts a value the library built
+through its type's public constructor.
 """
 
 import math
@@ -27,6 +28,7 @@ from itertools import combinations, combinations_with_replacement
 
 import lexseg.cli  # noqa: F401  (loads every lexseg module for count_calls)
 from lexseg import _kernels
+from lexseg._value import Value
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.monomials import Monomial, MonomialIdeal, contains, minimal_generators
 
@@ -459,3 +461,15 @@ def count_calls(monkeypatch, *names) -> Counter:
         for module in bound:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def assert_public(value) -> None:
+    """Assert that ``value`` passes every check of its type's public
+    constructor unchanged, ``type(value)(*value._values()) == value``, and
+    so does each field of it that is itself a value.  The library builds
+    its own results unchecked (`Value._trusted`); this is where their
+    checks run."""
+    assert type(value)(*value._values()) == value, value
+    for field in value._values():
+        if isinstance(field, Value):
+            assert_public(field)

@@ -18,6 +18,7 @@ from lexseg import construct, fixture, monomials
 from lexseg.betti import TRIVIAL, BettiTable
 from lexseg.betti_oracle import bruteforce_betti_table
 from lexseg.eliahou_kervaire import (
+    _SHARED_J,
     _ek_table,
     _pascal,
     depth,
@@ -293,10 +294,25 @@ class TestSharedBinomialRows:
         assert {1201, 1206, 1997, 1999, 2000} <= read
 
     def test_cache_is_bounded(self):
+        # the cache is unbounded by count; `_binomials` sends it only
+        # j <= _SHARED_J, so once every such row is in, it holds exactly those
         construct(300, 2)
-        info = _pascal.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+        construct(1, 2000)
+        assert _pascal.cache_info().currsize <= _SHARED_J + 1
+        for j in range(_SHARED_J + 1):
+            _pascal(j)
+        assert _pascal.cache_info().currsize == _SHARED_J + 1  # no j > _SHARED_J
+
+    def test_a_second_build_of_a_large_table_misses_no_row(self):
+        # construct(300, 2)'s table reads the 303 rows C(0..302, .); the
+        # second build reads them all from the cache
+        ideal = construct(300, 2).ideal
+        table = ek_betti_table(ideal)
+        before = _pascal.cache_info()
+        assert ek_betti_table(ideal) == table
+        after = _pascal.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
 
 
 def _tallies_of_width(rng, width: int) -> dict[int, list[int]]:
